@@ -14,15 +14,20 @@
 
 use crate::eval::average_saving;
 use crate::render::pct;
-use crate::{ProfileStore, Table, HEADLINE_NODE};
+use crate::{fetch_partial, ProfileStore, Table, HEADLINE_NODE};
 use leakage_cachesim::Level1;
 use leakage_core::policy::{OptDrowsy, OptHybrid, OptSleep};
 use leakage_core::{CircuitParams, EnergyContext, RefetchAccounting};
 use leakage_workloads::{Scale, ISA_SUITE_NAMES};
 
-/// Regenerates the ISA-suite table at `scale`, profiling each program
-/// through the global [`ProfileStore`] (so repeated runs and the
-/// serving path share one simulation per program).
+/// Regenerates the ISA-suite table at `scale`, profiling the programs
+/// in parallel through the global [`ProfileStore`] (so repeated runs
+/// and the serving path share one simulation per program).
+///
+/// # Panics
+///
+/// Re-raises the first program whose profiling failed, as
+/// [`crate::cached_suite`] does.
 pub fn generate(scale: Scale) -> Table {
     let ctx = EnergyContext::new(
         CircuitParams::for_node(HEADLINE_NODE),
@@ -50,8 +55,8 @@ pub fn generate(scale: Scale) -> Table {
         .to_vec(),
     );
 
-    for name in ISA_SUITE_NAMES {
-        let profile = ProfileStore::global().fetch(name, scale);
+    let profiles = fetch_partial(ProfileStore::global(), &ISA_SUITE_NAMES, scale).expect_healthy();
+    for (name, profile) in ISA_SUITE_NAMES.iter().zip(&profiles) {
         for (label, side) in [("I", Level1::Instruction), ("D", Level1::Data)] {
             let cache = profile.side(side);
             let accesses = cache.cache.accesses;
@@ -66,7 +71,7 @@ pub fn generate(scale: Scale) -> Table {
             } else {
                 cache.dist.total_cycles() as f64 / intervals as f64
             };
-            let one = std::slice::from_ref(&*profile);
+            let one = std::slice::from_ref(&**profile);
             table.push_row(vec![
                 name.to_string(),
                 label.to_string(),

@@ -61,7 +61,7 @@ pub mod table2;
 pub mod table3;
 
 pub use pipeline::{
-    cached_profile, cached_suite, cached_suite_partial, profile_benchmark,
+    cached_profile, cached_suite, cached_suite_partial, fetch_partial, profile_benchmark,
     profile_benchmark_with, profile_l2, profile_line_centric, profile_suite,
     profile_suite_serial, profile_suite_uncached, suite_partial_with, BenchmarkFailure,
     BenchmarkProfile, CacheProfile, SuiteOutcome,

@@ -3,7 +3,7 @@
 use crate::store::ProfileStore;
 use leakage_cachesim::{CacheStats, Hierarchy, HierarchyConfig, Level1};
 use leakage_faults::{panic_message, PipelineError};
-use leakage_intervals::{CompactIntervalDist, IntervalExtractor, WakeHints};
+use leakage_intervals::{CompactIntervalDist, IntervalExtractor, IntervalTally, WakeHints};
 use leakage_prefetch::{PrefetchAnalyzer, PrefetchStats, WakeTrigger};
 use leakage_trace::{Cycle, LineAddr, MemoryAccess, TraceSink, TraceSource};
 use leakage_workloads::{suite, Benchmark, Scale, SUITE_NAMES};
@@ -62,7 +62,7 @@ impl BenchmarkProfile {
 struct SideState {
     extractor: IntervalExtractor,
     analyzer: PrefetchAnalyzer,
-    dist: CompactIntervalDist,
+    tally: IntervalTally,
     predictions: PredictionTable,
 }
 
@@ -124,13 +124,13 @@ impl PipelineSink {
         let icache = SideState {
             extractor: IntervalExtractor::new(config.l1i.num_frames()),
             analyzer: PrefetchAnalyzer::for_instruction_cache(config.l1i.line_bits()),
-            dist: CompactIntervalDist::new(),
+            tally: IntervalTally::new(),
             predictions: PredictionTable::new(16 * 1024),
         };
         let dcache = SideState {
             extractor: IntervalExtractor::new(config.l1d.num_frames()),
             analyzer: PrefetchAnalyzer::for_data_cache(config.l1d.line_bits()),
-            dist: CompactIntervalDist::new(),
+            tally: IntervalTally::new(),
             predictions: PredictionTable::new(16 * 1024),
         };
         PipelineSink {
@@ -168,8 +168,13 @@ impl TraceSink for PipelineSink {
         // 2. Close the interval that this access terminates, carrying
         // the frame's dirtiness for the writeback-aware accounting.
         let now_dirty = self.hierarchy.l1(event.cache).frame_dirty(event.frame);
-        side.extractor
-            .on_access_full(event.frame, event.cycle, event.hit, now_dirty, &mut side.dist);
+        side.extractor.on_access_full(
+            event.frame,
+            event.cycle,
+            event.hit,
+            now_dirty,
+            &mut side.tally,
+        );
         // 3. Let this side's prefetchers react. A trigger for a resident
         // line wakes that line's frame now; a trigger for a non-resident
         // line is remembered until its fill arrives (step 1).
@@ -228,29 +233,30 @@ pub fn profile_benchmark_with(bench: &mut Benchmark, config: HierarchyConfig) ->
         mut dcache,
         ..
     } = sink;
-    {
+    let (idist, ddist) = {
         let _span = leakage_telemetry::span("extract");
-        icache.extractor.finish(end, &mut icache.dist);
-        dcache.extractor.finish(end, &mut dcache.dist);
-    }
+        icache.extractor.finish(end, &mut icache.tally);
+        dcache.extractor.finish(end, &mut dcache.tally);
+        (icache.tally.into_dist(), dcache.tally.into_dist())
+    };
     hierarchy.flush_telemetry();
     // Peak interval-set cardinality across every profiled cache — the
     // memory high-water mark of the sufficient statistic.
     let gauge = leakage_telemetry::gauge!("intervals_peak_classes");
-    gauge.set_max(icache.dist.num_classes() as u64);
-    gauge.set_max(dcache.dist.num_classes() as u64);
+    gauge.set_max(idist.num_classes() as u64);
+    gauge.set_max(ddist.num_classes() as u64);
 
     BenchmarkProfile {
         name: bench.name().to_string(),
         icache: CacheProfile {
-            dist: icache.dist,
+            dist: idist,
             num_frames: config.l1i.num_frames(),
             total_cycles: end.raw(),
             prefetch: icache.analyzer.stats(),
             cache: *hierarchy.l1i().stats(),
         },
         dcache: CacheProfile {
-            dist: dcache.dist,
+            dist: ddist,
             num_frames: config.l1d.num_frames(),
             total_cycles: end.raw(),
             prefetch: dcache.analyzer.stats(),
@@ -379,11 +385,7 @@ pub fn profile_suite(scale: Scale) -> Vec<BenchmarkProfile> {
 /// error). Callers that want the surviving profiles instead use
 /// [`cached_suite_partial`].
 pub fn cached_suite(scale: Scale) -> Vec<Arc<BenchmarkProfile>> {
-    let outcome = cached_suite_partial(scale);
-    if let Some(failure) = outcome.failures.first() {
-        panic!("{failure}");
-    }
-    outcome.profiles
+    cached_suite_partial(scale).expect_healthy()
 }
 
 /// One benchmark's failure inside the suite fan-out.
@@ -401,13 +403,14 @@ impl std::fmt::Display for BenchmarkFailure {
     }
 }
 
-/// What a partial suite run produced: every healthy profile (in suite
-/// order) plus a typed record of every benchmark that did not make it.
+/// What a partial fan-out produced: every healthy profile (in the
+/// order the benchmarks were named) plus a typed record of every
+/// benchmark that did not make it.
 #[derive(Debug, Default)]
 pub struct SuiteOutcome {
-    /// Profiles of the benchmarks that completed, in suite order.
+    /// Profiles of the benchmarks that completed, in request order.
     pub profiles: Vec<Arc<BenchmarkProfile>>,
-    /// Benchmarks that failed, in suite order.
+    /// Benchmarks that failed, in request order.
     pub failures: Vec<BenchmarkFailure>,
 }
 
@@ -421,6 +424,18 @@ impl SuiteOutcome {
     /// figure generators consume).
     pub fn cloned_profiles(&self) -> Vec<BenchmarkProfile> {
         self.profiles.iter().map(|p| p.as_ref().clone()).collect()
+    }
+
+    /// Every profile, when every benchmark completed.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first failure, naming its benchmark.
+    pub fn expect_healthy(self) -> Vec<Arc<BenchmarkProfile>> {
+        if let Some(failure) = self.failures.first() {
+            panic!("{failure}");
+        }
+        self.profiles
     }
 }
 
@@ -441,10 +456,20 @@ pub fn cached_suite_partial(scale: Scale) -> SuiteOutcome {
 /// private stores to keep fault experiments out of the global cache).
 pub fn suite_partial_with(store: &ProfileStore, scale: Scale) -> SuiteOutcome {
     let _span = leakage_telemetry::span("suite");
-    // Capture the suite path before the fan-out: rayon workers start
-    // with empty span stacks, so each benchmark re-attaches under it.
+    fetch_partial(store, &SUITE_NAMES, scale)
+}
+
+/// The one profiling fan-out: fetches every named benchmark (suite
+/// analogs or `isa:*` programs) through `store` in parallel (rayon),
+/// with per-benchmark panic isolation. Profiles and failures come back
+/// in `names` order whatever the thread count; each failure bumps
+/// `pipeline_benchmark_failures_total`.
+pub fn fetch_partial(store: &ProfileStore, names: &[&str], scale: Scale) -> SuiteOutcome {
+    // Capture the caller's span path before the fan-out: rayon workers
+    // start with empty span stacks, so each benchmark re-attaches
+    // under it.
     let parent = leakage_telemetry::current_path();
-    let results: Vec<Result<Arc<BenchmarkProfile>, BenchmarkFailure>> = SUITE_NAMES
+    let results: Vec<Result<Arc<BenchmarkProfile>, BenchmarkFailure>> = names
         .par_iter()
         .map(|name| {
             let _span = match &parent {

@@ -52,6 +52,7 @@ mod histogram;
 mod interval;
 mod line_centric;
 mod streaming;
+mod tally;
 
 pub use dist::{CompactIntervalDist, IntervalClass};
 pub use extractor::IntervalExtractor;
@@ -59,6 +60,7 @@ pub use histogram::IntervalHistogram;
 pub use interval::{Interval, IntervalKind, WakeHints};
 pub use line_centric::LineCentricExtractor;
 pub use streaming::StreamingExtractor;
+pub use tally::{IntervalTally, DENSE_LEN};
 
 /// A consumer of extracted intervals.
 ///

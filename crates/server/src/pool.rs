@@ -799,8 +799,11 @@ pub fn work_requests(
             // the body incrementally and writes its own response.
             // Exclusive connection ownership (reactor ONESHOT /
             // per-worker connections) makes the blocking reads safe.
-            flush_batch(&mut conn, ctx, worker_config);
-            if !conn.close {
+            // `conn.close` may already be set by a `Connection: close`
+            // header or an exhausted request budget; the upload is
+            // still owed its response (announcing the close), so only
+            // a failed flush skips it.
+            if flush_batch(&mut conn, ctx, worker_config) {
                 conn = crate::streaming::serve_upload(conn, &request, ctx, worker_config);
             }
             answered += 1;
@@ -918,15 +921,17 @@ pub fn work_requests(
     conn
 }
 
-/// Writes the batch buffer (one write per pipelined batch) and stamps
-/// + publishes its pending flight-recorder records. Sets `conn.close`
-/// on a transport failure. No-op when nothing is serialized.
-fn flush_batch(conn: &mut Connection, ctx: &RouteContext, worker_config: &WorkerConfig) {
+/// Writes the batch buffer (one write per pipelined batch), then
+/// stamps and publishes its pending flight-recorder records. Sets
+/// `conn.close` and returns `false` on a transport failure; returns
+/// `true` without writing when nothing is serialized.
+fn flush_batch(conn: &mut Connection, ctx: &RouteContext, worker_config: &WorkerConfig) -> bool {
     if conn.out.is_empty() {
-        return;
+        return true;
     }
     let write_started = Instant::now();
-    if flush_output(conn, worker_config).is_err() {
+    let flushed_ok = flush_output(conn, worker_config).is_ok();
+    if !flushed_ok {
         ctx.metrics.transport_errors.inc();
         conn.close = true;
     }
@@ -948,6 +953,7 @@ fn flush_batch(conn: &mut Connection, ctx: &RouteContext, worker_config: &Worker
             recorder.record(&record);
         }
     }
+    flushed_ok
 }
 
 /// Writes the batched output buffer, toggling a reactor-owned socket

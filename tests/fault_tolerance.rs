@@ -8,9 +8,11 @@
 //! suite-fetching test binary shares this process.
 
 use cache_leakage_limits::experiments::store::QUARANTINE_SUBDIR;
-use cache_leakage_limits::experiments::{cached_suite, suite_partial_with, ProfileStore};
+use cache_leakage_limits::experiments::{
+    cached_suite, fetch_partial, suite_partial_with, ProfileStore,
+};
 use cache_leakage_limits::faults::{panic_message, set_plane, Plane, PipelineError, StoreError};
-use cache_leakage_limits::workloads::{Scale, SUITE_NAMES};
+use cache_leakage_limits::workloads::{Scale, ISA_SUITE_NAMES, SUITE_NAMES};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Serializes fault experiments in this binary: holds the lock for the
@@ -87,6 +89,35 @@ fn one_poisoned_benchmark_does_not_sink_the_suite() {
     // The injected panic fired before any simulation work, so across
     // both runs each benchmark simulated exactly once.
     assert_eq!(store.counters().misses, SUITE_NAMES.len() as u64);
+}
+
+/// The executed programs go through the same fan-out as the suite: one
+/// poisoned `isa:*` program yields a typed failure while the other
+/// five complete, in order.
+#[test]
+fn one_poisoned_isa_program_does_not_sink_the_fan_out() {
+    let _scope = FaultScope::new("suite/isa:chase=panic");
+    let store = ProfileStore::new();
+    let outcome = fetch_partial(&store, &ISA_SUITE_NAMES, Scale::Test);
+    assert_eq!(outcome.failures.len(), 1, "{:?}", outcome.failures);
+    let failure = &outcome.failures[0];
+    assert_eq!(failure.benchmark, "isa:chase");
+    assert!(
+        matches!(
+            &failure.error,
+            PipelineError::Store(StoreError::SimulationPanicked { benchmark, .. })
+                if benchmark == "isa:chase"
+        ),
+        "{}",
+        failure.error
+    );
+    let healthy: Vec<&str> = outcome.profiles.iter().map(|p| p.name.as_str()).collect();
+    let expected: Vec<&str> = ISA_SUITE_NAMES
+        .iter()
+        .copied()
+        .filter(|n| *n != "isa:chase")
+        .collect();
+    assert_eq!(healthy, expected);
 }
 
 /// A panicked fetch must not wedge later fetches of the same key or of

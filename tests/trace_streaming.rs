@@ -56,28 +56,44 @@ fn expected_summary(body: &[u8], line_bits: u32) -> (u64, u64, u64) {
 }
 
 /// Sends `body` as a chunked POST in `chunk`-byte chunks (plus
-/// `tail` pipelined after the terminator) and returns every byte the
-/// server sends back before closing its half.
+/// `tail` pipelined after the terminator), half-closes, and returns
+/// every byte the server sends back before closing its half.
 fn chunked_post(addr: SocketAddr, target: &str, body: &[u8], chunk: usize, tail: &[u8]) -> Vec<u8> {
+    let mut request = chunked_request(target, "", body, chunk);
+    request.extend_from_slice(tail);
+    exchange(addr, &request, true)
+}
+
+/// Frames `body` as one chunked `POST` in `chunk`-byte chunks, with
+/// `extra_headers` (each line CRLF-terminated) in the header block.
+fn chunked_request(target: &str, extra_headers: &str, body: &[u8], chunk: usize) -> Vec<u8> {
+    let mut raw = format!(
+        "POST {target} HTTP/1.1\r\nHost: t\r\n{extra_headers}Transfer-Encoding: chunked\r\n\r\n"
+    )
+    .into_bytes();
+    for piece in body.chunks(chunk.max(1)) {
+        raw.extend_from_slice(format!("{:x}\r\n", piece.len()).as_bytes());
+        raw.extend_from_slice(piece);
+        raw.extend_from_slice(b"\r\n");
+    }
+    raw.extend_from_slice(b"0\r\n\r\n");
+    raw
+}
+
+/// Writes `request`, half-closing after it when `half_close` is set
+/// (otherwise only the server can end the exchange), and returns every
+/// byte received before the server's FIN.
+fn exchange(addr: SocketAddr, request: &[u8], half_close: bool) -> Vec<u8> {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(CLIENT_TIMEOUT))
         .expect("read timeout");
-    let head =
-        format!("POST {target} HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n");
-    stream.write_all(head.as_bytes()).expect("write head");
-    for piece in body.chunks(chunk.max(1)) {
+    stream.write_all(request).expect("write request");
+    if half_close {
         stream
-            .write_all(format!("{:x}\r\n", piece.len()).as_bytes())
-            .expect("write size");
-        stream.write_all(piece).expect("write chunk");
-        stream.write_all(b"\r\n").expect("write terminator");
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
     }
-    stream.write_all(b"0\r\n\r\n").expect("write last chunk");
-    stream.write_all(tail).expect("write pipelined tail");
-    stream
-        .shutdown(std::net::Shutdown::Write)
-        .expect("half-close");
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("read responses");
     raw
@@ -247,6 +263,64 @@ fn chunked_bodies_are_refused_off_the_trace_route() {
     let raw = chunked_post(addr, "/v1/sweep", b"{}", 64, b"");
     let (status, _, _) = split_response(&raw);
     assert_eq!(status, 411, "chunked off the trace route asks for Content-Length");
+    server.shutdown();
+}
+
+/// Asserts `raw` is a 200 upload summary of `body` that announces
+/// `Connection: close`, and is the last response on the wire.
+fn assert_closing_upload_answer(raw: &[u8], body: &[u8]) {
+    assert!(!raw.is_empty(), "the upload got no response at all");
+    let head_end = raw
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .expect("header terminator");
+    let head = String::from_utf8_lossy(&raw[..head_end]).to_ascii_lowercase();
+    let (status, summary, rest) = split_response(raw);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&summary));
+    assert!(head.contains("connection: close"), "{head}");
+    assert!(rest.is_empty(), "nothing may follow the closing response");
+    let (_, _, intervals) = expected_summary(body, 6);
+    let doc = json::parse(std::str::from_utf8(&summary).expect("UTF-8")).expect("parses");
+    assert_eq!(
+        doc.get("intervals").and_then(Json::as_f64),
+        Some(intervals as f64)
+    );
+}
+
+/// A chunked upload that asks for `Connection: close` is still
+/// answered, and the answer announces the close.
+#[test]
+fn chunked_upload_with_connection_close_is_answered() {
+    let server = Server::start(test_config()).expect("server starts");
+    let body = lktr_trace("isa:memcpy", 5_000, 2);
+    let request = chunked_request("/v1/trace/intervals", "Connection: close\r\n", &body, 4096);
+    let raw = exchange(server.addr(), &request, false);
+    assert_closing_upload_answer(&raw, &body);
+    server.shutdown();
+}
+
+/// A chunked upload that spends the last of the connection's request
+/// budget is answered with `Connection: close`.
+#[test]
+fn chunked_upload_exhausting_the_request_budget_is_answered() {
+    let server = Server::start(ServerConfig {
+        max_requests_per_connection: 2,
+        ..test_config()
+    })
+    .expect("server starts");
+    let body = lktr_trace("isa:memcpy", 5_000, 2);
+    let mut request = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".to_vec();
+    request.extend(chunked_request("/v1/trace/intervals", "", &body, 4096));
+    let raw = exchange(server.addr(), &request, false);
+
+    let (first_status, first_body, rest) = split_response(&raw);
+    assert_eq!(
+        first_status,
+        200,
+        "{}",
+        String::from_utf8_lossy(&first_body)
+    );
+    assert_closing_upload_answer(&rest, &body);
     server.shutdown();
 }
 
