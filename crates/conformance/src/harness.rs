@@ -14,8 +14,8 @@ use leakage_core::policy::OptHybrid;
 use leakage_core::{EnergyContext, GeneralizedModel, PowerMode, RefetchAccounting};
 use leakage_energy::{CircuitParams, ModePowers, ModeTimings, TechnologyNode};
 use leakage_intervals::{
-    CompactIntervalDist, IntervalClass, IntervalExtractor, IntervalKind, LineCentricExtractor,
-    StreamingExtractor, WakeHints,
+    CompactIntervalDist, IntervalClass, IntervalExtractor, IntervalKind, StreamingExtractor,
+    WakeHints,
 };
 use leakage_isa::{IsaSource, PROGRAMS};
 use leakage_prefetch::{NextLinePrefetcher, StridePrefetcher};
@@ -440,12 +440,11 @@ pub fn check_extractor_fuzz(traces: u32) -> CheckOutcome {
         }
 
         // Line-keyed streaming extractor vs quadratic reference.
-        let mut line_extractor = LineCentricExtractor::new();
-        let mut line_prod = CompactIntervalDist::new();
+        let mut line_extractor = StreamingExtractor::new(6, CompactIntervalDist::new());
         for e in &events {
-            line_extractor.on_access(e.line, Cycle::new(e.cycle), &mut line_prod);
+            line_extractor.on_access(e.line, Cycle::new(e.cycle));
         }
-        line_extractor.finish(Cycle::new(end), &mut line_prod);
+        let line_prod = line_extractor.finish_at(Cycle::new(end));
         let line_reference = reference_line_intervals_quadratic(&events, end);
         if line_prod != line_reference {
             return CheckOutcome::fail(

@@ -2,7 +2,7 @@
 //!
 //! The production extractors are streaming: `IntervalExtractor` keeps
 //! one slot per frame and closes intervals online;
-//! `LineCentricExtractor` does the same keyed by line address. The
+//! `StreamingExtractor` does the same keyed by line address. The
 //! references here buffer the *whole* event list first and then derive
 //! each frame's (or line's) intervals by re-reading it — the most
 //! literal transcription of the interval definition in the paper: the
@@ -20,7 +20,7 @@
 //!   oracle, used on fuzzed traces (and to cross-check the bucketed
 //!   variant).
 //! * [`reference_line_intervals_quadratic`] does the same per distinct
-//!   *line*, mirroring `LineCentricExtractor` (interior intervals are
+//!   *line*, mirroring `StreamingExtractor` (interior intervals are
 //!   always re-accesses; no leading/untouched intervals).
 
 use leakage_intervals::{CompactIntervalDist, IntervalClass, IntervalKind, WakeHints};
@@ -128,7 +128,7 @@ pub fn reference_intervals_quadratic(
     dist
 }
 
-/// Quadratic line-centric reference, mirroring `LineCentricExtractor`:
+/// Quadratic line-centric reference, mirroring `StreamingExtractor`:
 /// for every distinct line, rescan the whole event list; interior
 /// intervals are always re-accesses (a line-keyed timeline has no
 /// fills-over-other-data), each line contributes a trailing interval,

@@ -3,7 +3,9 @@
 use crate::store::ProfileStore;
 use leakage_cachesim::{CacheStats, Hierarchy, HierarchyConfig, Level1};
 use leakage_faults::{panic_message, PipelineError};
-use leakage_intervals::{CompactIntervalDist, IntervalExtractor, IntervalTally, WakeHints};
+use leakage_intervals::{
+    CompactIntervalDist, IntervalExtractor, IntervalTally, StreamingExtractor, WakeHints,
+};
 use leakage_prefetch::{PrefetchAnalyzer, PrefetchStats, WakeTrigger};
 use leakage_trace::{Cycle, LineAddr, MemoryAccess, TraceSink, TraceSource};
 use leakage_workloads::{suite, Benchmark, Scale, SUITE_NAMES};
@@ -317,47 +319,41 @@ pub fn profile_l2(bench: &mut Benchmark) -> CacheProfile {
 /// Extracts *line-centric* interval distributions (the paper's literal
 /// §3.1 definition: per memory line, residency ignored) for both L1
 /// line granularities. Returns `(icache_dist, dcache_dist, cycles)`.
+/// Each side runs its own [`StreamingExtractor`], the one line-keyed
+/// extractor in the workspace.
 ///
 /// Used by the `ablation-line-centric` experiment to quantify how much
 /// the frame-vs-line modelling choice moves the limits.
 pub fn profile_line_centric(
     bench: &mut Benchmark,
 ) -> (CompactIntervalDist, CompactIntervalDist, u64) {
-    use leakage_intervals::LineCentricExtractor;
-
     struct LineSink {
-        icache: LineCentricExtractor,
-        dcache: LineCentricExtractor,
-        idist: CompactIntervalDist,
-        ddist: CompactIntervalDist,
-        end: Cycle,
+        icache: StreamingExtractor<CompactIntervalDist>,
+        dcache: StreamingExtractor<CompactIntervalDist>,
     }
     impl TraceSink for LineSink {
         fn accept(&mut self, access: MemoryAccess) {
-            let line = access.addr.line(6);
             if access.kind.is_fetch() {
-                self.icache.on_access(line, access.cycle, &mut self.idist);
+                self.icache.accept(access);
             } else {
-                self.dcache.on_access(line, access.cycle, &mut self.ddist);
-            }
-            if access.cycle >= self.end {
-                self.end = access.cycle.advanced(1);
+                self.dcache.accept(access);
             }
         }
     }
 
     let mut sink = LineSink {
-        icache: LineCentricExtractor::new(),
-        dcache: LineCentricExtractor::new(),
-        idist: CompactIntervalDist::new(),
-        ddist: CompactIntervalDist::new(),
-        end: Cycle::ZERO,
+        icache: StreamingExtractor::new(6, CompactIntervalDist::new()),
+        dcache: StreamingExtractor::new(6, CompactIntervalDist::new()),
     };
     bench.run(&mut sink);
-    let end = sink.end;
-    sink.icache.finish(end, &mut sink.idist);
-    sink.dcache.finish(end, &mut sink.ddist);
-    (sink.idist, sink.ddist, end.raw())
+    // Both sides close their trailing intervals at the shared trace
+    // end, not at their own stream's last access.
+    let end = sink
+        .icache
+        .watermark()
+        .max(sink.dcache.watermark())
+        .map_or(Cycle::ZERO, |last| last.advanced(1));
+    (sink.icache.finish_at(end), sink.dcache.finish_at(end), end.raw())
 }
 
 /// Profiles the whole six-benchmark suite at the given scale —

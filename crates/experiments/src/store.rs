@@ -32,10 +32,10 @@
 //!   failure as a typed [`StoreError`]; the panicking [`fetch`]
 //!   wrappers re-panic with the same message for callers that opted
 //!   out of handling it.
-//! * **Disk writes are crash-safe.** Profiles are written to a unique
-//!   temp file, fsynced, and atomically renamed into place, and the
-//!   codec appends an FNV-1a integrity footer — so a concurrent
-//!   process or a mid-write crash can never expose a
+//! * **Disk writes are crash-safe.** Profiles are written through
+//!   [`leakage_faults::durable`] (unique temp file, fsync, atomic
+//!   rename), and the codec appends an FNV-1a integrity footer — so
+//!   a concurrent process or a mid-write crash can never expose a
 //!   decodable-but-wrong profile.
 //! * **Corrupt files are quarantined, not overwritten.** A file that
 //!   fails to decode moves to `<dir>/quarantine/` with a logged
@@ -64,14 +64,12 @@ use crate::codec;
 use crate::pipeline::{profile_benchmark_with, BenchmarkProfile};
 use leakage_cachesim::{CacheConfig, HierarchyConfig};
 use leakage_faults::checksum::Fnv64;
-use leakage_faults::{panic_message, Backoff, StoreError};
+use leakage_faults::{durable, panic_message, Backoff, StoreError};
 use leakage_telemetry::{counter, warn, Counter};
 use leakage_workloads::{by_name, generator_version, Scale};
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Environment variable naming a directory for the global store's
@@ -80,7 +78,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 pub const PROFILE_DIR_ENV: &str = "LEAKAGE_PROFILE_DIR";
 
 /// Subdirectory of the profile dir where corrupt files are moved.
-pub const QUARANTINE_SUBDIR: &str = "quarantine";
+pub const QUARANTINE_SUBDIR: &str = durable::QUARANTINE_DIR;
 
 /// Snapshot of a store's counters (see [`ProfileStore::counters`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -391,48 +389,27 @@ impl ProfileStore {
 
     /// Moves a corrupt profile into `<dir>/quarantine/` so the
     /// evidence survives for diagnosis and the broken bytes can never
-    /// be served again, then counts and logs the event. If the move
-    /// itself fails the file is deleted instead — an unreadable
-    /// profile must not keep wedging every future fetch of its key.
+    /// be served again, then counts and logs the event.
     fn quarantine(&self, path: &Path, reason: &str) {
         self.quarantined.inc();
-        let quarantined = path
-            .parent()
-            .map(|dir| dir.join(QUARANTINE_SUBDIR))
-            .and_then(|qdir| {
-                std::fs::create_dir_all(&qdir).ok()?;
-                let target = qdir.join(path.file_name()?);
-                std::fs::rename(path, &target).ok()?;
-                Some(target)
-            });
-        match quarantined {
-            Some(target) => warn!(
+        let outcome = durable::quarantine(path);
+        match &outcome.moved {
+            Ok(target) => warn!(
                 "quarantined corrupt profile {} -> {}: {reason}",
                 path.display(),
                 target.display()
             ),
-            None => {
-                let _ = std::fs::remove_file(path);
-                warn!(
-                    "deleted corrupt profile {} (quarantine move failed): {reason}",
-                    path.display()
-                );
-            }
+            Err(_) => warn!(
+                "deleted corrupt profile {} (quarantine move failed): {reason}",
+                path.display()
+            ),
         }
-        // The pen keeps evidence, not an archive: cap it so repeated
-        // corruption (or a chaos run) cannot fill the disk.
-        if let Some(pen) = path.parent().map(|dir| dir.join(QUARANTINE_SUBDIR)) {
-            let evicted = leakage_faults::quarantine::enforce_budget(
-                &pen,
-                leakage_faults::quarantine::budget_from_env(),
+        if outcome.evicted.files > 0 {
+            counter!("quarantined_evicted_total").add(outcome.evicted.files);
+            warn!(
+                "profile quarantine pen over budget; evicted {} file(s) / {} byte(s)",
+                outcome.evicted.files, outcome.evicted.bytes
             );
-            if evicted.files > 0 {
-                counter!("quarantined_evicted_total").add(evicted.files);
-                warn!(
-                    "profile quarantine pen over budget; evicted {} file(s) / {} byte(s)",
-                    evicted.files, evicted.bytes
-                );
-            }
         }
     }
 
@@ -457,7 +434,7 @@ impl ProfileStore {
             // Fault site: may truncate the buffer (torn-write
             // simulation) or inject an I/O error.
             leakage_faults::corrupt_point("store/write", &mut attempt)?;
-            write_atomically(&path, &attempt)
+            durable::write_atomically(&path, &attempt)
         });
         if let Err(err) = written {
             warn!("cannot write {}: {err}; profile not persisted", path.display());
@@ -479,29 +456,6 @@ impl ProfileStore {
     pub fn clear(&self) {
         self.lock_entries().clear();
     }
-}
-
-/// Writes via a unique temp file + fsync + rename so neither
-/// concurrent processes nor a crash can expose a half-written profile:
-/// the rename is atomic, and the fsync before it guarantees the
-/// renamed-in bytes are durable (no window where the directory entry
-/// points at unsynced data).
-fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    // Unique per process *and* per call: two threads flushing the same
-    // key must not interleave writes into one temp file.
-    static SEQUENCE: AtomicU64 = AtomicU64::new(0);
-    let sequence = SEQUENCE.fetch_add(1, Ordering::Relaxed);
-    let tmp = path.with_extension(format!("tmp.{}.{sequence}", std::process::id()));
-    let result = (|| {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
 }
 
 fn hash_cache_geometry(hash: &mut Fnv64, cache: &CacheConfig) {

@@ -1,5 +1,6 @@
 //! Fault tolerance for the leakage-limit pipeline: typed errors, a
-//! deterministic fault-injection plane, and retry helpers.
+//! deterministic fault-injection plane, retry helpers, and the
+//! crash-safe durable-file policy.
 //!
 //! The limit study's numbers only mean something if the harness
 //! degrades gracefully: one panicking benchmark must not poison the
@@ -27,12 +28,14 @@
 //! * **Checksums** ([`checksum`]): the FNV-1a integrity primitive the
 //!   profile codec's footer and the store's cache keys share.
 //!
-//! * **Quarantine budgets** ([`quarantine`]): oldest-first eviction
-//!   that caps how much corrupt-file evidence a `quarantine/` pen may
-//!   accumulate, so sustained fault injection cannot fill the disk.
+//! * **Durable files** ([`durable`]): the one crash-safe write path
+//!   (temp file → fsync → rename) and the one quarantine move (into a
+//!   sibling `quarantine/` pen capped at a byte budget, oldest evicted
+//!   first) that every persisted profile, checkpoint and job file uses.
 //!
-//! The crate is dependency-free and makes no policy decisions itself —
-//! what is retried, what is isolated, and what aborts is documented in
+//! The crate is dependency-free. Apart from how a durable file is
+//! written and set aside, it makes no policy decisions itself — what
+//! is retried, what is isolated, and what aborts is documented in
 //! `DESIGN.md` ("Failure model & degradation policy") and implemented
 //! at the call sites.
 
@@ -40,9 +43,9 @@
 #![warn(missing_docs)]
 
 pub mod checksum;
+pub mod durable;
 mod error;
 pub mod inject;
-pub mod quarantine;
 pub mod retry;
 
 pub use error::{panic_message, PipelineError, StoreError, TraceError};

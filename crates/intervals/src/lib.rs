@@ -50,7 +50,6 @@ mod dist;
 mod extractor;
 mod histogram;
 mod interval;
-mod line_centric;
 mod streaming;
 mod tally;
 
@@ -58,7 +57,6 @@ pub use dist::{CompactIntervalDist, IntervalClass};
 pub use extractor::IntervalExtractor;
 pub use histogram::IntervalHistogram;
 pub use interval::{Interval, IntervalKind, WakeHints};
-pub use line_centric::LineCentricExtractor;
 pub use streaming::StreamingExtractor;
 pub use tally::{IntervalTally, DENSE_LEN};
 

@@ -13,25 +13,24 @@
 //! The footer is FNV-1a over *every byte before the footer line* —
 //! magic and header included, so a file pasted under the wrong name or
 //! truncated at a line boundary still fails verification. Writes go
-//! through the workspace's crash-safe idiom (unique temp file →
-//! `write_all` → `sync_all` → atomic rename) with the `jobs/checkpoint`
-//! fault site armed in front, and every write is *read back and
-//! verified* before the chunk is reported durable: a torn write is
-//! quarantined and retried immediately instead of being discovered by
-//! some later reader.
+//! through [`leakage_faults::durable::write_atomically`] (unique temp
+//! file → `write_all` → `sync_all` → atomic rename) with the
+//! `jobs/checkpoint` fault site armed in front, and every write is
+//! *read back and verified* before the chunk is reported durable: a
+//! torn write is quarantined and retried immediately instead of being
+//! discovered by some later reader.
 //!
 //! Corrupt files are never deleted in place — [`quarantine`] moves
-//! them verbatim to `<job dir>/quarantine/` for post-mortems, exactly
-//! like the profile store does.
+//! them verbatim to `<job dir>/quarantine/` for post-mortems through
+//! the same [`leakage_faults::durable::quarantine`] the profile store
+//! uses.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::process;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use leakage_faults::checksum::Fnv64;
-use leakage_faults::{corrupt_point, io_point, retry, Backoff};
+use leakage_faults::{corrupt_point, durable, io_point, retry, Backoff};
 use leakage_telemetry::{counter, warn};
 
 /// Magic first line of every checkpoint file.
@@ -204,66 +203,31 @@ pub fn decode_chunk(bytes: &[u8]) -> Result<ChunkFile, CkptError> {
     })
 }
 
-/// Writes `bytes` to `path` atomically: unique temp file in the same
-/// directory, `write_all`, `sync_all`, rename. A crash at any point
-/// leaves either the old file or the new file, never a mix.
-///
-/// # Errors
-///
-/// Any filesystem failure; the temp file is removed on error.
-pub fn write_atomically(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    static SEQUENCE: AtomicU64 = AtomicU64::new(0);
-    let seq = SEQUENCE.fetch_add(1, Ordering::Relaxed);
-    let tmp = path.with_extension(format!("tmp.{}.{seq}", process::id()));
-    let write = (|| -> io::Result<()> {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        fs::rename(&tmp, path)
-    })();
-    if write.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    write
-}
-
 /// Moves a corrupt file verbatim into `<parent>/quarantine/` (falling
 /// back to deletion if even the move fails) so it can never be decoded
 /// as a result again but stays available for post-mortems.
 pub fn quarantine(path: &Path, reason: &str) {
     counter!("jobs_checkpoints_quarantined_total").inc();
-    let parent = path.parent().unwrap_or(Path::new("."));
-    let pen = parent.join("quarantine");
-    let dest = pen.join(path.file_name().unwrap_or_default());
-    let moved = fs::create_dir_all(&pen).and_then(|()| fs::rename(path, &dest));
-    match moved {
-        Ok(()) => warn!(
+    let outcome = durable::quarantine(path);
+    match &outcome.moved {
+        Ok(dest) => warn!(
             "jobs: quarantined {} -> {} ({reason})",
             path.display(),
             dest.display()
         ),
-        Err(err) => {
-            let _ = fs::remove_file(path);
-            warn!(
-                "jobs: quarantine move of {} failed ({err}); removed in place ({reason})",
-                path.display()
-            );
-        }
+        Err(err) => warn!(
+            "jobs: quarantine move of {} failed ({err}); removed in place ({reason})",
+            path.display()
+        ),
     }
-    // A pen that grows without bound under sustained corruption (or a
-    // chaos run) would eventually take the disk down with it; keep the
-    // newest evidence, evict the oldest.
-    let evicted = leakage_faults::quarantine::enforce_budget(
-        &pen,
-        leakage_faults::quarantine::budget_from_env(),
-    );
+    let evicted = outcome.evicted;
     if evicted.files > 0 {
         counter!("quarantined_evicted_total").add(evicted.files);
         warn!(
             "jobs: quarantine pen over budget; evicted {} file(s) / {} byte(s) from {}",
             evicted.files,
             evicted.bytes,
-            pen.display()
+            outcome.pen.display()
         );
     }
 }
@@ -289,7 +253,7 @@ pub fn write_chunk(dir: &Path, file: &ChunkFile) -> io::Result<PathBuf> {
             // corrupt_point simulates a torn write: an armed
             // `truncate:` arm shears the tail off this attempt only.
             corrupt_point("jobs/checkpoint", &mut attempt)?;
-            write_atomically(&path, &attempt)
+            durable::write_atomically(&path, &attempt)
         })?;
         match read_chunk(&path) {
             Ok(decoded) if decoded == *file => {
@@ -400,7 +364,7 @@ mod tests {
 
     #[test]
     fn write_chunk_is_durable_and_read_back() {
-        let dir = std::env::temp_dir().join(format!("jobs-ckpt-test-{}", process::id()));
+        let dir = std::env::temp_dir().join(format!("jobs-ckpt-test-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let file = sample();
         let path = write_chunk(&dir, &file).unwrap();

@@ -51,12 +51,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use leakage_faults::{io_point, panic_message, retry, Backoff};
+use leakage_faults::{durable, io_point, panic_message, retry, Backoff};
 use leakage_telemetry::json;
 use leakage_telemetry::{counter, debug, warn};
 
 use crate::checkpoint::{
-    self, chunk_file_name, parse_chunk_file_name, quarantine, read_chunk, write_chunk, ChunkFile,
+    chunk_file_name, parse_chunk_file_name, quarantine, read_chunk, write_chunk, ChunkFile,
     CkptError,
 };
 use crate::lease::LeaseManager;
@@ -66,6 +66,9 @@ use crate::transport::{RemoteGate, SocketTransport, StdioTransport, WorkerTransp
 
 /// Environment override for the worker executable path.
 pub const WORKER_BIN_ENV: &str = "LEAKAGE_JOB_WORKER_BIN";
+
+/// The empty marker file that durably records a cancellation.
+const CANCEL_MARKER: &str = "canceled";
 
 /// Upper bound on `per_page` for result reads.
 pub const MAX_PER_PAGE: u64 = 10_000;
@@ -306,7 +309,9 @@ impl JobFabric {
             for entry in fs::read_dir(&dir)? {
                 let entry = entry?;
                 let job_dir = entry.path();
-                if !job_dir.is_dir() || job_dir.file_name() == Some("quarantine".as_ref()) {
+                if !job_dir.is_dir()
+                    || job_dir.file_name() == Some(durable::QUARANTINE_DIR.as_ref())
+                {
                     continue;
                 }
                 fabric.recover_job(&job_dir);
@@ -335,7 +340,7 @@ impl JobFabric {
             );
             return;
         }
-        let canceled = job_dir.join("canceled").exists();
+        let canceled = job_dir.join(CANCEL_MARKER).exists();
         let handle = Arc::new(JobHandle {
             id: id.clone(),
             spec,
@@ -397,7 +402,7 @@ impl JobFabric {
             }
             let dir = self.config.jobs_dir.join(&id);
             fs::create_dir_all(&dir).map_err(SubmitError::Io)?;
-            checkpoint::write_atomically(&dir.join("job.json"), spec.to_json().as_bytes())
+            durable::write_atomically(&dir.join("job.json"), spec.to_json().as_bytes())
                 .map_err(SubmitError::Io)?;
             let handle = Arc::new(JobHandle {
                 id: id.clone(),
@@ -603,7 +608,7 @@ impl JobFabric {
                 let _ = join.join();
             }
             None => {
-                let _ = fs::write(handle.dir.join("canceled"), b"");
+                write_cancel_marker(&handle.dir);
                 handle.status.lock().unwrap().state = JobState::Canceled;
             }
         }
@@ -677,6 +682,15 @@ impl JobFabric {
                 })
                 .expect("spawn job runner thread"),
         );
+    }
+}
+
+/// Durably records that the job in `dir` was canceled, so a restart
+/// never resumes it. A failed write is logged; the in-memory state
+/// still says canceled for the rest of this run.
+fn write_cancel_marker(dir: &Path) {
+    if let Err(err) = durable::write_atomically(&dir.join(CANCEL_MARKER), b"") {
+        warn!("jobs: cannot write cancel marker in {}: {err}", dir.display());
     }
 }
 
@@ -811,7 +825,7 @@ impl Runner {
         loop {
             if self.job.cancel.load(Ordering::SeqCst) {
                 self.teardown(false);
-                let _ = fs::write(self.job.dir.join("canceled"), b"");
+                write_cancel_marker(&self.job.dir);
                 let mut status = self.job.status.lock().unwrap();
                 status.state = JobState::Canceled;
                 return;
@@ -845,7 +859,8 @@ impl Runner {
     }
 
     /// Scans the job directory for durable chunks; valid ones count as
-    /// done, corrupt ones are quarantined and recomputed.
+    /// done, corrupt ones are quarantined and recomputed, and temp
+    /// files a crashed writer left behind are deleted.
     fn recover_checkpoints(&mut self) -> io::Result<()> {
         let spec = &self.job.spec;
         let mut recovered = 0u64;
@@ -857,9 +872,7 @@ impl Runner {
                 continue;
             };
             let Some(chunk) = parse_chunk_file_name(name) else {
-                // Stale temp files from a crashed writer are garbage
-                // by construction (the rename never happened).
-                if name.contains(".ckpt.tmp.") {
+                if durable::is_temp_name(name) {
                     let _ = fs::remove_file(&path);
                 }
                 continue;

@@ -30,7 +30,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use crate::checkpoint::write_atomically;
+use leakage_faults::durable;
 
 /// Subdirectory of a job dir holding the lease files.
 pub const LEASE_SUBDIR: &str = "leases";
@@ -58,14 +58,19 @@ pub struct LeaseManager {
 impl LeaseManager {
     /// Opens the lease table for a job directory, re-seeding epochs
     /// from any lease files a previous coordinator left behind —
-    /// post-restart assignments must outrank pre-restart ones.
+    /// post-restart assignments must outrank pre-restart ones — and
+    /// sweeping temp files a crashed lease write left behind.
     pub fn open(job_dir: &Path) -> LeaseManager {
         let dir = job_dir.join(LEASE_SUBDIR);
         let mut leases = HashMap::new();
         if let Ok(entries) = fs::read_dir(&dir) {
             for entry in entries.flatten() {
                 let name = entry.file_name();
-                let Some(chunk) = parse_lease_file_name(&name.to_string_lossy()) else {
+                let name = name.to_string_lossy();
+                let Some(chunk) = parse_lease_file_name(&name) else {
+                    if durable::is_temp_name(&name) {
+                        let _ = fs::remove_file(entry.path());
+                    }
                     continue;
                 };
                 let recovered = fs::read_to_string(entry.path())
@@ -128,7 +133,7 @@ impl LeaseManager {
             lease.epoch, lease.worker, lease.deadline_unix_ms
         );
         let write = fs::create_dir_all(&self.dir).and_then(|()| {
-            write_atomically(&self.dir.join(lease_file_name(chunk)), body.as_bytes())
+            durable::write_atomically(&self.dir.join(lease_file_name(chunk)), body.as_bytes())
         });
         if let Err(err) = write {
             // Leases are safety bookkeeping *about* durable state, not

@@ -18,6 +18,7 @@
 //!   every entry for the LRU victim on each eviction).
 
 use crate::http::{Request, WireResponse};
+use leakage_faults::checksum::fnv1a;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -97,17 +98,6 @@ impl Shard {
     }
 }
 
-/// FNV-1a, for shard selection (stable, dependency-free, good enough
-/// dispersion over short ASCII keys).
-fn fnv1a(key: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in key.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 impl ResponseCache {
     /// A cache of `shards` independent LRU shards holding `capacity`
     /// entries in total (`capacity == 0` disables caching). Shard
@@ -140,7 +130,8 @@ impl ResponseCache {
     }
 
     fn shard(&self, key: &str) -> &Mutex<Shard> {
-        &self.shards[(fnv1a(key) % self.shards.len() as u64) as usize]
+        // FNV-1a: stable, and good enough dispersion over short keys.
+        &self.shards[(fnv1a(key.as_bytes()) % self.shards.len() as u64) as usize]
     }
 
     /// Looks up `key`, refreshing its recency on a hit.

@@ -14,6 +14,7 @@
 //! first-touches of the same benchmark.
 
 use leakage_experiments::{BenchmarkProfile, ProfileStore};
+use leakage_faults::checksum::Fnv64;
 use leakage_faults::StoreError;
 use leakage_workloads::Scale;
 use std::collections::HashMap;
@@ -30,12 +31,10 @@ pub struct StoreFront {
 }
 
 fn stripe_of(benchmark: &str, cycles: u64, stripes: usize) -> usize {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in benchmark.bytes().chain(cycles.to_le_bytes()) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % stripes as u64) as usize
+    let mut hash = Fnv64::new();
+    hash.update(benchmark.as_bytes());
+    hash.write_u64(cycles);
+    (hash.finish() % stripes as u64) as usize
 }
 
 impl StoreFront {
