@@ -1,5 +1,5 @@
-//! Per-connection state shared by the reactor and threaded
-//! transports: the input buffer requests are parsed out of, the
+//! Per-connection state handed between the reactor and the workers:
+//! the input buffer requests are parsed out of, the
 //! output buffer pipelined responses are batched into, and the
 //! keep-alive bookkeeping (requests served, close fate, idle clock).
 
@@ -25,11 +25,11 @@ pub enum Taken {
     NeedMore,
 }
 
-/// One client connection moving between the transport (readiness or
-/// blocking reads) and the worker pool (parse → handle → write).
+/// One client connection moving between the reactor (readiness
+/// reads) and the worker pool (parse → handle → write).
 pub struct Connection {
-    /// The socket. Nonblocking under the reactor; blocking under the
-    /// threaded transport.
+    /// The socket, nonblocking; workers switch it to blocking mode
+    /// for the duration of a write or a streamed upload.
     pub stream: TcpStream,
     /// Bytes read but not yet parsed (may hold several pipelined
     /// requests).
@@ -38,7 +38,7 @@ pub struct Connection {
     pub out: Vec<u8>,
     /// Requests answered on this connection.
     pub served: u32,
-    /// Reactor slab token (unused by the threaded transport).
+    /// Reactor slab token.
     pub token: u64,
     /// Last read/write activity, for idle-timeout sweeps.
     pub last_activity: Instant,
@@ -129,7 +129,7 @@ impl Connection {
 
     /// Whether the input buffer already starts with a complete (or
     /// decidedly bad) request — i.e. whether a worker should keep
-    /// going without returning to the transport.
+    /// going without returning to the reactor.
     pub fn has_buffered_request(&self) -> bool {
         !matches!(parse_request(&self.buf), Parse::Partial)
     }

@@ -1,6 +1,6 @@
 //! A minimal HTTP/1.1 protocol layer — incremental request parsing
-//! over byte buffers (shared by the epoll reactor, the threaded
-//! transport, and the tests), pre-serializable responses, and a small
+//! over byte buffers (shared by the epoll reactor, the workers, and
+//! the tests), pre-serializable responses, and a small
 //! blocking client with keep-alive support (used by the load
 //! generator and the integration tests).
 //!
@@ -174,9 +174,8 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 
 /// Incrementally parses one request from the front of `buf`.
 ///
-/// This is the single parser behind every transport: the reactor
-/// calls it after each readiness-driven read, the threaded transport
-/// after each blocking read, and workers call it to peel pipelined
+/// This is the server's single parser: the reactor calls it after
+/// each readiness-driven read, and workers call it to peel pipelined
 /// successors off an already-filled buffer.
 pub fn parse_request(buf: &[u8]) -> Parse {
     let Some(head_end) = find_header_end(buf) else {
@@ -316,39 +315,6 @@ pub fn parse_request(buf: &[u8]) -> Parse {
             },
         },
         used: total,
-    }
-}
-
-/// Reads and parses one request from `stream` (blocking convenience
-/// wrapper over [`parse_request`], used for one-shot contexts like
-/// the shed path and tests).
-///
-/// # Errors
-///
-/// `Ok(Err(_))` for malformed requests the server should answer with
-/// a 4xx; `Err(_)` for transport failures (timeout, reset) where no
-/// answer can be delivered.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Result<Request, BadRequest>> {
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match parse_request(&buf) {
-            Parse::Complete { request, .. } => return Ok(Ok(request)),
-            Parse::Bad { bad, .. } => return Ok(Err(bad)),
-            Parse::Partial => {}
-        }
-        match stream.read(&mut chunk)? {
-            0 => {
-                if buf.is_empty() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed before request",
-                    ));
-                }
-                return Ok(Err(BadRequest::new(400, "truncated request")));
-            }
-            n => buf.extend_from_slice(&chunk[..n]),
-        }
     }
 }
 

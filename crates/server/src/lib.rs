@@ -20,12 +20,12 @@
 //! - **Keep-alive + pipelining**: HTTP/1.1 persistent connections with
 //!   incremental parsing ([`http`], [`conn`]); pipelined requests are
 //!   answered as one batched write.
-//! - **Epoll reactor** (Linux, default): one readiness thread owns
-//!   every idle connection; workers only ever touch connections with
-//!   a complete parsed request ([`reactor`]). A threaded fallback
-//!   transport serves the same protocol ([`pool`]).
-//! - **Admission control**: a bounded queue between transport and the
-//!   fixed worker pool; when full, the transport itself answers
+//! - **Epoll reactor** (the only transport, so the server builds on
+//!   Linux only): one readiness thread owns every idle connection;
+//!   workers only ever touch connections with a complete parsed
+//!   request ([`reactor`]).
+//! - **Admission control**: a bounded queue between the reactor and
+//!   the fixed worker pool; when full, the reactor itself answers
 //!   503 + `Retry-After` ([`pool`]).
 //! - **Per-endpoint concurrency limits**: simulation-backed GETs and
 //!   sweep batches each hold a semaphore permit ([`limit`]).
@@ -43,14 +43,14 @@
 //! - **Panic isolation**: a panicking handler — including one armed
 //!   via `LEAKAGE_FAULTS=server/handler/<route>=panic` — costs that
 //!   request a 500, never a worker ([`routes`]).
-//! - **Graceful shutdown**: SIGINT/SIGTERM stop the transport,
+//! - **Graceful shutdown**: SIGINT/SIGTERM stop the reactor,
 //!   admitted work drains, keep-alive connections are told
 //!   `Connection: close`, workers join ([`signal`], [`pool`]).
 //! - **Telemetry**: per-route request counters, latency histograms,
 //!   and an in-flight gauge in the shared registry, served back out
 //!   through `/metrics`.
 //! - **Request tracing**: every request carries a `u64` trace id
-//!   (honouring `X-Request-Id`) through transport → queue → worker →
+//!   (honouring `X-Request-Id`) through reactor → queue → worker →
 //!   handler, echoed back with a per-stage `Server-Timing` header
 //!   ([`trace`]); completed requests land in a lock-free flight
 //!   recorder served by `/debug/*` — exempt from admission shedding,
@@ -63,13 +63,15 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("leakage-server runs on Linux only: its transport is an epoll reactor");
+
 pub mod artifacts;
 pub mod conn;
 pub mod http;
 pub mod limit;
 pub mod loadgen;
 pub mod pool;
-#[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod respcache;
 pub mod routes;
@@ -80,4 +82,4 @@ pub mod trace;
 
 pub use http::{fetch, Client, ClientResponse, Request, Response, WireResponse};
 pub use loadgen::{LoadgenConfig, LoadReport};
-pub use pool::{Server, ServerConfig, Transport};
+pub use pool::{Server, ServerConfig};

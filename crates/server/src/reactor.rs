@@ -20,14 +20,20 @@
 //! are registered `EPOLLONESHOT`, so a connection is owned by exactly
 //! one of {reactor, worker} at every instant — no fd races.
 //!
-//! Backpressure is still explicit: a parsed request that cannot be
+//! Backpressure is explicit: a parsed request that cannot be
 //! queued is answered 503 + `Retry-After` by the reactor itself, and
 //! accepted connections beyond `max_connections` are shed the same
 //! way. On drain the reactor drops the listener, closes parked idle
 //! connections, and exits once every in-flight connection has been
-//! returned by the workers.
-
-#![cfg(target_os = "linux")]
+//! returned by the workers and every lingering close has finished.
+//!
+//! A connection closed after its response may still hold unread
+//! request bytes (a refused body). Closing a socket over unread input
+//! makes the kernel send RST, which discards response bytes not yet
+//! sent and turns the client's end-of-stream into `ECONNRESET`. Every
+//! such close therefore goes through one lingering close: shut the
+//! write half (FIN behind the response), then read and discard input
+//! until the peer closes or `LINGER` passes.
 
 use crate::conn::{Connection, Taken};
 use crate::http::{Request, Response, WireResponse};
@@ -36,7 +42,7 @@ use crate::routes::RouteContext;
 use leakage_telemetry::{registry, striped_counter};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::TcpListener;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -240,6 +246,12 @@ const FIRST_CONN_TOKEN: u64 = 2;
 const READ_CHUNK: usize = 16 * 1024;
 /// Hard cap on buffered input per connection (one oversized request).
 const MAX_BUFFER: usize = crate::http::MAX_HEADER_BYTES + crate::http::MAX_BODY_BYTES + 1;
+/// How long a closed connection may keep discarding input before it
+/// is dropped regardless (a peer that never closes).
+const LINGER: Duration = Duration::from_secs(1);
+/// Reads discarded per readiness event on a lingering socket, so one
+/// fast sender cannot starve the loop.
+const LINGER_READS: usize = 64;
 
 /// The reactor: runs on its own thread until drain completes.
 pub struct Reactor {
@@ -250,6 +262,9 @@ pub struct Reactor {
     queue: Arc<Queue<Job>>,
     config: ReactorConfig,
     slab: HashMap<u64, Connection>,
+    /// Answered, half-closed sockets discarding input until the peer
+    /// closes or their deadline passes.
+    lingering: HashMap<u64, (TcpStream, Instant)>,
     next_token: u64,
     draining: bool,
 }
@@ -283,6 +298,7 @@ impl Reactor {
                 queue,
                 config,
                 slab: HashMap::new(),
+                lingering: HashMap::new(),
                 next_token: FIRST_CONN_TOKEN,
                 draining: false,
             },
@@ -311,6 +327,8 @@ impl Reactor {
                     token => {
                         if let Some(conn) = self.slab.remove(&token) {
                             self.on_readable(conn);
+                        } else if let Some((stream, deadline)) = self.lingering.remove(&token) {
+                            self.discard_input(token, stream, deadline);
                         }
                     }
                 }
@@ -328,6 +346,7 @@ impl Reactor {
             }
             if self.draining
                 && self.slab.is_empty()
+                && self.lingering.is_empty()
                 && self.handle.inflight.load(Ordering::SeqCst) == 0
             {
                 break;
@@ -369,7 +388,7 @@ impl Reactor {
         }
     }
 
-    fn admit(&mut self, stream: std::net::TcpStream) {
+    fn admit(&mut self, stream: TcpStream) {
         let open = self.slab.len() + self.handle.inflight.load(Ordering::SeqCst);
         if self.draining || open >= self.config.max_connections {
             striped_counter!("server_admission_rejected_total").inc();
@@ -377,6 +396,9 @@ impl Reactor {
             let _ = Response::error(503, "connection limit reached")
                 .with_header("Retry-After", self.config.retry_after_secs.to_string())
                 .write_to(&mut stream);
+            let token = self.next_token;
+            self.next_token += 1;
+            self.close_after_response(stream, token, true);
             return;
         }
         if stream.set_nonblocking(true).is_err() {
@@ -385,19 +407,9 @@ impl Reactor {
         let _ = stream.set_nodelay(true);
         let token = self.next_token;
         self.next_token += 1;
-        if sys::epoll_arm(
-            self.epfd,
-            stream.as_raw_fd(),
-            token,
-            sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLONESHOT,
-            true,
-        )
-        .is_err()
-        {
-            registry().counter("server_reactor_errors_total").inc();
-            return;
+        if self.arm(&stream, token, true) {
+            self.slab.insert(token, Connection::new(stream, token));
         }
-        self.slab.insert(token, Connection::new(stream, token));
     }
 
     /// Reads whatever is ready, then parses and routes the
@@ -443,6 +455,8 @@ impl Reactor {
                 let ok = (&conn.stream).write_all(&out).is_ok();
                 if survive && ok {
                     self.park(conn);
+                } else {
+                    self.close_after_response(conn.stream, conn.token, false);
                 }
             }
             Taken::NeedMore => {
@@ -471,6 +485,8 @@ impl Reactor {
                 if survive && ok {
                     conn.last_activity = Instant::now();
                     self.reinstate(conn);
+                } else {
+                    self.close_after_response(conn.stream, conn.token, false);
                 }
                 return;
             }
@@ -483,35 +499,37 @@ impl Reactor {
             let mut out = Vec::new();
             wire.serialize_into(&mut out, false);
             let _ = (&conn.stream).write_all(&out);
-            let _ = conn.stream.shutdown(std::net::Shutdown::Write);
-            // Dropped: shedding closes, so the client re-learns
-            // admission state on reconnect rather than livelocking a
-            // parked connection.
+            // Shedding closes, so the client re-learns admission state
+            // on reconnect rather than livelocking a parked connection.
+            self.close_after_response(conn.stream, conn.token, false);
         }
+    }
+
+    /// Arms `stream` for one read-readiness event under `token`
+    /// (`add` for a socket epoll has not seen yet); a failure is
+    /// counted and the caller drops the socket.
+    fn arm(&self, stream: &TcpStream, token: u64, add: bool) -> bool {
+        let events = sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLONESHOT;
+        let armed = sys::epoll_arm(self.epfd, stream.as_raw_fd(), token, events, add).is_ok();
+        if !armed {
+            registry().counter("server_reactor_errors_total").inc();
+        }
+        armed
     }
 
     /// Re-arms the connection in epoll and parks it in the slab.
     fn park(&mut self, conn: Connection) {
-        if sys::epoll_arm(
-            self.epfd,
-            conn.stream.as_raw_fd(),
-            conn.token,
-            sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLONESHOT,
-            false,
-        )
-        .is_err()
-        {
-            registry().counter("server_reactor_errors_total").inc();
-            return;
+        if self.arm(&conn.stream, conn.token, false) {
+            self.slab.insert(conn.token, conn);
         }
-        self.slab.insert(conn.token, conn);
     }
 
     /// A connection returned by a worker: close it, keep pipelining,
     /// or park it for the next request.
     fn reinstate(&mut self, mut conn: Connection) {
         if conn.close || self.draining {
-            return; // drop: drained or marked for close
+            self.close_after_response(conn.stream, conn.token, false);
+            return;
         }
         conn.last_activity = Instant::now();
         if conn.has_buffered_request() {
@@ -520,6 +538,40 @@ impl Reactor {
             self.advance(conn);
         } else {
             self.park(conn);
+        }
+    }
+
+    /// The one way an answered connection closes: FIN behind the
+    /// response, then linger discarding input (see the module docs).
+    /// `add` is set for a connection shed at accept, which epoll has
+    /// not seen.
+    fn close_after_response(&mut self, stream: TcpStream, token: u64, add: bool) {
+        if stream.shutdown(Shutdown::Write).is_err() || stream.set_nonblocking(true).is_err() {
+            return; // the peer is already gone
+        }
+        self.linger(token, stream, Instant::now() + LINGER, add);
+    }
+
+    /// Reads and discards what a lingering socket has ready; drops it
+    /// at end-of-stream or on error, re-arms it otherwise.
+    fn discard_input(&mut self, token: u64, mut stream: TcpStream, deadline: Instant) {
+        let mut chunk = [0u8; READ_CHUNK];
+        let mut reads = 0;
+        while reads < LINGER_READS {
+            match stream.read(&mut chunk) {
+                Ok(0) => return, // the peer closed: the close is clean
+                Ok(_) => reads += 1,
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return,
+            }
+        }
+        self.linger(token, stream, deadline, false);
+    }
+
+    fn linger(&mut self, token: u64, stream: TcpStream, deadline: Instant, add: bool) {
+        if self.arm(&stream, token, add) {
+            self.lingering.insert(token, (stream, deadline));
         }
     }
 
@@ -535,6 +587,8 @@ impl Reactor {
             self.slab.remove(&token);
             registry().counter("server_idle_closed_total").inc();
         }
+        let now = Instant::now();
+        self.lingering.retain(|_, (_, deadline)| *deadline > now);
     }
 }
 

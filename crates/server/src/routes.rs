@@ -33,7 +33,7 @@ use leakage_faults::StoreError;
 use leakage_jobs::{CancelOutcome, JobFabric, JobSpec, ResultError, SubmitError};
 use leakage_telemetry::json::{self, Json};
 use leakage_telemetry::prometheus_text;
-use leakage_telemetry::{registry, Gauge, Histogram, StripedCounter};
+use leakage_telemetry::{registry, striped_counter, Gauge, Histogram, StripedCounter};
 use leakage_telemetry::{
     FlightRecorder, RequestRecord, FLAG_CACHE_HIT, FLAG_CATALOG_HIT, FLAG_PANIC, FLAG_SHED,
 };
@@ -202,8 +202,8 @@ pub struct RouteContext {
 
 /// Server-level facts for `/healthz`: fixed at startup (transport,
 /// worker count) or read live through an injected probe (queue
-/// depth — the transports own their queues, so they install the probe
-/// after construction).
+/// depth — the server owns the queue, so it installs the probe after
+/// construction).
 pub struct ServerInfo {
     started: Instant,
     transport: &'static str,
@@ -370,7 +370,7 @@ pub fn warm_catalog(ctx: &RouteContext) {
 
 /// Serves health/debug GETs inline when the admission queue is full:
 /// these routes never take a simulation permit or run a simulation,
-/// so answering them on the transport thread is cheap and keeps the
+/// so answering them on the reactor thread is cheap and keeps the
 /// observability plane reachable exactly when it matters most (during
 /// overload). Returns `None` for every sheddable route.
 pub fn exempt_response(request: &Request, ctx: &RouteContext) -> Option<WireResponse> {
@@ -453,7 +453,7 @@ fn dispatch(request: &Request, ctx: &RouteContext, route: &str, stage: &StageTra
 
 /// 503 + `Retry-After` — the shared shed/backpressure response.
 fn shed(ctx: &RouteContext, stage: &StageTrace, reason: &str) -> Response {
-    registry().counter("server_shed_total").inc();
+    striped_counter!("server_shed_total").inc();
     stage.shed.set(true);
     Response::error(503, reason).with_header("Retry-After", ctx.retry_after_secs.to_string())
 }

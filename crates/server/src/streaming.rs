@@ -10,8 +10,8 @@
 //!   [`crate::routes`] via [`intervals_from_bytes`].
 //! - `Transfer-Encoding: chunked`: the body is **never** buffered
 //!   whole. The request completes at the end of its header block, the
-//!   worker takes exclusive ownership of the socket (both transports
-//!   guarantee a connection is owned by exactly one worker at a
+//!   worker takes exclusive ownership of the socket (the reactor
+//!   guarantees a connection is owned by exactly one worker at a
 //!   time), and [`serve_upload`] pumps wire bytes through a
 //!   [`ChunkedDecoder`] → [`StreamDecoder`] → extractor pipeline.
 //!   Peak memory is one read chunk plus the decoder's partial-record
@@ -163,13 +163,9 @@ pub(crate) fn serve_upload(
     let route = routes::route_name(request);
     ctx.metrics.count_route(route);
 
-    // The upload path block-reads; reactor sockets are nonblocking and
-    // the threaded transport uses short read slices, so both modes are
-    // saved and restored around the pump.
-    let saved_timeout = conn.stream.read_timeout().ok().flatten();
-    if worker_config.nonblocking {
-        let _ = conn.stream.set_nonblocking(false);
-    }
+    // The upload path block-reads the reactor's nonblocking socket;
+    // readiness mode is restored after the response.
+    let _ = conn.stream.set_nonblocking(false);
     let _ = conn
         .stream
         .set_read_timeout(Some(worker_config.request_timeout));
@@ -224,10 +220,7 @@ pub(crate) fn serve_upload(
         });
     }
 
-    let _ = conn.stream.set_read_timeout(saved_timeout);
-    if worker_config.nonblocking {
-        let _ = conn.stream.set_nonblocking(true);
-    }
+    let _ = conn.stream.set_nonblocking(true);
     conn
 }
 

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use leakage_telemetry::{RequestRecord, FLAG_CACHE_HIT, FLAG_CATALOG_HIT, FLAG_PANIC, FLAG_SHED};
 
 /// Per-request trace context, carried inside `Request` from the
-/// transport's parser through the admission queue to the worker.
+/// reactor's parser through the admission queue to the worker.
 #[derive(Debug, Clone, Copy)]
 pub struct ReqTrace {
     /// Trace id: accepted from `X-Request-Id` or generated from a

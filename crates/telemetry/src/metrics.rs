@@ -279,8 +279,8 @@ impl Registry {
 
     /// The striped counter named `name`, created on first use. Lives
     /// in its own namespace map but is reported alongside plain
-    /// counters in [`Registry::snapshot`] — don't register the same
-    /// name as both kinds (the snapshot would carry it twice).
+    /// counters in [`Registry::snapshot`]; a name registered as both
+    /// kinds is reported once, as the sum of the two.
     pub fn striped_counter(&self, name: &str) -> Arc<StripedCounter> {
         let mut map = self.striped.lock().unwrap_or_else(PoisonError::into_inner);
         Arc::clone(map.entry(name.to_string()).or_default())
@@ -305,25 +305,26 @@ impl Registry {
 
     /// Snapshot of every registered metric, sorted by name. Striped
     /// counters are summed and merged into the plain-counter list, so
-    /// exporters need not know which flavor a call site picked.
+    /// exporters need not know which flavor a call site picked; a name
+    /// registered as both kinds appears once, with the two summed.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<(String, u64)> = self
+        let mut counters: BTreeMap<String, u64> = self
             .counters
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, c)| (name.clone(), c.get()))
             .collect();
-        counters.extend(
-            self.striped
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .iter()
-                .map(|(name, c)| (name.clone(), c.get())),
-        );
-        counters.sort();
+        for (name, c) in self
+            .striped
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+        {
+            *counters.entry(name.clone()).or_default() += c.get();
+        }
         MetricsSnapshot {
-            counters,
+            counters: counters.into_iter().collect(),
             gauges: self
                 .gauges
                 .lock()
@@ -488,6 +489,15 @@ mod tests {
                 ("z_striped".to_string(), 9),
             ]
         );
+    }
+
+    #[test]
+    fn snapshot_sums_a_name_registered_as_both_kinds() {
+        let registry = Registry::new();
+        registry.counter("shed_total").add(2);
+        registry.striped_counter("shed_total").add(3);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters, vec![("shed_total".to_string(), 5)]);
     }
 
     #[test]

@@ -3,20 +3,22 @@
 # path measured after each optimization step, on one machine, with the
 # same closed-loop workload throughout (the CI loadgen mix).
 #
-#   1. baseline        threaded transport, connection-per-request
-#                      loadgen, no sharding, no pre-serialization
-#                      (the PR-5 serving model)
+#   1. baseline        connection-per-request loadgen (--close), no
+#                      sharding, no pre-serialization
 #   2. keepalive       same server, HTTP/1.1 keep-alive + pipelining
 #                      in the loadgen
-#   3. reactor         epoll reactor transport replaces
-#                      thread-per-admitted-connection
-#   4. sharding        lock-striped store front, sharded response
+#   3. sharding        lock-striped store front, sharded response
 #                      cache, striped counters (8 shards)
-#   5. preserialize    pre-serialized artifact catalog on (the
+#   4. preserialize    pre-serialized artifact catalog on (the
 #                      shipping default)
-#   6. notrace         same configuration with the flight recorder
+#   5. notrace         same configuration with the flight recorder
 #                      off (--no-recorder) — the preserialize/notrace
 #                      pair bounds the request-tracing overhead
+#
+# Every step runs the server's one transport, the epoll reactor, with
+# its default worker count; the JSON records that count (as `/healthz`
+# reports it) next to the host's core count (`nproc`), since both
+# bound the throughput.
 #
 # After the trajectory it runs BENCH_PAIRS (default 5) interleaved
 # tracing-on/tracing-off pairs and records the median of the per-pair
@@ -64,6 +66,7 @@ run_step() {
   # One warm-up pass so every step measures serving, not first-touch
   # simulation of the profile suite.
   curl -fsS "http://$addr/v1/table/2?scale=test" > /dev/null
+  curl -fsS "http://$addr/healthz" > "$WORK/healthz.json"
 
   # shellcheck disable=SC2086
   $LOADGEN --addr "$addr" --connections "$CONNECTIONS" \
@@ -84,12 +87,11 @@ print('%-12s %9.0f req/s  p50 %6d us  p99 %6d us  errors %d'
 EOF
 }
 
-run_step baseline    '--transport threaded --cache-shards 1 --no-preserialize' '--close'
-run_step keepalive   '--transport threaded --cache-shards 1 --no-preserialize' "--pipeline $PIPELINE"
-run_step reactor     '--transport reactor --cache-shards 1 --no-preserialize'  "--pipeline $PIPELINE"
-run_step sharding    '--transport reactor --cache-shards 8 --no-preserialize'  "--pipeline $PIPELINE"
-run_step preserialize '--transport reactor --cache-shards 8'                   "--pipeline $PIPELINE"
-run_step notrace     '--transport reactor --cache-shards 8 --no-recorder'      "--pipeline $PIPELINE"
+run_step baseline     '--cache-shards 1 --no-preserialize' '--close'
+run_step keepalive    '--cache-shards 1 --no-preserialize' "--pipeline $PIPELINE"
+run_step sharding     '--cache-shards 8 --no-preserialize' "--pipeline $PIPELINE"
+run_step preserialize '--cache-shards 8'                   "--pipeline $PIPELINE"
+run_step notrace      '--cache-shards 8 --no-recorder'     "--pipeline $PIPELINE"
 
 # Tracing-overhead gate. A single on/off run pair is meaningless on a
 # shared box: identical configs differ by ±15% between runs (host
@@ -101,37 +103,32 @@ PAIR_SECONDS="${BENCH_PAIR_SECONDS:-4}"
 FULL_SECONDS="$SECONDS_PER_STEP"
 SECONDS_PER_STEP="$PAIR_SECONDS"
 for i in $(seq 1 "$PAIRS"); do
-  run_step "trace_on_$i"  '--transport reactor --cache-shards 8'               "--pipeline $PIPELINE"
-  run_step "trace_off_$i" '--transport reactor --cache-shards 8 --no-recorder' "--pipeline $PIPELINE"
+  run_step "trace_on_$i"  '--cache-shards 8'               "--pipeline $PIPELINE"
+  run_step "trace_off_$i" '--cache-shards 8 --no-recorder' "--pipeline $PIPELINE"
 done
 SECONDS_PER_STEP="$FULL_SECONDS"
 
-python3 - "$WORK" "$OUT" "$SECONDS_PER_STEP" "$CONNECTIONS" "$PIPELINE" "$PAIRS" "$PAIR_SECONDS" <<'EOF'
+python3 - "$WORK" "$OUT" "$SECONDS_PER_STEP" "$CONNECTIONS" "$PIPELINE" "$PAIRS" "$PAIR_SECONDS" \
+  "$(nproc)" <<'EOF'
 import json, sys
-work, out, seconds, connections, pipeline, pairs, pair_seconds = sys.argv[1:8]
+work, out, seconds, connections, pipeline, pairs, pair_seconds, nproc = sys.argv[1:9]
+workers = int(json.load(open(f'{work}/healthz.json'))['workers'])
 steps = [
     ('baseline',
-     'threaded transport, connection-per-request load, unsharded, no catalog',
-     '--transport threaded --cache-shards 1 --no-preserialize', '--close'),
+     'connection-per-request load, unsharded, no catalog',
+     '--cache-shards 1 --no-preserialize', '--close'),
     ('keepalive',
      'HTTP/1.1 keep-alive + pipelining in the load generator',
-     '--transport threaded --cache-shards 1 --no-preserialize',
-     f'--pipeline {pipeline}'),
-    ('reactor',
-     'epoll reactor transport replaces thread-per-admitted-connection',
-     '--transport reactor --cache-shards 1 --no-preserialize',
-     f'--pipeline {pipeline}'),
+     '--cache-shards 1 --no-preserialize', f'--pipeline {pipeline}'),
     ('sharding',
      'lock-striped store front + sharded response cache + striped counters',
-     '--transport reactor --cache-shards 8 --no-preserialize',
-     f'--pipeline {pipeline}'),
+     '--cache-shards 8 --no-preserialize', f'--pipeline {pipeline}'),
     ('preserialize',
      'pre-serialized artifact catalog (shipping default)',
-     '--transport reactor --cache-shards 8', f'--pipeline {pipeline}'),
+     '--cache-shards 8', f'--pipeline {pipeline}'),
     ('notrace',
      'flight recorder + request tracing off (tracing-overhead control)',
-     '--transport reactor --cache-shards 8 --no-recorder',
-     f'--pipeline {pipeline}'),
+     '--cache-shards 8 --no-recorder', f'--pipeline {pipeline}'),
 ]
 entries = []
 for name, description, server_flags, loadgen_flags in steps:
@@ -166,13 +163,15 @@ overhead = {
     'pair_ratios': [round(r, 4) for r in ratios],
     'median_ratio': round(median, 4),
 }
-json.dump({'steps': entries, 'tracing_overhead': overhead},
+json.dump({'nproc': int(nproc), 'workers': workers,
+           'steps': entries, 'tracing_overhead': overhead},
           open(out, 'w'), indent=2)
 print(f'wrote {out}')
 by_step = {e['step']: e['report']['throughput_rps'] for e in entries}
 base = by_step['baseline']
 final = by_step['preserialize']
-print('trajectory: %.0f -> %.0f req/s (%.1fx)' % (base, final, final / base))
+print('trajectory: %.0f -> %.0f req/s (%.1fx), %s workers on %s cores'
+      % (base, final, final / base, workers, nproc))
 print('tracing overhead (median of %d interleaved on/off pairs): %.1f%% of tracing-off'
       % (pairs, 100.0 * median))
 EOF

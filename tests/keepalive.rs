@@ -3,9 +3,9 @@
 //! per-connection request budgets, and panic isolation on a
 //! persistent connection.
 //!
-//! These run against whatever transport is the platform default (the
-//! epoll reactor on Linux, the threaded fallback elsewhere) — the
-//! protocol contract is transport-independent.
+//! These run against the server's one transport, the epoll reactor,
+//! including the property it exists for: idle keep-alive connections
+//! cost a slab entry, not a worker.
 
 use cache_leakage_limits::faults::{set_plane, Plane};
 use cache_leakage_limits::server::http::Client;
@@ -14,7 +14,7 @@ use cache_leakage_limits::workloads::Scale;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -144,6 +144,43 @@ fn idle_connection_is_closed_after_timeout() {
     server.shutdown();
 }
 
+/// Idle keep-alive connections hold no worker: with two workers and
+/// eight parked connections, a ninth is answered at once instead of
+/// waiting out the idle timeout of a connection that pins a worker.
+#[test]
+fn parked_idle_connections_do_not_hold_workers() {
+    let server = start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let idle_timeout = ServerConfig::default().idle_timeout;
+    let parked: Vec<Client> = (0..8)
+        .map(|i| {
+            let mut client = Client::connect(server.addr(), CLIENT_TIMEOUT).expect("connect");
+            let response = client
+                .roundtrip("GET", "/healthz", None)
+                .unwrap_or_else(|e| panic!("parked connection {i}: {e}"));
+            assert_eq!(response.status, 200);
+            assert_ne!(response.header("connection"), Some("close"));
+            client
+        })
+        .collect();
+
+    let started = Instant::now();
+    let mut ninth = Client::connect(server.addr(), CLIENT_TIMEOUT).expect("connect ninth");
+    let response = ninth
+        .roundtrip("GET", "/healthz", None)
+        .expect("ninth request");
+    let waited = started.elapsed();
+    assert_eq!(response.status, 200);
+    assert!(
+        waited < Duration::from_secs(1),
+        "ninth connection waited {waited:?} behind 8 idle ones (idle timeout {idle_timeout:?})"
+    );
+    drop(parked);
+    server.shutdown();
+}
+
 /// An oversized request (header block beyond the 16 KiB cap) is
 /// answered 431 and that connection closes — but the server (and new
 /// connections) keep working.
@@ -158,8 +195,9 @@ fn oversized_request_gets_431_and_server_survives() {
     // oversized before a complete head ever arrives.
     let mut junk = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
     junk.resize(20 * 1024, b'a');
-    // The server may 431 + RST before we finish writing; a send error
-    // here is acceptable, the response check below is what matters.
+    // The server may answer 431 before we finish writing; a send
+    // error here is acceptable, the response check below is what
+    // matters.
     let _ = stream.write_all(&junk);
 
     let mut raw = Vec::new();
@@ -175,6 +213,47 @@ fn oversized_request_gets_431_and_server_survives() {
     let mut next = Client::connect(server.addr(), CLIENT_TIMEOUT).expect("reconnect");
     let response = next.roundtrip("GET", "/healthz", None).expect("healthy request");
     assert_eq!(response.status, 200);
+    server.shutdown();
+}
+
+/// A close-marked connection whose answers are still queued in the
+/// server's send buffer, with request bytes still arriving behind
+/// them: every answer is delivered, then a clean end-of-stream.
+/// Closing over the unread bytes at once would reset the connection
+/// and throw the queued answers away.
+#[test]
+fn queued_answers_survive_a_close_over_unread_input() {
+    let server = start(ServerConfig::default());
+    let mut stream =
+        TcpStream::connect_timeout(&server.addr(), CLIENT_TIMEOUT).expect("connect");
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+
+    // ~1.5 MB of answers; the last request closes the connection and
+    // 4 MiB of bytes the server will never parse follow it.
+    const REQUESTS: usize = 800;
+    let mut request = Vec::new();
+    for i in 0..REQUESTS {
+        let fate = if i + 1 == REQUESTS { "close" } else { "keep-alive" };
+        request.extend_from_slice(
+            format!("GET /v1/figure/8 HTTP/1.1\r\nHost: t\r\nConnection: {fate}\r\n\r\n")
+                .as_bytes(),
+        );
+    }
+    request.resize(request.len() + (4 << 20), b'x');
+    let mut writer = stream.try_clone().expect("clone for the writer");
+    // A write error is no failure: the server may stop reading.
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&request);
+    });
+    // Read late, so the answers pile up in the server's send buffer.
+    std::thread::sleep(Duration::from_millis(300));
+    let mut raw = Vec::new();
+    let read = stream.read_to_end(&mut raw);
+    sender.join().expect("writer thread");
+    let text = String::from_utf8_lossy(&raw);
+    let answered = text.matches("HTTP/1.1 200").count();
+    assert!(read.is_ok(), "{read:?} after {answered} answers");
+    assert_eq!(answered, REQUESTS, "every queued answer is delivered");
     server.shutdown();
 }
 

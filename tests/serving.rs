@@ -314,7 +314,7 @@ fn healthz_reports_server_facts() {
     let doc = json::parse(&health.text()).expect("healthz JSON parses");
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
     let transport = doc.get("transport").and_then(Json::as_str).expect("transport");
-    assert!(transport == "reactor" || transport == "threaded", "{transport}");
+    assert_eq!(transport, "reactor", "the server's one transport");
     assert_eq!(doc.get("workers").and_then(Json::as_f64), Some(3.0));
     assert!(doc.get("uptime_s").and_then(Json::as_f64).is_some());
     assert!(doc.get("queue_depth").and_then(Json::as_f64).is_some());

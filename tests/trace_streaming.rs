@@ -263,7 +263,63 @@ fn chunked_bodies_are_refused_off_the_trace_route() {
     let raw = chunked_post(addr, "/v1/sweep", b"{}", 64, b"");
     let (status, _, _) = split_response(&raw);
     assert_eq!(status, 411, "chunked off the trace route asks for Content-Length");
+
+    // A body still streaming in when the 411 goes out.
+    let request = chunked_request("/v1/sweep", "", &vec![0u8; 4 << 20], 64 * 1024);
+    assert_refused_cleanly(addr, &request, 411);
     server.shutdown();
+}
+
+/// Requests refused at the header block (413 body too large, 431
+/// headers too large) while megabytes are still arriving: the answer
+/// and a clean end-of-stream reach the client.
+#[test]
+fn oversized_requests_are_refused_cleanly_mid_send() {
+    let server = Server::start(test_config()).expect("server starts");
+    let addr = server.addr();
+    let body = vec![b'0'; 4 << 20];
+    let mut too_long = format!(
+        "POST /v1/sweep HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    too_long.extend_from_slice(&body);
+    assert_refused_cleanly(addr, &too_long, 413);
+
+    let mut too_wide = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+    too_wide.resize(4 << 20, b'a');
+    assert_refused_cleanly(addr, &too_wide, 431);
+    server.shutdown();
+}
+
+/// Writes `request` from a second thread, 20 times over fresh
+/// connections, while reading the reply: the server answers `status`
+/// and closes over request bytes it never read, yet the client must
+/// read that answer and then a clean end-of-stream, never a reset.
+fn assert_refused_cleanly(addr: SocketAddr, request: &[u8], status: u16) {
+    for round in 0..20 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(CLIENT_TIMEOUT))
+            .expect("read timeout");
+        let mut writer = stream.try_clone().expect("clone for the writer");
+        let request = request.to_vec();
+        // A write error is no failure: the server may stop reading.
+        let sender = std::thread::spawn(move || {
+            let _ = writer.write_all(&request);
+        });
+        let mut raw = Vec::new();
+        let read = stream.read_to_end(&mut raw);
+        sender.join().expect("writer thread");
+        assert!(
+            read.is_ok(),
+            "{status} round {round}: {read:?} after {} bytes",
+            raw.len()
+        );
+        let (answered, _, rest) = split_response(&raw);
+        assert_eq!(answered, status, "round {round}");
+        assert!(rest.is_empty(), "round {round}: nothing may follow the {status}");
+    }
 }
 
 /// Asserts `raw` is a 200 upload summary of `body` that announces
