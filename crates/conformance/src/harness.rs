@@ -10,7 +10,7 @@
 
 use leakage_cachesim::{Cache, CacheConfig};
 use leakage_core::envelope;
-use leakage_core::policy::OptHybrid;
+use leakage_core::policy::{OptDrowsy, OptHybrid, OptSleep};
 use leakage_core::{EnergyContext, GeneralizedModel, PowerMode, RefetchAccounting};
 use leakage_energy::{CircuitParams, ModePowers, ModeTimings, TechnologyNode};
 use leakage_intervals::{
@@ -708,6 +708,139 @@ pub fn check_prefetch_fuzz(streams: u32) -> CheckOutcome {
     CheckOutcome::pass(NAME, format!("{streams} streams, {observations} observations"))
 }
 
+/// The batched OPT evaluator against three per-policy
+/// [`EnergyContext::evaluate`] walks, demanding `f64::to_bits`
+/// equality rather than [`energy_close`]: job and sweep digests pin
+/// full-precision results, so the batch must reproduce the oracle's
+/// rounding exactly. Each instance is one group of 1–300 models that
+/// share a node's preset circuit and differ only in `C_D` (0 to 3× the
+/// preset), under either refetch accounting, with or without writeback,
+/// over a random distribution of every interval kind, dirty and clean,
+/// with wake hints, at lengths on the transition overheads, on each
+/// model's `b ± 1`, and near `u64` scale.
+pub fn check_opt_batch_bitwise(groups: u32) -> CheckOutcome {
+    const NAME: &str = "opt_batch_bitwise";
+    let mut rng = rng_for(NAME);
+    let mut compared = 0u64;
+    for group in 0..groups {
+        let node = TechnologyNode::ALL[group as usize % TechnologyNode::ALL.len()];
+        let accounting = if group / 4 % 2 == 0 {
+            RefetchAccounting::PaperStrict
+        } else {
+            RefetchAccounting::DeadAware
+        };
+        let preset = CircuitParams::for_node(node);
+        let writeback = (group / 8 % 2 == 1).then(|| rng.unit_f64() * preset.refetch_energy());
+        let size = match group % 5 {
+            0 => 1,
+            1 => 300,
+            _ => 1 + rng.below(300) as usize,
+        };
+        let models: Vec<GeneralizedModel> = (0..size)
+            .map(|k| {
+                let scale = match k {
+                    0 => 0.0,
+                    1 => 3.0,
+                    2 => 1.0,
+                    _ => 3.0 * rng.unit_f64(),
+                };
+                let params = CircuitParams::builder()
+                    .derived_from(node)
+                    .powers(*preset.powers())
+                    .timings(*preset.timings())
+                    .transition_model(preset.transition_model())
+                    .refetch_energy(scale * preset.refetch_energy())
+                    .build();
+                GeneralizedModel::from_context(match writeback {
+                    Some(wb) => EnergyContext::with_writeback(params, accounting, wb),
+                    None => EnergyContext::new(params, accounting),
+                })
+            })
+            .collect();
+
+        let t = preset.timings();
+        let mut dist = CompactIntervalDist::new();
+        // Group 0 keeps the empty distribution.
+        let classes = if group == 0 { 0 } else { 1 + rng.below(400) };
+        for _ in 0..classes {
+            let b = models[rng.below(size as u64) as usize]
+                .inflection_points()
+                .drowsy_sleep;
+            let overhead = [
+                t.d1 + t.d3,
+                t.s1 + t.s3 + t.s4,
+                t.s3 + t.s4,
+                t.s1,
+                t.d1,
+                t.d3,
+            ][rng.below(6) as usize];
+            let length = match rng.below(8) {
+                0 => 0,
+                1 => overhead.saturating_sub(1),
+                2 => overhead,
+                3 => b.saturating_sub(1),
+                4 => b,
+                5 => b + 1,
+                6 => u64::MAX - rng.below(1 << 20),
+                _ => rng.below(5_000_000),
+            };
+            let kind = match rng.below(5) {
+                0 => IntervalKind::Interior { reaccess: true },
+                1 => IntervalKind::Interior { reaccess: false },
+                2 => IntervalKind::Leading,
+                3 => IntervalKind::Trailing,
+                _ => IntervalKind::Untouched,
+            };
+            let class = IntervalClass {
+                length,
+                kind,
+                wake: WakeHints {
+                    next_line: rng.below(2) == 1,
+                    stride: rng.below(2) == 1,
+                },
+                dirty: rng.below(2) == 1,
+            };
+            dist.add(class, 1 + rng.below(1_000_000));
+        }
+
+        let batch = GeneralizedModel::optimal_savings_batch(&models, &dist);
+        if batch.len() != models.len() {
+            return CheckOutcome::fail(
+                NAME,
+                format!(
+                    "group {group}: {} results for {} models",
+                    batch.len(),
+                    models.len()
+                ),
+            );
+        }
+        for (k, (model, got)) in models.iter().zip(&batch).enumerate() {
+            let ctx = model.context();
+            let b = ctx.inflection_points().drowsy_sleep;
+            let oracle = [
+                ctx.evaluate(&OptDrowsy, &dist).saving_percent(),
+                ctx.evaluate(&OptSleep::new(b), &dist).saving_percent(),
+                ctx.evaluate(&OptHybrid::new(), &dist).saving_percent(),
+            ];
+            let fused = [got.opt_drowsy, got.opt_sleep, got.opt_hybrid];
+            if fused.map(f64::to_bits) != oracle.map(f64::to_bits) {
+                return CheckOutcome::fail(
+                    NAME,
+                    format!(
+                        "group {group} model {k} ({node:?} {accounting:?} writeback {writeback:?} C_D {}): batch {fused:?} vs per-policy {oracle:?}",
+                        model.refetch_energy()
+                    ),
+                );
+            }
+            compared += 3;
+        }
+    }
+    CheckOutcome::pass(
+        NAME,
+        format!("{compared} savings bit-identical over {groups} groups"),
+    )
+}
+
 /// Runs the full differential suite. `scale` bounds the workload
 /// replays (the fuzz and analytic checks are scale-independent);
 /// `theorem_instances` sizes the Theorem 1 sweep — the acceptance
@@ -720,6 +853,7 @@ pub fn run_conformance(scale: Scale, theorem_instances: u32) -> ConformanceRepor
     report.checks.push(check_extractor_fuzz(200));
     report.checks.push(check_streaming_intervals(200));
     report.checks.push(check_prefetch_fuzz(200));
+    report.checks.push(check_opt_batch_bitwise(64));
     let (cache, extract) = check_workloads(scale);
     report.checks.push(cache);
     report.checks.push(extract);

@@ -15,6 +15,7 @@
 //! | batch + O(n²) interval extractors | `leakage-intervals` streaming extractors | [`refextract`] |
 //! | literal Fig. 6 state-machine interpreter | `leakage-core` generalized model | [`fig6`] |
 //! | unbounded-table next-line / stride predictors | `leakage-prefetch` analyzers | [`refprefetch`] |
+//! | per-policy `EnergyContext::evaluate` walks | `leakage-core` batched OPT evaluator, bit for bit | [`harness`] |
 //!
 //! The references deliberately trade every efficiency concern for
 //! transparency: they buffer whole traces, scan quadratically, and
@@ -24,7 +25,8 @@
 //! multisets, mode choices) must match **exactly**; energy totals are
 //! compared to a relative tolerance of `1e-9` ([`ENERGY_RTOL`]), which
 //! admits floating-point reassociation between the two accounting paths
-//! and nothing else.
+//! and nothing else. The batched OPT evaluator is held to more: its
+//! savings must equal the per-policy path's bit for bit.
 //!
 //! The `repro --conformance` mode runs the full [`harness`] suite and
 //! records one verdict per check in the telemetry manifest; the same

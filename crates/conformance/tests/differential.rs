@@ -9,8 +9,8 @@
 //! [`leakage_conformance::run_conformance`].
 
 use leakage_conformance::harness::{
-    check_cache_fuzz, check_extractor_fuzz, check_fig6, check_prefetch_fuzz,
-    check_streaming_intervals, check_theorem_dp, check_workloads,
+    check_cache_fuzz, check_extractor_fuzz, check_fig6, check_opt_batch_bitwise,
+    check_prefetch_fuzz, check_streaming_intervals, check_theorem_dp, check_workloads,
 };
 use leakage_conformance::run_conformance;
 use leakage_workloads::Scale;
@@ -24,6 +24,12 @@ fn greedy_equals_dp_on_ten_thousand_instances() {
 #[test]
 fn fig6_interpreter_matches_generalized_model() {
     let outcome = check_fig6();
+    assert!(outcome.passed, "{}: {}", outcome.name, outcome.detail);
+}
+
+#[test]
+fn batched_opt_evaluator_is_bit_identical_to_per_policy_walks() {
+    let outcome = check_opt_batch_bitwise(200);
     assert!(outcome.passed, "{}: {}", outcome.name, outcome.detail);
 }
 
@@ -64,6 +70,6 @@ fn full_suite_reports_every_check() {
     // repro CLI consumes (instance counts reduced; the heavyweight
     // gates above run the real acceptance sizes).
     let report = run_conformance(Scale::Custom(20_000), 500);
-    assert_eq!(report.checks.len(), 8);
+    assert_eq!(report.checks.len(), 9);
     assert!(report.all_passed(), "failures: {:?}", report.failures());
 }

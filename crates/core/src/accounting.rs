@@ -22,6 +22,16 @@ pub enum RefetchAccounting {
     DeadAware,
 }
 
+/// Sleep energy of one interval from its refetch-free
+/// [prefix](EnergyContext::sleep_prefix), summed as `prefix + refetch +
+/// writeback` from left to right. f64 addition is not associative: the
+/// per-policy path and the batched evaluator both sum here, which is
+/// what keeps them bit-identical.
+#[inline]
+pub(crate) fn sleep_total(prefix: Energy, refetch: Energy, writeback: Energy) -> Energy {
+    prefix + refetch + writeback
+}
+
 /// The result of evaluating one policy over one interval distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PolicyEvaluation {
@@ -91,11 +101,74 @@ pub struct EnergyContext {
     accounting: RefetchAccounting,
     points: InflectionPoints,
     writeback_energy: Option<Energy>,
+    drowsy: Transitions,
+    sleep: Transitions,
+}
+
+/// One low-power mode's share of Eq. 1–2 that does not depend on the
+/// interval: the rest-state power and the cycles and energy of the
+/// entry and exit transitions. Each term is computed once per context
+/// by the same f64 expression an interval-by-interval evaluation would
+/// use, so hoisting it out of the interval loop changes no bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Transitions {
+    rest_power: Energy,
+    entry: (u64, Energy),
+    exit: (u64, Energy),
+}
+
+impl Transitions {
+    fn new(params: &CircuitParams) -> [Transitions; 2] {
+        let t = params.timings();
+        let pa = params.powers().active;
+        let pd = params.powers().drowsy;
+        let ps = params.powers().sleep;
+        let ramp = params.transition_model();
+        [
+            Transitions {
+                rest_power: pd,
+                entry: (t.d1, ramp.ramp_power(pa, pd) * t.d1 as f64),
+                exit: (t.d3, ramp.ramp_power(pd, pa) * t.d3 as f64),
+            },
+            Transitions {
+                rest_power: ps,
+                entry: (t.s1, ramp.ramp_power(pa, ps) * t.s1 as f64),
+                // The exit ramp, then the wait for the L2 refetch.
+                exit: (
+                    t.s3 + t.s4,
+                    ramp.ramp_power(ps, pa) * t.s3 as f64 + pa * t.s4 as f64,
+                ),
+            },
+        ]
+    }
+
+    /// Energy of spending `class` in this mode, summed as `entry +
+    /// rest + exit`; `None` when the interval is too short to hold the
+    /// transitions it needs.
+    #[inline]
+    fn energy(&self, class: &IntervalClass) -> Option<Energy> {
+        let (entry_cycles, entry) = if class.kind.starts_after_access() {
+            self.entry
+        } else {
+            (0, 0.0)
+        };
+        let (exit_cycles, exit) = if class.kind.ends_with_access() {
+            self.exit
+        } else {
+            (0, 0.0)
+        };
+        let overhead = entry_cycles + exit_cycles;
+        if class.length < overhead {
+            return None;
+        }
+        Some(entry + self.rest_power * (class.length - overhead) as f64 + exit)
+    }
 }
 
 impl EnergyContext {
     /// Builds a context from circuit parameters.
     pub fn new(params: CircuitParams, accounting: RefetchAccounting) -> Self {
+        let [drowsy, sleep] = Transitions::new(&params);
         let model = IntervalEnergyModel::new(params);
         let points = model.inflection_points();
         EnergyContext {
@@ -103,6 +176,8 @@ impl EnergyContext {
             accounting,
             points,
             writeback_energy: None,
+            drowsy,
+            sleep,
         }
     }
 
@@ -148,7 +223,19 @@ impl EnergyContext {
         self.accounting
     }
 
+    /// Whether `other` matches this context in everything but the
+    /// refetch energy `C_D`.
+    pub(crate) fn same_but_refetch(&self, other: &EnergyContext) -> bool {
+        let (a, b) = (self.params(), other.params());
+        a.powers() == b.powers()
+            && a.timings() == b.timings()
+            && a.transition_model() == b.transition_model()
+            && self.accounting == other.accounting
+            && self.writeback_energy == other.writeback_energy
+    }
+
     /// Whether sleeping through an interval of this class pays `C_D`.
+    #[inline]
     pub fn charges_refetch(&self, class: &IntervalClass) -> bool {
         match self.accounting {
             RefetchAccounting::PaperStrict => {
@@ -160,58 +247,39 @@ impl EnergyContext {
 
     /// Energy of spending the interval in `mode`, or `None` when the
     /// interval is too short to hold the required transitions.
+    #[inline]
     pub fn mode_energy(&self, mode: PowerMode, class: &IntervalClass) -> Option<Energy> {
-        let p = self.params();
-        let t = p.timings();
-        let pa = p.powers().active;
-        let ramp = p.transition_model();
-        let entry = class.kind.starts_after_access();
-        let exit = class.kind.ends_with_access();
         match mode {
-            PowerMode::Active => Some(pa * class.length as f64),
-            PowerMode::Drowsy => {
-                let pd = p.powers().drowsy;
-                let entry_cycles = if entry { t.d1 } else { 0 };
-                let exit_cycles = if exit { t.d3 } else { 0 };
-                let overhead = entry_cycles + exit_cycles;
-                if class.length < overhead {
-                    return None;
-                }
-                Some(
-                    ramp.ramp_power(pa, pd) * entry_cycles as f64
-                        + pd * (class.length - overhead) as f64
-                        + ramp.ramp_power(pd, pa) * exit_cycles as f64,
-                )
-            }
+            PowerMode::Active => Some(self.baseline_energy(class)),
+            PowerMode::Drowsy => self.drowsy.energy(class),
             PowerMode::Sleep => {
-                let ps = p.powers().sleep;
-                let entry_cycles = if entry { t.s1 } else { 0 };
-                let exit_cycles = if exit { t.s3 + t.s4 } else { 0 };
-                let overhead = entry_cycles + exit_cycles;
-                if class.length < overhead {
-                    return None;
-                }
+                let prefix = self.sleep_prefix(class)?;
                 let refetch = if self.charges_refetch(class) {
-                    p.refetch_energy()
+                    self.params().refetch_energy()
                 } else {
                     0.0
                 };
-                let writeback = match self.writeback_energy {
-                    Some(wb) if class.dirty => wb,
-                    _ => 0.0,
-                };
-                Some(
-                    ramp.ramp_power(pa, ps) * entry_cycles as f64
-                        + ps * (class.length - overhead) as f64
-                        + if exit {
-                            ramp.ramp_power(ps, pa) * t.s3 as f64 + pa * t.s4 as f64
-                        } else {
-                            0.0
-                        }
-                        + refetch
-                        + writeback,
-                )
+                Some(sleep_total(prefix, refetch, self.sleep_writeback(class)))
             }
+        }
+    }
+
+    /// The part of [`mode_energy`](Self::mode_energy)`(Sleep, class)`
+    /// that does not depend on the refetch energy `C_D`: entry ramp,
+    /// gated residency and exit ramp plus refetch wait. `None` when the
+    /// interval is too short to hold the transitions.
+    #[inline]
+    pub(crate) fn sleep_prefix(&self, class: &IntervalClass) -> Option<Energy> {
+        self.sleep.energy(class)
+    }
+
+    /// The writeback energy sleeping this interval pays: the
+    /// context's writeback cost for dirty data, zero otherwise.
+    #[inline]
+    pub(crate) fn sleep_writeback(&self, class: &IntervalClass) -> Energy {
+        match self.writeback_energy {
+            Some(wb) if class.dirty => wb,
+            _ => 0.0,
         }
     }
 
@@ -225,6 +293,7 @@ impl EnergyContext {
     }
 
     /// The always-active baseline energy of one interval.
+    #[inline]
     pub fn baseline_energy(&self, class: &IntervalClass) -> Energy {
         self.params().powers().active * class.length as f64
     }

@@ -1,7 +1,8 @@
 //! The generalized optimal-savings model of Fig. 6.
 
-use crate::policy::{OptDrowsy, OptHybrid, OptSleep};
-use crate::{EnergyContext, PowerMode, RefetchAccounting};
+use crate::accounting::sleep_total;
+use crate::policy::frame_invalid;
+use crate::{EnergyContext, PolicyEvaluation, PowerMode, RefetchAccounting};
 use leakage_energy::{CircuitParams, Energy, InflectionPoints};
 use leakage_intervals::CompactIntervalDist;
 use serde::{Deserialize, Serialize};
@@ -73,6 +74,12 @@ impl GeneralizedModel {
         }
     }
 
+    /// Builds the model over an existing energy context, keeping its
+    /// refetch accounting and writeback energy.
+    pub fn from_context(ctx: EnergyContext) -> Self {
+        GeneralizedModel { ctx }
+    }
+
     /// The underlying energy context.
     pub fn context(&self) -> &EnergyContext {
         &self.ctx
@@ -130,19 +137,122 @@ impl GeneralizedModel {
 
     /// Runs the model: optimal savings of the three technique families
     /// over the given interval distribution (one Table 2 cell group).
+    ///
+    /// This is the one-model case of
+    /// [`optimal_savings_batch`](Self::optimal_savings_batch), and
+    /// bit-identical to evaluating `OPT-Drowsy`, `OPT-Sleep(b)` and
+    /// `OPT-Hybrid` one by one through [`EnergyContext::evaluate`].
     pub fn optimal_savings(&self, dist: &CompactIntervalDist) -> OptimalSavings {
-        let b = self.ctx.inflection_points().drowsy_sleep;
-        OptimalSavings {
-            opt_drowsy: self.ctx.evaluate(&OptDrowsy, dist).saving_percent(),
-            opt_sleep: self.ctx.evaluate(&OptSleep::new(b), dist).saving_percent(),
-            opt_hybrid: self.ctx.evaluate(&OptHybrid::new(), dist).saving_percent(),
+        Self::optimal_savings_batch(std::slice::from_ref(self), dist)[0]
+    }
+
+    /// Runs several models that differ only in the refetch energy
+    /// `C_D` over one distribution in a single walk, one result per
+    /// model, in order.
+    ///
+    /// Per interval class the baseline, drowsy and refetch-free sleep
+    /// energies are computed once; each model then adds only its own
+    /// `C_D` and the writeback. The walk follows the distribution's
+    /// own iteration order and every sum is formed in the order the
+    /// per-policy path forms it, so each result is bit-identical to
+    /// [`optimal_savings`](Self::optimal_savings) on that model alone.
+    /// Each model keeps its own drowsy–sleep point `b`, because `b`
+    /// moves with `C_D`.
+    ///
+    /// # Panics
+    ///
+    /// If two models differ in anything but `C_D`: powers, timings,
+    /// transition rule, refetch accounting or writeback energy.
+    pub fn optimal_savings_batch(
+        models: &[GeneralizedModel],
+        dist: &CompactIntervalDist,
+    ) -> Vec<OptimalSavings> {
+        let Some(first) = models.first() else {
+            return Vec::new();
+        };
+        let ctx = &first.ctx;
+        assert!(
+            models.iter().all(|m| ctx.same_but_refetch(&m.ctx)),
+            "a batch of models may differ only in refetch energy"
+        );
+        // Per model: C_D, and the sleep threshold b (it moves with C_D).
+        let refetch: Vec<Energy> = models.iter().map(|m| m.refetch_energy()).collect();
+        let floors: Vec<u64> = models
+            .iter()
+            .map(|m| m.inflection_points().drowsy_sleep)
+            .collect();
+        // What intervals that pay no refetch add instead of C_D.
+        let no_refetch = vec![0.0; models.len()];
+        let mut baseline = 0.0;
+        let mut drowsy = 0.0;
+        let mut sleep = vec![0.0; models.len()];
+        let mut hybrid = vec![0.0; models.len()];
+        for (class, count) in dist.iter() {
+            let count = count as f64;
+            let active = ctx.baseline_energy(class);
+            baseline += active * count;
+            // OPT-Drowsy's choice, and OPT-Hybrid's when sleep is out.
+            let rest = match ctx.mode_energy(PowerMode::Drowsy, class) {
+                Some(e) => active.min(e),
+                None => active,
+            };
+            drowsy += rest * count;
+            let Some(prefix) = ctx.sleep_prefix(class) else {
+                // Too short to sleep under every model (the overhead
+                // does not depend on C_D): OPT-Sleep stays active.
+                let (slept, best) = (active * count, rest * count);
+                for (s, h) in sleep.iter_mut().zip(&mut hybrid) {
+                    *s += slept;
+                    *h += best;
+                }
+                continue;
+            };
+            let writeback = ctx.sleep_writeback(class);
+            let paid = if ctx.charges_refetch(class) {
+                &refetch
+            } else {
+                &no_refetch
+            };
+            let per_model = sleep.iter_mut().zip(&mut hybrid).zip(paid);
+            if frame_invalid(class) {
+                // OPT-Sleep gates invalid frames whenever that is cheaper.
+                for ((s, h), &refetch) in per_model {
+                    let e = sleep_total(prefix, refetch, writeback);
+                    *s += active.min(e) * count;
+                    *h += rest.min(e) * count;
+                }
+            } else {
+                for (((s, h), &refetch), &b) in per_model.zip(&floors) {
+                    let e = sleep_total(prefix, refetch, writeback);
+                    *s += if class.length > b { e } else { active } * count;
+                    *h += rest.min(e) * count;
+                }
+            }
         }
+        let percent = |energy| {
+            PolicyEvaluation {
+                energy,
+                baseline,
+                infeasible_fallbacks: 0,
+            }
+            .saving_percent()
+        };
+        sleep
+            .iter()
+            .zip(&hybrid)
+            .map(|(&s, &h)| OptimalSavings {
+                opt_drowsy: percent(drowsy),
+                opt_sleep: percent(s),
+                opt_hybrid: percent(h),
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{OptDrowsy, OptHybrid, OptSleep};
     use crate::{IntervalClass, IntervalKind, WakeHints};
     use leakage_energy::TechnologyNode;
 
@@ -218,6 +328,62 @@ mod tests {
         let s = m.optimal_savings(&d);
         assert!(s.opt_sleep > s.opt_drowsy);
         assert!(s.opt_sleep > 95.0);
+    }
+
+    fn with_refetch(scale: f64) -> GeneralizedModel {
+        let preset = CircuitParams::for_node(TechnologyNode::N70);
+        let params = CircuitParams::builder()
+            .derived_from(TechnologyNode::N70)
+            .powers(*preset.powers())
+            .timings(*preset.timings())
+            .transition_model(preset.transition_model())
+            .refetch_energy(preset.refetch_energy() * scale)
+            .build();
+        GeneralizedModel::from_params(params)
+    }
+
+    #[test]
+    fn batch_is_bit_identical_to_one_model_at_a_time() {
+        let d = dist(&[
+            (0, 7),
+            (4, 1000),
+            (500, 500),
+            (1_057, 40),
+            (20_000, 100),
+            (2_000_000, 3),
+        ]);
+        let models: Vec<GeneralizedModel> = [0.0, 0.5, 1.0, 2.0, 3.0]
+            .into_iter()
+            .map(with_refetch)
+            .collect();
+        let batch = GeneralizedModel::optimal_savings_batch(&models, &d);
+        assert_eq!(batch.len(), models.len());
+        for (model, got) in models.iter().zip(&batch) {
+            let ctx = model.context();
+            let b = ctx.inflection_points().drowsy_sleep;
+            let oracle = [
+                ctx.evaluate(&OptDrowsy, &d).saving_percent(),
+                ctx.evaluate(&OptSleep::new(b), &d).saving_percent(),
+                ctx.evaluate(&OptHybrid::new(), &d).saving_percent(),
+            ];
+            let fused = [got.opt_drowsy, got.opt_sleep, got.opt_hybrid];
+            assert_eq!(fused.map(f64::to_bits), oracle.map(f64::to_bits));
+            assert_eq!(*got, model.optimal_savings(&d));
+        }
+        // A dearer refetch moves b up and can only cost OPT-Sleep.
+        assert!(batch[0].opt_sleep >= batch[4].opt_sleep);
+        assert!(GeneralizedModel::optimal_savings_batch(&[], &d).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "differ only in refetch energy")]
+    fn batch_rejects_models_that_differ_beyond_refetch() {
+        let strict = model();
+        let aware = GeneralizedModel::with_accounting(
+            CircuitParams::for_node(TechnologyNode::N70),
+            RefetchAccounting::DeadAware,
+        );
+        let _ = GeneralizedModel::optimal_savings_batch(&[strict, aware], &dist(&[(500, 1)]));
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub trait LeakagePolicy: Send + Sync {
 }
 
 /// Is this interval's frame invalid (holding no program data)?
-fn frame_invalid(class: &IntervalClass) -> bool {
+#[inline]
+pub(crate) fn frame_invalid(class: &IntervalClass) -> bool {
     matches!(
         class.kind,
         IntervalKind::Leading | IntervalKind::Untouched

@@ -12,12 +12,10 @@
 //! the `isa_suite.csv` golden snapshot and regenerated by
 //! `repro isa-suite`.
 
-use crate::eval::average_saving;
 use crate::render::pct;
 use crate::{fetch_partial, ProfileStore, Table, HEADLINE_NODE};
 use leakage_cachesim::Level1;
-use leakage_core::policy::{OptDrowsy, OptHybrid, OptSleep};
-use leakage_core::{CircuitParams, EnergyContext, RefetchAccounting};
+use leakage_core::{CircuitParams, GeneralizedModel};
 use leakage_workloads::{Scale, ISA_SUITE_NAMES};
 
 /// Regenerates the ISA-suite table at `scale`, profiling the programs
@@ -29,11 +27,7 @@ use leakage_workloads::{Scale, ISA_SUITE_NAMES};
 /// Re-raises the first program whose profiling failed, as
 /// [`crate::cached_suite`] does.
 pub fn generate(scale: Scale) -> Table {
-    let ctx = EnergyContext::new(
-        CircuitParams::for_node(HEADLINE_NODE),
-        RefetchAccounting::PaperStrict,
-    );
-    let sleep_boundary = ctx.inflection_points().drowsy_sleep;
+    let model = GeneralizedModel::from_params(CircuitParams::for_node(HEADLINE_NODE));
 
     let mut table = Table::new(
         format!(
@@ -71,7 +65,7 @@ pub fn generate(scale: Scale) -> Table {
             } else {
                 cache.dist.total_cycles() as f64 / intervals as f64
             };
-            let one = std::slice::from_ref(&**profile);
+            let savings = model.optimal_savings(&cache.dist);
             table.push_row(vec![
                 name.to_string(),
                 label.to_string(),
@@ -80,9 +74,9 @@ pub fn generate(scale: Scale) -> Table {
                 format!("{miss_rate:.2}"),
                 intervals.to_string(),
                 format!("{mean_interval:.1}"),
-                pct(average_saving(&ctx, one, side, &OptDrowsy)),
-                pct(average_saving(&ctx, one, side, &OptSleep::new(sleep_boundary))),
-                pct(average_saving(&ctx, one, side, &OptHybrid::new())),
+                pct(savings.opt_drowsy),
+                pct(savings.opt_sleep),
+                pct(savings.opt_hybrid),
             ]);
         }
     }

@@ -519,9 +519,8 @@ pub fn cached_profile(name: &str, scale: Scale) -> Arc<BenchmarkProfile> {
 }
 
 /// Profiles the suite in parallel *without* consulting any store:
-/// every call simulates all six benchmarks. The determinism tests and
-/// the criterion benches use this as the non-memoized comparison
-/// point.
+/// every call simulates all six benchmarks. The determinism tests use
+/// this as the non-memoized comparison point.
 pub fn profile_suite_uncached(scale: Scale) -> Vec<BenchmarkProfile> {
     suite(scale)
         .into_par_iter()

@@ -144,8 +144,13 @@ pub fn sweep_point(
 /// the store-free half of [`sweep_point`], for callers that front the
 /// store with their own cache (the HTTP server's sharded store front).
 pub fn sweep_point_profile(profile: &BenchmarkProfile, point: &SweepPoint) -> OptimalSavings {
-    let model = GeneralizedModel::from_params(CircuitParams::for_node(point.node));
-    model.optimal_savings(&profile.side(point.side).dist)
+    sweep_model(point.node).optimal_savings(&profile.side(point.side).dist)
+}
+
+/// The generalized model a sweep point of `node` is evaluated under:
+/// the node's calibrated preset with the paper's strict accounting.
+pub fn sweep_model(node: TechnologyNode) -> GeneralizedModel {
+    GeneralizedModel::from_params(CircuitParams::for_node(node))
 }
 
 /// Parses a cache-side query token (`icache`/`i` or `dcache`/`d`).

@@ -1,11 +1,10 @@
 //! Table 2: optimal leakage savings with technology scaling.
 
-use crate::eval::average_saving;
+use crate::eval::mean;
 use crate::render::pct;
 use crate::{BenchmarkProfile, Table};
 use leakage_cachesim::Level1;
-use leakage_core::policy::{OptDrowsy, OptHybrid, OptSleep};
-use leakage_core::{CircuitParams, EnergyContext, RefetchAccounting, TechnologyNode};
+use leakage_core::{CircuitParams, GeneralizedModel, OptimalSavings, TechnologyNode};
 use rayon::prelude::*;
 
 /// One Table 2 column: the three optimal savings for both caches at one
@@ -27,19 +26,24 @@ pub struct NodeSavings {
 /// inflection point (the paper's "aggressively turning off all intervals
 /// that are greater than the sleep-drowsy inflection point").
 pub fn node_savings(node: TechnologyNode, profiles: &[BenchmarkProfile]) -> NodeSavings {
-    let ctx = EnergyContext::new(CircuitParams::for_node(node), RefetchAccounting::PaperStrict);
-    let b = ctx.inflection_points().drowsy_sleep;
-    let mut sides = [Level1::Instruction, Level1::Data].map(|side| {
+    let model = GeneralizedModel::from_params(CircuitParams::for_node(node));
+    let side = |side: Level1| {
+        let savings: Vec<OptimalSavings> = profiles
+            .iter()
+            .map(|p| model.optimal_savings(&p.side(side).dist))
+            .collect();
+        let average =
+            |pick: fn(&OptimalSavings) -> f64| mean(&savings.iter().map(pick).collect::<Vec<_>>());
         (
-            average_saving(&ctx, profiles, side, &OptDrowsy),
-            average_saving(&ctx, profiles, side, &OptSleep::new(b)),
-            average_saving(&ctx, profiles, side, &OptHybrid::new()),
+            average(|s| s.opt_drowsy),
+            average(|s| s.opt_sleep),
+            average(|s| s.opt_hybrid),
         )
-    });
+    };
     NodeSavings {
         node,
-        icache: std::mem::replace(&mut sides[0], (0.0, 0.0, 0.0)),
-        dcache: sides[1],
+        icache: side(Level1::Instruction),
+        dcache: side(Level1::Data),
     }
 }
 

@@ -212,6 +212,26 @@ struct JobHandle {
     runner: Mutex<Option<thread::JoinHandle<()>>>,
 }
 
+/// Joins the runner threads of completed jobs. An exited thread that
+/// is never joined keeps its stack mapped, so without this a
+/// long-lived coordinator grows with every job it has ever run. Only
+/// `Done` jobs are reaped: a `Failed` job's runner handle still decides
+/// what a later cancel does. A runner that set `Done` but has not yet
+/// exited is left for the next call.
+fn reap_done_runners(jobs: &HashMap<String, Arc<JobHandle>>) {
+    for job in jobs.values() {
+        if job.status.lock().unwrap().state != JobState::Done {
+            continue;
+        }
+        let mut slot = job.runner.lock().unwrap();
+        if slot.as_ref().is_some_and(thread::JoinHandle::is_finished) {
+            if let Some(runner) = slot.take() {
+                let _ = runner.join();
+            }
+        }
+    }
+}
+
 /// Outcome of a submit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Submitted {
@@ -388,6 +408,7 @@ impl JobFabric {
                     spec.name, taken.id
                 )));
             }
+            reap_done_runners(&jobs);
             let active = jobs
                 .values()
                 .filter(|j| {
@@ -1518,6 +1539,51 @@ mod tests {
             ..FabricConfig::default()
         };
         assert_eq!(resolve_worker_bin(&config), PathBuf::from("/custom/worker"));
+    }
+
+    #[test]
+    fn only_finished_runners_of_done_jobs_are_reaped() {
+        let job = |state: JobState, runner: thread::JoinHandle<()>| {
+            Arc::new(JobHandle {
+                id: "jreap".to_string(),
+                spec: JobSpec::default_axes("reap", leakage_workloads::Scale::Test),
+                dir: PathBuf::new(),
+                status: Mutex::new(StatusState::fresh(state)),
+                cancel: AtomicBool::new(false),
+                stop: AtomicBool::new(false),
+                runner: Mutex::new(Some(runner)),
+            })
+        };
+        let finished = || {
+            let runner = thread::spawn(|| {});
+            while !runner.is_finished() {
+                thread::yield_now();
+            }
+            runner
+        };
+        let (release, wait) = mpsc::channel::<()>();
+        let live = thread::spawn(move || {
+            let _ = wait.recv();
+        });
+        let jobs = HashMap::from([
+            ("done".to_string(), job(JobState::Done, finished())),
+            ("failed".to_string(), job(JobState::Failed, finished())),
+            ("exiting".to_string(), job(JobState::Done, live)),
+        ]);
+        reap_done_runners(&jobs);
+        let has_runner = |id: &str| jobs[id].runner.lock().unwrap().is_some();
+        assert!(!has_runner("done"), "a finished Done runner is joined");
+        assert!(
+            has_runner("failed"),
+            "a Failed job keeps its handle for cancel"
+        );
+        assert!(
+            has_runner("exiting"),
+            "a runner still exiting is left alone"
+        );
+        drop(release);
+        let runner = jobs["exiting"].runner.lock().unwrap().take();
+        runner.expect("still held").join().expect("runner thread");
     }
 
     #[test]

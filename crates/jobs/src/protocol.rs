@@ -40,12 +40,13 @@
 
 use std::io::{self, BufRead, Write};
 
+use leakage_core::GeneralizedModel;
 use leakage_experiments::ProfileStore;
 use leakage_faults::checksum::Fnv64;
 use leakage_faults::{panic_message, panic_point};
 use leakage_telemetry::json::{self, Json};
 
-use crate::spec::JobSpec;
+use crate::spec::{JobPoint, JobSpec};
 
 /// The one-time first frame: which job this worker will evaluate.
 #[derive(Debug, Clone, PartialEq)]
@@ -329,13 +330,30 @@ pub fn chunk_response(spec: &JobSpec, store: &ProfileStore, assign: &Assign) -> 
     let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
         || -> Result<Vec<String>, String> {
             let mut rows = Vec::with_capacity((assign.end - assign.start) as usize);
-            for index in assign.start..assign.end {
-                let point = spec.point(index);
+            let mut points = (assign.start..assign.end)
+                .map(|index| spec.point(index))
+                .peekable();
+            while let Some(head) = points.next() {
+                // Consecutive points sharing (benchmark, side, node)
+                // differ only in C_D: one distribution walk serves the
+                // whole run.
+                let mut run = vec![head];
+                while let Some(next) = points.next_if(|p| {
+                    p.benchmark == run[0].benchmark
+                        && p.side == run[0].side
+                        && p.node == run[0].node
+                }) {
+                    run.push(next);
+                }
                 let profile = store
-                    .try_fetch(&point.benchmark, spec.scale)
-                    .map_err(|err| format!("profile {}: {err}", point.benchmark))?;
-                let savings = point.evaluate(&profile);
-                rows.push(crate::spec::render_job_row(&point, &savings, with_permille));
+                    .try_fetch(&run[0].benchmark, spec.scale)
+                    .map_err(|err| format!("profile {}: {err}", run[0].benchmark))?;
+                let models: Vec<GeneralizedModel> = run.iter().map(JobPoint::model).collect();
+                let dist = &profile.side(run[0].side).dist;
+                let savings = GeneralizedModel::optimal_savings_batch(&models, dist);
+                for (point, savings) in run.iter().zip(&savings) {
+                    rows.push(crate::spec::render_job_row(point, savings, with_permille));
+                }
             }
             Ok(rows)
         },
@@ -515,6 +533,65 @@ mod tests {
             WorkerFrame::parse(lines[6]).unwrap(),
             WorkerFrame::ChunkEnd { chunk: 0, fnv1a: rows_checksum(&rows) }
         );
+    }
+
+    /// Grouped chunk evaluation is row-for-row the per-point path,
+    /// wherever the chunk boundaries fall relative to the
+    /// (benchmark, side, node) runs.
+    #[test]
+    fn grouped_chunks_match_per_point_rows() {
+        use leakage_cachesim::Level1;
+        use leakage_energy::TechnologyNode;
+        // Runs of 5 permille values with 1000‰ (the preset-params
+        // path) among scaled ones; node, side and benchmark change at
+        // every 5th, 10th and 20th point.
+        let spec = JobSpec::build(
+            "grouped",
+            Scale::Test,
+            vec!["gzip".into(), "isa:chase".into()],
+            vec![Level1::Instruction, Level1::Data],
+            vec![TechnologyNode::N70, TechnologyNode::N130],
+            crate::spec::PermilleAxis {
+                from: 990,
+                to: 1010,
+                step: 5,
+            },
+            crate::spec::MIN_CHUNK_POINTS,
+        )
+        .unwrap();
+        assert_eq!(spec.point_count(), 40);
+        let store = ProfileStore::global();
+        for (start, end, case) in [
+            (2, 13, "start and end split a run"),
+            (7, 8, "one point"),
+            (17, 23, "crosses a benchmark, side and node change"),
+            (0, 40, "the whole job"),
+        ] {
+            let expected: Vec<String> = (start..end)
+                .map(|index| {
+                    let point = spec.point(index);
+                    let profile = store.try_fetch(&point.benchmark, spec.scale).unwrap();
+                    crate::spec::render_job_row(&point, &point.evaluate(&profile), true)
+                })
+                .collect();
+            let assign = Assign {
+                chunk: 0,
+                start,
+                end,
+            };
+            let response = chunk_response(&spec, store, &assign);
+            let lines: Vec<&str> = response.lines().collect();
+            assert_eq!(lines.len(), expected.len() + 2, "{case}");
+            assert_eq!(&lines[1..lines.len() - 1], &expected[..], "{case}");
+            assert_eq!(
+                WorkerFrame::parse(lines[lines.len() - 1]).unwrap(),
+                WorkerFrame::ChunkEnd {
+                    chunk: 0,
+                    fnv1a: rows_checksum(&expected)
+                },
+                "{case}"
+            );
+        }
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! `(start, end)` plus its result rows.
 //!
 //! The default refetch axis is the single value `1000` (scale ×1.0);
-//! such points are evaluated through the *identical* code path as the
+//! such points are evaluated under the *identical* model as the
 //! single-process `POST /v1/sweep` handler
-//! ([`query::sweep_point_profile`]), which is what makes the
+//! ([`query::sweep_model`]), which is what makes the
 //! differential-conformance guarantee ("a sharded job returns the
 //! sweep handler's bytes") hold by construction rather than by test
 //! luck.
@@ -20,7 +20,7 @@
 use leakage_cachesim::Level1;
 use leakage_core::{CircuitParams, GeneralizedModel, OptimalSavings};
 use leakage_energy::TechnologyNode;
-use leakage_experiments::query::{self, SweepPoint};
+use leakage_experiments::query;
 use leakage_experiments::BenchmarkProfile;
 use leakage_faults::checksum::Fnv64;
 use leakage_telemetry::json::{self, Json};
@@ -435,22 +435,22 @@ impl JobSpec {
 
 impl JobPoint {
     /// Evaluates the point against an already-fetched profile.
-    ///
-    /// The untouched refetch value (1000‰) routes through
-    /// [`query::sweep_point_profile`] — the exact function behind
-    /// `POST /v1/sweep` — so default-axis jobs are byte-identical to
-    /// the sweep path by construction. Scaled points rebuild the
-    /// node's circuit parameters with `C_D × permille/1000`.
     pub fn evaluate(&self, profile: &BenchmarkProfile) -> OptimalSavings {
+        self.model().optimal_savings(&profile.side(self.side).dist)
+    }
+
+    /// The generalized model the point is evaluated under.
+    ///
+    /// The untouched refetch value (1000‰) is
+    /// [`query::sweep_model`] — the model behind `POST /v1/sweep` —
+    /// so default-axis jobs are byte-identical to the sweep path by
+    /// construction. Scaled points rebuild the node's circuit
+    /// parameters with `C_D × permille/1000`; the points of one
+    /// (benchmark, side, node) run therefore differ only in `C_D` and
+    /// evaluate as one [`GeneralizedModel::optimal_savings_batch`].
+    pub fn model(&self) -> GeneralizedModel {
         if self.refetch_permille == 1000 {
-            return query::sweep_point_profile(
-                profile,
-                &SweepPoint {
-                    benchmark: self.benchmark.clone(),
-                    side: self.side,
-                    node: self.node,
-                },
-            );
+            return query::sweep_model(self.node);
         }
         let preset = CircuitParams::for_node(self.node);
         let scaled = preset.refetch_energy() * f64::from(self.refetch_permille) / 1000.0;
@@ -461,7 +461,7 @@ impl JobPoint {
             .transition_model(preset.transition_model())
             .refetch_energy(scaled)
             .build();
-        GeneralizedModel::from_params(params).optimal_savings(&profile.side(self.side).dist)
+        GeneralizedModel::from_params(params)
     }
 }
 
@@ -652,7 +652,7 @@ mod tests {
         let via_job = point.evaluate(&profile);
         let via_sweep = query::sweep_point_profile(
             &profile,
-            &SweepPoint {
+            &query::SweepPoint {
                 benchmark: "gzip".into(),
                 side: Level1::Instruction,
                 node: TechnologyNode::N70,

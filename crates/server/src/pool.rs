@@ -27,7 +27,7 @@ use leakage_telemetry::{FlightRecorder, RequestRecord, FLAG_SHED};
 use leakage_workloads::Scale;
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -635,14 +635,66 @@ fn flush_batch(conn: &mut Connection, ctx: &RouteContext) -> bool {
 }
 
 /// Writes the batched output buffer, toggling the reactor's
-/// nonblocking socket into blocking mode for the write.
+/// nonblocking socket into blocking mode for the write. The whole
+/// write is bounded by the connection's send timeout (the idle
+/// timeout, set at admission): a peer that stops reading, or reads
+/// too slowly to take the batch within that time, gets an error and a
+/// closed connection, not a pinned worker.
 fn flush_output(conn: &mut Connection) -> io::Result<()> {
     conn.stream.set_nonblocking(false)?;
-    let result = (&conn.stream).write_all(&conn.out);
+    let result = write_within_send_timeout(&conn.stream, &conn.out);
     // Restore readiness mode even after a failed write; the reactor
     // owns cleanup either way.
     let _ = conn.stream.set_nonblocking(true);
     conn.out.clear();
+    result
+}
+
+/// Writes all of `buf` to a blocking `stream` within one send timeout
+/// (`SO_SNDTIMEO`) in total. The kernel applies that timeout to each
+/// `write` call, so `write_all` would let a peer that takes a little in
+/// every window hold the writer for as long as it likes. After a short
+/// write the rest gets only what is left of the timeout, which is
+/// restored for the next batch. A stream without a send timeout is
+/// written without a bound, as `write_all` does.
+fn write_within_send_timeout(stream: &TcpStream, buf: &[u8]) -> io::Result<()> {
+    let started = Instant::now();
+    let mut rest = buf;
+    // The connection's send timeout, read at the first short write.
+    let mut timeout = None;
+    let result = loop {
+        match (&*stream).write(rest) {
+            Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => rest = &rest[n..],
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => break Err(err),
+        }
+        if rest.is_empty() {
+            break Ok(());
+        }
+        if timeout.is_none() {
+            match stream.write_timeout() {
+                Ok(configured) => timeout = configured,
+                Err(err) => break Err(err),
+            }
+        }
+        let Some(configured) = timeout else {
+            continue;
+        };
+        let left = configured.saturating_sub(started.elapsed());
+        if left.is_zero() {
+            break Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "peer did not take the response within the send timeout",
+            ));
+        }
+        if let Err(err) = stream.set_write_timeout(Some(left)) {
+            break Err(err);
+        }
+    };
+    if timeout.is_some() {
+        let _ = stream.set_write_timeout(timeout);
+    }
     result
 }
 

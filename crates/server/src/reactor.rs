@@ -405,6 +405,12 @@ impl Reactor {
             return;
         }
         let _ = stream.set_nodelay(true);
+        // SO_SNDTIMEO bounds every blocking write a worker makes on
+        // this connection: a peer that stops reading loses the
+        // connection after one idle timeout instead of pinning the
+        // worker. (std refuses a zero timeout, which leaves the write
+        // unbounded.)
+        let _ = stream.set_write_timeout(Some(self.config.idle_timeout));
         let token = self.next_token;
         self.next_token += 1;
         if self.arm(&stream, token, true) {

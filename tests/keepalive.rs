@@ -181,6 +181,103 @@ fn parked_idle_connections_do_not_hold_workers() {
     server.shutdown();
 }
 
+/// Clients that pipeline requests and then stop reading, or read too
+/// slowly, cannot pin the workers: each worker's write of a batch
+/// gives up once the idle timeout has passed in total, the stuck
+/// connections are closed, and a fresh client is answered within that
+/// timeout. One stuck client never reads; the other takes 64 KiB every
+/// 100 ms, so each `write` call makes progress within the timeout
+/// while the batch takes seconds to go out.
+#[test]
+fn clients_that_never_read_do_not_pin_workers() {
+    const WORKERS: usize = 2;
+    // About 30 MiB of Fig. 8 answers per client: far more than the
+    // socket buffers between server and client can hold.
+    const REQUESTS: usize = 16_384;
+    const TRICKLE: usize = 64 * 1024;
+    const HELD_TOO_LONG: Duration = Duration::from_secs(25);
+    let idle_timeout = Duration::from_millis(500);
+    let server = start(ServerConfig {
+        workers: WORKERS,
+        idle_timeout,
+        max_requests_per_connection: u32::MAX,
+        // Batches of megabytes, so one write outlasts the timeout at
+        // the trickle reader's pace.
+        pipeline_batch: 4096,
+        ..ServerConfig::default()
+    });
+    let burst = "GET /v1/figure/8 HTTP/1.1\r\nHost: t\r\n\r\n".repeat(REQUESTS);
+    let stuck: Vec<(TcpStream, std::thread::JoinHandle<()>)> = (0..WORKERS)
+        .map(|_| {
+            let stream =
+                TcpStream::connect_timeout(&server.addr(), CLIENT_TIMEOUT).expect("connect");
+            let mut writer = stream.try_clone().expect("clone for the writer");
+            let burst = burst.clone();
+            // A write error is no failure: the server closes on us.
+            let sender = std::thread::spawn(move || {
+                let _ = writer.write_all(burst.as_bytes());
+            });
+            (stream, sender)
+        })
+        .collect();
+    let mut trickle = stuck[1].0.try_clone().expect("clone for the reader");
+    let trickler = std::thread::spawn(move || {
+        trickle.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+        let mut sink = vec![0u8; TRICKLE];
+        let started = Instant::now();
+        let mut taken = 0;
+        loop {
+            match trickle.read(&mut sink) {
+                Ok(0) | Err(_) => return (started.elapsed(), taken),
+                Ok(n) => taken += n,
+            }
+            if started.elapsed() > HELD_TOO_LONG {
+                return (started.elapsed(), taken);
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    });
+    // Let the answers fill the buffers and block both workers.
+    std::thread::sleep(Duration::from_millis(300));
+
+    let started = Instant::now();
+    let mut fresh = Client::connect(server.addr(), CLIENT_TIMEOUT).expect("connect fresh");
+    let response = fresh
+        .roundtrip("GET", "/healthz", None)
+        .expect("fresh request");
+    let waited = started.elapsed();
+    assert_eq!(response.status, 200);
+    let slack = Duration::from_secs(2);
+    assert!(
+        waited < idle_timeout + slack,
+        "fresh client waited {waited:?} behind {WORKERS} clients that stopped reading"
+    );
+
+    // Draining all answers at the trickle pace would take ~50 s.
+    let (trickled_for, taken) = trickler.join().expect("trickle reader");
+    assert!(
+        trickled_for < HELD_TOO_LONG,
+        "the trickle-reading connection was held open for {trickled_for:?} ({taken} bytes)"
+    );
+    // Each stuck connection ends once what the server sent is drained.
+    for (i, (mut stream, sender)) in stuck.into_iter().enumerate() {
+        stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+        let mut sink = vec![0u8; 1 << 16];
+        loop {
+            match stream.read(&mut sink) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                    panic!("stuck connection {i} was never closed")
+                }
+                Err(_) => break, // a reset closes it too
+            }
+        }
+        sender.join().expect("writer thread");
+    }
+    server.shutdown();
+}
+
 /// An oversized request (header block beyond the 16 KiB cap) is
 /// answered 431 and that connection closes — but the server (and new
 /// connections) keep working.
