@@ -2,8 +2,8 @@
 //! quarantine policy.
 //!
 //! Every file whose bytes matter after a crash — disk profiles, job
-//! checkpoints, lease files, `job.json`, the `canceled` marker — goes
-//! through this module, so the policy lives in exactly one place:
+//! checkpoints, `job.json`, the `canceled` marker — goes through this
+//! module, so the policy lives in exactly one place:
 //!
 //! * [`write_atomically`] writes a unique temp file in the target's
 //!   directory, fsyncs it, and renames it into place. A crash at any
@@ -224,12 +224,7 @@ mod tests {
 
     #[test]
     fn temp_names_are_recognised() {
-        for name in [
-            "chunk-000003.ckpt",
-            "chunk-000003.lease",
-            "job.json",
-            "canceled",
-        ] {
+        for name in ["chunk-000003.ckpt", "job.json", "canceled"] {
             let tmp = temp_path(&Path::new("job").join(name));
             let tmp = tmp.file_name().unwrap().to_string_lossy();
             assert!(is_temp_name(&tmp), "{tmp} is a temp name");

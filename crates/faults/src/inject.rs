@@ -23,8 +23,6 @@
 //!        | 'io' [':' ('enospc'|'interrupted'|'notfound'|'permission'|'timedout')]
 //!        | 'truncate' ':' BYTES
 //!        | 'latency' ':' MILLIS
-//!        | 'drop'
-//!        | 'dup'
 //! trigger = '#' N          fire only on the N-th arrival (1-based)
 //!         | '%' PERMILLE '@' SEED   fire pseudo-randomly, seeded
 //! ```
@@ -54,11 +52,6 @@ pub enum FaultKind {
     Truncate(usize),
     /// Sleep this many milliseconds before proceeding.
     Latency(u64),
-    /// Silently swallow the site's payload (a network send that never
-    /// reaches the peer).
-    Drop,
-    /// Deliver the site's payload twice (a duplicated network frame).
-    Dup,
 }
 
 /// Flavors of injected I/O errors, chosen to exercise both the
@@ -140,7 +133,7 @@ impl Arm {
     }
 }
 
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
+fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -217,8 +210,6 @@ impl Plane {
                 Some(FaultKind::Truncate(bytes)) => {
                     firing.truncate.get_or_insert(*bytes);
                 }
-                Some(FaultKind::Drop) => firing.drop = true,
-                Some(FaultKind::Dup) => firing.dup = true,
                 None => {}
             }
         }
@@ -257,18 +248,6 @@ impl Plane {
             None => Ok(()),
         }
     }
-
-    /// [`drop_point`] against this plane: `true` when the site's
-    /// payload must be swallowed.
-    pub fn drop_site(&self, site: &str) -> bool {
-        !self.is_empty() && self.fire(site).drop
-    }
-
-    /// [`dup_point`] against this plane: `true` when the site's
-    /// payload must be delivered twice.
-    pub fn dup_site(&self, site: &str) -> bool {
-        !self.is_empty() && self.fire(site).dup
-    }
 }
 
 /// The outcome of one site arrival (latency/panic handled in-line).
@@ -276,8 +255,6 @@ impl Plane {
 struct Firing {
     io: Option<io::Error>,
     truncate: Option<usize>,
-    drop: bool,
-    dup: bool,
 }
 
 fn parse_clause(clause: &str) -> Result<Arm, SpecError> {
@@ -331,8 +308,6 @@ fn parse_clause(clause: &str) -> Result<Arm, SpecError> {
         ("latency", Some(ms)) => {
             FaultKind::Latency(ms.parse().map_err(|_| err("bad latency millis"))?)
         }
-        ("drop", None) => FaultKind::Drop,
-        ("dup", None) => FaultKind::Dup,
         ("truncate", None) => return Err(err("truncate needs ':BYTES'")),
         ("latency", None) => return Err(err("latency needs ':MILLIS'")),
         _ => return Err(err("unknown fault kind")),
@@ -411,20 +386,6 @@ pub fn corrupt_point(site: &str, bytes: &mut Vec<u8>) -> io::Result<()> {
     plane().corrupt_site(site, bytes)
 }
 
-/// A network-send site: `true` when an armed `drop` clause fires here,
-/// telling the transport to swallow the outgoing payload. Latency and
-/// panic clauses on the same site are applied in-line first, so one
-/// site models delay, partition, and loss together.
-pub fn drop_point(site: &str) -> bool {
-    plane().drop_site(site)
-}
-
-/// A network-send site: `true` when an armed `dup` clause fires here,
-/// telling the transport to deliver the outgoing payload twice.
-pub fn dup_point(site: &str) -> bool {
-    plane().dup_site(site)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,6 +408,8 @@ mod tests {
             "site=panic#0",
             "site=panic%1001@7",
             "site=panic%5",
+            "site=drop",
+            "site=dup",
         ] {
             assert!(Plane::parse(spec).is_err(), "{spec:?} should not parse");
         }
@@ -511,19 +474,6 @@ mod tests {
         // pattern.
         let c = Plane::parse("s=io%500@43").unwrap();
         assert_ne!(first, pattern(&c));
-    }
-
-    #[test]
-    fn drop_and_dup_fire_on_their_triggers() {
-        let plane = Plane::parse("net/drop=drop#2;net/dup=dup").unwrap();
-        assert!(!plane.drop_site("net/drop"), "first arrival passes");
-        assert!(plane.drop_site("net/drop"), "#2 swallows the frame");
-        assert!(!plane.drop_site("net/drop"));
-        assert!(plane.dup_site("net/dup"), "untriggered dup fires always");
-        assert!(plane.dup_site("net/dup"));
-        // Unarmed sites and kind mismatches stay silent.
-        assert!(!plane.dup_site("net/drop"));
-        assert!(!plane.drop_site("net/elsewhere"));
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub mod retry;
 
 pub use error::{panic_message, PipelineError, StoreError, TraceError};
 pub use inject::{
-    corrupt_point, drop_point, dup_point, io_point, panic_point, plane, set_plane, Plane,
-    SpecError, FAULTS_ENV,
+    corrupt_point, io_point, panic_point, plane, set_plane, Plane, SpecError, FAULTS_ENV,
 };
-pub use retry::{retry, Backoff, JitteredBackoff, Transient};
+pub use retry::{retry, Backoff, Transient};

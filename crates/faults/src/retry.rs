@@ -81,61 +81,6 @@ impl Default for Backoff {
     }
 }
 
-/// A decorrelated-jitter schedule for reconnect pacing: each delay is
-/// drawn uniformly from `[base, min(cap, 3 * previous)]`, so delays
-/// grow roughly exponentially but never synchronize across workers.
-/// When a partition heals, N workers sharing a deterministic
-/// [`Backoff`] would all redial in the same instant; seeding each
-/// worker's jitter differently (by pid) spreads the herd while keeping
-/// any single worker's schedule exactly reproducible from its seed.
-#[derive(Debug, Clone)]
-pub struct JitteredBackoff {
-    base: Duration,
-    cap: Duration,
-    prev: Duration,
-    state: u64,
-}
-
-impl JitteredBackoff {
-    /// A schedule between `base` and `cap`, drawing from the SplitMix64
-    /// stream keyed by `seed`.
-    pub fn new(base: Duration, cap: Duration, seed: u64) -> Self {
-        JitteredBackoff {
-            base,
-            cap: cap.max(base),
-            prev: base,
-            state: seed,
-        }
-    }
-
-    /// The next delay in the schedule; advances the jitter stream and
-    /// the decorrelated upper bound.
-    pub fn next_delay(&mut self) -> Duration {
-        self.state = self.state.wrapping_add(1);
-        let draw = crate::inject::splitmix64(self.state);
-        let upper = self.prev.saturating_mul(3).min(self.cap).max(self.base);
-        let span = upper.as_nanos().saturating_sub(self.base.as_nanos()) as u64;
-        let jitter = if span == 0 { 0 } else { draw % (span + 1) };
-        let delay = self.base + Duration::from_nanos(jitter);
-        self.prev = delay;
-        delay
-    }
-
-    /// Returns the schedule to its starting bound, e.g. after a
-    /// successful (re)connection.
-    pub fn reset(&mut self) {
-        self.prev = self.base;
-    }
-}
-
-impl Backoff {
-    /// Lifts this schedule's base into a [`JitteredBackoff`] capped at
-    /// `cap`, seeded so distinct callers decorrelate.
-    pub fn jittered(&self, cap: Duration, seed: u64) -> JitteredBackoff {
-        JitteredBackoff::new(self.base, cap, seed)
-    }
-}
-
 /// Runs `op` until it succeeds, fails non-transiently, or exhausts the
 /// schedule. The attempt number (0-based) is passed to `op` so callers
 /// can log or vary behavior.
@@ -224,53 +169,6 @@ mod tests {
         assert_eq!(backoff.delay(0), Duration::from_millis(1));
         assert_eq!(backoff.delay(1), Duration::from_millis(2));
         assert_eq!(backoff.delay(2), Duration::from_millis(4));
-    }
-
-    #[test]
-    fn jitter_stays_within_decorrelated_bounds() {
-        let base = Duration::from_millis(50);
-        let cap = Duration::from_secs(2);
-        let mut schedule = JitteredBackoff::new(base, cap, 7);
-        let mut prev = base;
-        for _ in 0..64 {
-            let delay = schedule.next_delay();
-            let upper = prev.saturating_mul(3).min(cap).max(base);
-            assert!(delay >= base, "{delay:?} below base");
-            assert!(delay <= upper, "{delay:?} above decorrelated bound {upper:?}");
-            prev = delay;
-        }
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed_and_decorrelated_across_seeds() {
-        let schedule = |seed: u64| -> Vec<Duration> {
-            let mut jitter =
-                Backoff::DISK.jittered(Duration::from_secs(1), seed);
-            (0..32).map(|_| jitter.next_delay()).collect()
-        };
-        assert_eq!(schedule(42), schedule(42), "same seed, same schedule");
-        assert_ne!(schedule(42), schedule(43), "seeds must decorrelate");
-    }
-
-    #[test]
-    fn jitter_reset_returns_to_base_bound() {
-        let base = Duration::from_millis(10);
-        let mut jitter = JitteredBackoff::new(base, Duration::from_secs(5), 1);
-        for _ in 0..16 {
-            jitter.next_delay();
-        }
-        jitter.reset();
-        assert!(
-            jitter.next_delay() <= base * 3,
-            "first post-reset delay is bounded by 3 * base again"
-        );
-    }
-
-    #[test]
-    fn zero_span_jitter_is_exact() {
-        let base = Duration::from_millis(20);
-        let mut jitter = JitteredBackoff::new(base, base, 9);
-        assert_eq!(jitter.next_delay(), base, "cap == base leaves no jitter room");
     }
 
     #[test]

@@ -1,48 +1,23 @@
 //! `leakage-job-worker`: one sweep-fabric worker process.
 //!
-//! Two modes, same chunk evaluation:
-//!
-//! * **stdio** (no arguments): reads the job hello and chunk
-//!   assignments on stdin, writes result frames on stdout (see
-//!   `leakage_jobs::protocol`), exits 0 on EOF. This is how the
-//!   coordinator spawns local workers.
-//! * **remote** (`--connect ADDR`): dials a coordinator's
-//!   `--job-listen` socket, admits itself with `--token`, heartbeats,
-//!   and redials with jittered backoff when the link drops. Run this
-//!   on other machines to lend them to the fabric.
+//! Reads the job hello and chunk assignments on stdin, writes result
+//! frames on stdout (see `leakage_jobs::protocol`), and exits 0 on EOF.
+//! The coordinator spawns these as local children; the binary takes no
+//! arguments.
 //!
 //! All real logic lives in the library so tests can drive a worker
-//! in-process; this binary only wires the pipes/socket and maps
-//! protocol violations to a non-zero exit.
+//! in-process; this binary only wires the pipes and maps protocol
+//! violations to a non-zero exit.
 
 use std::io::{self, BufWriter, Write};
-use std::time::Duration;
-
-use leakage_jobs::transport::{run_remote_worker, RemoteWorkerConfig};
-
-const USAGE: &str = "usage: leakage-job-worker [--connect ADDR [--token T] [--hb-ms N] [--max-dials N]]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        run_stdio();
-        return;
+    if std::env::args().len() > 1 {
+        eprintln!(
+            "usage: leakage-job-worker   (no arguments; speaks the job protocol on stdin/stdout)"
+        );
+        std::process::exit(2);
     }
-    match parse_remote(&args) {
-        Ok(config) => {
-            if let Err(err) = run_remote_worker(config) {
-                eprintln!("leakage-job-worker: {err}");
-                std::process::exit(1);
-            }
-        }
-        Err(err) => {
-            eprintln!("leakage-job-worker: {err}\n{USAGE}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn run_stdio() {
     let stdin = io::stdin();
     let stdout = io::stdout();
     let mut out = BufWriter::new(stdout.lock());
@@ -52,48 +27,4 @@ fn run_stdio() {
         std::process::exit(1);
     }
     let _ = out.flush();
-}
-
-fn parse_remote(args: &[String]) -> Result<RemoteWorkerConfig, String> {
-    let mut addr = None;
-    let mut token = None;
-    let mut hb_ms = None;
-    let mut max_dials = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--connect" => addr = Some(value("--connect")?),
-            "--token" => token = Some(value("--token")?),
-            "--hb-ms" => {
-                hb_ms = Some(
-                    value("--hb-ms")?
-                        .parse::<u64>()
-                        .map_err(|_| "--hb-ms must be an integer".to_string())?,
-                );
-            }
-            "--max-dials" => {
-                max_dials = Some(
-                    value("--max-dials")?
-                        .parse::<u64>()
-                        .map_err(|_| "--max-dials must be an integer".to_string())?,
-                );
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    let addr = addr.ok_or_else(|| "--connect is required in remote mode".to_string())?;
-    let mut config = RemoteWorkerConfig::dial(&addr);
-    config.token = token;
-    if let Some(ms) = hb_ms {
-        config.heartbeat_every = Duration::from_millis(ms.max(1));
-    }
-    if max_dials.is_some() {
-        config.max_dials = max_dials;
-    }
-    Ok(config)
 }

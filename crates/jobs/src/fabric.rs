@@ -9,7 +9,6 @@
 //! chunk-NNNNNN.ckpt   one durable checkpoint per completed chunk
 //! canceled            empty marker: the job was canceled, never resume
 //! quarantine/         corrupt checkpoints, moved verbatim (byte-capped)
-//! leases/             deadline-stamped chunk ownership (epoch per chunk)
 //! ```
 //!
 //! Every piece of job state that matters is on disk before it is
@@ -22,30 +21,25 @@
 //! functions of `(spec, chunk ordinal)`, which is why a resumed run is
 //! byte-identical to an uninterrupted one.
 //!
-//! The runner speaks the [`crate::protocol`] over
-//! [`crate::transport::WorkerTransport`] links: locally-spawned stdio
-//! children, plus — when `FabricConfig::listen` is set — remote TCP
-//! workers admitted through the shared [`RemoteGate`] pool. A local
-//! worker that exits, panics (armed `jobs/chunk` fault), or stalls
-//! past the deadline is killed and its in-flight chunk goes back on
-//! the pending queue; a bounded respawn budget and a per-chunk attempt
-//! cap turn pathological loops into a `failed` job instead of a hung
-//! one.
+//! The runner speaks the [`crate::protocol`] to locally-spawned
+//! worker children over their stdin/stdout pipes. A worker that exits,
+//! panics (armed `jobs/chunk` fault), or stalls past the deadline is
+//! killed and its in-flight chunk goes back on the pending queue; a
+//! bounded respawn budget and a per-chunk attempt cap turn
+//! pathological loops into a `failed` job instead of a hung one.
 //!
-//! Remote workers cannot be distinguished from a slow network by
-//! process observation, so their failure handling is lease-based: a
-//! worker that misses heartbeats (or stalls) has its chunk's lease
-//! *expired* — the epoch bumps, the chunk returns to the queue — while
-//! the link stays open in case the partition heals. Frames that arrive
-//! after expiry lose the epoch comparison and are discarded
-//! (`jobs_late_commits_discarded_total`); the first durable checkpoint
-//! always wins, which also absorbs `net/dup` duplicate frames.
+//! Because every worker is a child, its death is always observable
+//! (EOF on its stdout), and a stalled worker is killed *before* its
+//! chunk is requeued. No stale writer can therefore outlive its
+//! assignment, and the commit rule is simply: a chunk answer counts
+//! when it comes from the worker the chunk is assigned to and the chunk
+//! is not yet done; the first durable checkpoint wins.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
-use std::io::{self, BufRead, BufReader};
+use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -59,10 +53,8 @@ use crate::checkpoint::{
     chunk_file_name, parse_chunk_file_name, quarantine, read_chunk, write_chunk, ChunkFile,
     CkptError,
 };
-use crate::lease::LeaseManager;
 use crate::protocol::{rows_checksum, Assign, Hello, WorkerFrame};
 use crate::spec::{JobSpec, SpecError};
-use crate::transport::{RemoteGate, SocketTransport, StdioTransport, WorkerTransport};
 
 /// Environment override for the worker executable path.
 pub const WORKER_BIN_ENV: &str = "LEAKAGE_JOB_WORKER_BIN";
@@ -97,16 +89,10 @@ pub struct FabricConfig {
     pub worker_env: Vec<(String, String)>,
     /// Maximum queued + running jobs before submits are refused.
     pub max_active_jobs: usize,
-    /// TCP address for remote workers (`None`: stdio workers only).
-    /// With a listener and `workers: 0`, jobs run on remote workers
-    /// exclusively.
-    pub listen: Option<String>,
-    /// Shared admission token remote workers must present; `None`
-    /// admits any well-formed hello.
-    pub token: Option<String>,
-    /// A remote worker silent for longer than this has its chunk's
-    /// lease expired and reassigned (the link is kept, in case the
-    /// partition heals).
+    /// Ignored: workers are local children, whose death is observed
+    /// directly and whose stalls `stall_deadline` covers, so nothing
+    /// heartbeats. Kept only because the repository benchmark still
+    /// sets it; remove it once that stops.
     pub heartbeat_timeout: Duration,
 }
 
@@ -119,8 +105,6 @@ impl Default for FabricConfig {
             worker_bin: None,
             worker_env: Vec::new(),
             max_active_jobs: 4,
-            listen: None,
-            token: None,
             heartbeat_timeout: Duration::from_secs(5),
         }
     }
@@ -174,11 +158,6 @@ struct StatusState {
     reassigned_chunks: u64,
     worker_restarts: u64,
     quarantined: u64,
-    /// Chunk answers discarded because their lease epoch had been
-    /// superseded (or the chunk was already durably committed).
-    late_commits: u64,
-    /// Leases revoked after missed heartbeats or a stall.
-    leases_expired: u64,
     error: Option<String>,
     workers: Vec<WorkerView>,
 }
@@ -193,8 +172,6 @@ impl StatusState {
             reassigned_chunks: 0,
             worker_restarts: 0,
             quarantined: 0,
-            late_commits: 0,
-            leases_expired: 0,
             error: None,
             workers: Vec::new(),
         }
@@ -297,9 +274,6 @@ pub struct JobFabric {
     config: FabricConfig,
     jobs: Mutex<HashMap<String, Arc<JobHandle>>>,
     shutting_down: AtomicBool,
-    /// The remote-worker listener, when `config.listen` is set. All
-    /// runners draw admitted sessions from this one pool.
-    remote: Option<Arc<RemoteGate>>,
 }
 
 impl JobFabric {
@@ -314,15 +288,10 @@ impl JobFabric {
     /// a missing directory is simply an empty fabric (it is created
     /// lazily on first submit).
     pub fn start(config: FabricConfig) -> io::Result<Arc<JobFabric>> {
-        let remote = match &config.listen {
-            Some(addr) => Some(RemoteGate::bind(addr, config.token.clone())?),
-            None => None,
-        };
         let fabric = Arc::new(JobFabric {
             config,
             jobs: Mutex::new(HashMap::new()),
             shutting_down: AtomicBool::new(false),
-            remote,
         });
         let dir = fabric.config.jobs_dir.clone();
         if dir.is_dir() {
@@ -459,8 +428,6 @@ impl JobFabric {
             json::key("reassigned_chunks") + &status.reassigned_chunks.to_string(),
             json::key("worker_restarts") + &status.worker_restarts.to_string(),
             json::key("quarantined") + &status.quarantined.to_string(),
-            json::key("late_commits") + &status.late_commits.to_string(),
-            json::key("leases_expired") + &status.leases_expired.to_string(),
             json::key("error")
                 + &status
                     .error
@@ -654,21 +621,6 @@ impl JobFabric {
                 let _ = join.join();
             }
         }
-        if let Some(gate) = &self.remote {
-            gate.stop();
-        }
-    }
-
-    /// The bound remote-worker listener address, when one is
-    /// configured.
-    pub fn remote_addr(&self) -> Option<std::net::SocketAddr> {
-        self.remote.as_ref().map(|gate| gate.addr())
-    }
-
-    /// Remote workers currently connected (admitted, link alive);
-    /// `None` when no listener is configured.
-    pub fn remote_connected(&self) -> Option<usize> {
-        self.remote.as_ref().map(|gate| gate.connected())
     }
 
     fn spawn_runner(self: &Arc<Self>, handle: Arc<JobHandle>) {
@@ -752,31 +704,47 @@ enum Event {
         chunk: u64,
         error: String,
     },
-    /// A remote worker's liveness beat (stdio workers never send one).
-    Heartbeat(usize),
     /// The worker's stream closed or spoke garbage; `reason` is for
     /// logs. Sent at most once per worker.
     Gone { worker: usize, reason: String },
 }
 
+/// One worker child. Its stdout belongs to the slot's reader thread,
+/// which sees EOF once the child exits or is killed.
 struct WorkerSlot {
-    link: Box<dyn WorkerTransport>,
+    child: Child,
+    /// The worker's input; `None` once retired (EOF → the worker exits
+    /// 0).
+    stdin: Option<ChildStdin>,
+    pid: u32,
     assigned: Option<Assign>,
-    /// Lease epoch the current assignment was granted under; a chunk
-    /// answer only commits while this still matches the lease table.
-    epoch: u64,
     assigned_at: Instant,
-    /// Last frame of any kind (heartbeats included) from this worker.
-    last_heard: Instant,
     /// We closed the worker's input on purpose; the coming `Gone` is
     /// expected.
     retired: bool,
-    /// An assignment revoked by lease expiry: `(chunk, epoch)`. The
-    /// link stays open; if the partition heals, the worker's stale
-    /// answer for this chunk is discarded silently instead of being
-    /// treated as a protocol violation.
-    revoked: Option<(u64, u64)>,
     reader: Option<thread::JoinHandle<()>>,
+}
+
+impl WorkerSlot {
+    /// Writes one newline-terminated protocol line and flushes; any
+    /// failure means the worker is dead or dying.
+    fn send_line(&mut self, line: &str) -> io::Result<()> {
+        let Some(stdin) = self.stdin.as_mut() else {
+            return Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "worker stdin already retired",
+            ));
+        };
+        stdin.write_all(line.as_bytes())?;
+        stdin.write_all(b"\n")?;
+        stdin.flush()
+    }
+
+    /// Graceful retirement: the worker observes end-of-input and exits.
+    fn retire(&mut self) {
+        self.retired = true;
+        self.stdin = None;
+    }
 }
 
 struct Runner {
@@ -786,20 +754,15 @@ struct Runner {
     attempts: HashMap<u64, u32>,
     done: Vec<bool>,
     slots: Vec<Option<WorkerSlot>>,
-    leases: LeaseManager,
     events_tx: mpsc::Sender<Event>,
     events_rx: mpsc::Receiver<Event>,
     spawns_left: u64,
-    /// Separate budget for admitting remote sessions, so a flapping
-    /// network cannot drain the local respawn budget (or vice versa).
-    remote_admits_left: u64,
 }
 
 impl Runner {
     fn new(fabric: Arc<JobFabric>, job: Arc<JobHandle>) -> Runner {
         let (events_tx, events_rx) = mpsc::channel();
         let chunks = job.spec.chunk_count();
-        let leases = LeaseManager::open(&job.dir);
         Runner {
             fabric,
             job,
@@ -807,11 +770,9 @@ impl Runner {
             attempts: HashMap::new(),
             done: vec![false; chunks as usize],
             slots: Vec::new(),
-            leases,
             events_tx,
             events_rx,
             spawns_left: chunks.max(16),
-            remote_admits_left: (chunks * 4).max(64),
         }
     }
 
@@ -827,17 +788,14 @@ impl Runner {
             let mut status = self.job.status.lock().unwrap();
             status.state = JobState::Running;
         }
-        // With a remote listener the fabric may legitimately run zero
-        // local workers; without one, at least one local worker is the
-        // only way the job can make progress.
-        let local = if self.fabric.remote.is_some() {
-            self.fabric.config.workers
-        } else {
-            self.fabric.config.workers.max(1)
-        };
-        let want = local.min(self.pending.len().max(1));
+        let want = self
+            .fabric
+            .config
+            .workers
+            .max(1)
+            .min(self.pending.len().max(1));
         for _ in 0..want {
-            if let Err(err) = self.spawn_local_worker() {
+            if let Err(err) = self.spawn_worker() {
                 self.fail(format!("spawning worker: {err}"));
                 self.teardown(false);
                 return;
@@ -858,18 +816,13 @@ impl Runner {
                 status.workers.clear();
                 return;
             }
-            self.admit_remote();
             match self.events_rx.recv_timeout(Duration::from_millis(100)) {
                 Ok(event) => {
                     if !self.handle_event(event) {
                         return; // job reached a terminal state
                     }
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if !self.check_deadlines() {
-                        return;
-                    }
-                }
+                Err(mpsc::RecvTimeoutError::Timeout) => self.check_deadlines(),
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     self.fail("all worker channels closed unexpectedly".to_string());
                     self.teardown(false);
@@ -963,13 +916,13 @@ impl Runner {
             .count()
     }
 
-    fn spawn_local_worker(&mut self) -> io::Result<()> {
+    fn spawn_worker(&mut self) -> io::Result<()> {
         if self.spawns_left == 0 {
             return Err(io::Error::other("worker respawn budget exhausted"));
         }
         self.spawns_left -= 1;
         let bin = resolve_worker_bin(&self.fabric.config);
-        let child = retry(Backoff::DISK, |_| {
+        let mut child = retry(Backoff::DISK, |_| {
             io_point("jobs/spawn")?;
             let mut command = Command::new(&bin);
             command
@@ -982,71 +935,39 @@ impl Runner {
             }
             command.spawn()
         })?;
-        let link = Box::new(StdioTransport::new(child));
-        self.attach_worker(link)
-    }
-
-    /// Adopts pooled remote sessions while there is unassigned work
-    /// for them. Called every loop tick; a no-op without a listener.
-    fn admit_remote(&mut self) {
-        let Some(gate) = self.fabric.remote.clone() else {
-            return;
+        // Wire the child into a slot: send the job hello, start the
+        // reader thread, publish the roster.
+        let stdout = child
+            .stdout
+            .take()
+            .expect("worker spawned with piped stdout");
+        let mut slot = WorkerSlot {
+            stdin: child.stdin.take(),
+            pid: child.id(),
+            child,
+            assigned: None,
+            assigned_at: Instant::now(),
+            retired: false,
+            reader: None,
         };
-        loop {
-            if self.remote_admits_left == 0 {
-                return;
-            }
-            let idle = self
-                .slots
-                .iter()
-                .flatten()
-                .filter(|s| !s.retired && s.assigned.is_none())
-                .count();
-            if self.pending.len() <= idle {
-                return;
-            }
-            let Some(session) = gate.take() else {
-                return;
-            };
-            let link = match SocketTransport::adopt(session) {
-                Ok(link) => Box::new(link),
-                Err(_) => continue, // died while pooled
-            };
-            self.remote_admits_left -= 1;
-            if self.attach_worker(link).is_err() {
-                // The hello write failed: a dead pooled socket, not a
-                // fabric problem. Try the next session.
-                continue;
-            }
-        }
-    }
-
-    /// Wires a transport into a slot: sends the job hello, spawns the
-    /// reader thread, publishes the roster.
-    fn attach_worker(&mut self, mut link: Box<dyn WorkerTransport>) -> io::Result<()> {
         let hello = Hello {
             job_id: self.job.id.clone(),
             spec: self.job.spec.clone(),
         };
-        link.send_line(&hello.encode())?;
-        let stream = link.take_reader().expect("worker transport reader");
+        if let Err(err) = slot.send_line(&hello.encode()) {
+            let _ = slot.child.kill();
+            let _ = slot.child.wait();
+            return Err(err);
+        }
         let worker = self.slots.len();
         let tx = self.events_tx.clone();
-        let reader = thread::Builder::new()
-            .name(format!("job-worker-read-{worker}"))
-            .spawn(move || read_worker(worker, stream, &tx))
-            .expect("spawn worker reader thread");
-        let now = Instant::now();
-        self.slots.push(Some(WorkerSlot {
-            link,
-            assigned: None,
-            epoch: 0,
-            assigned_at: now,
-            last_heard: now,
-            retired: false,
-            revoked: None,
-            reader: Some(reader),
-        }));
+        slot.reader = Some(
+            thread::Builder::new()
+                .name(format!("job-worker-read-{worker}"))
+                .spawn(move || read_worker(worker, stdout, &tx))
+                .expect("spawn worker reader thread"),
+        );
+        self.slots.push(Some(slot));
         self.publish_workers();
         Ok(())
     }
@@ -1057,7 +978,7 @@ impl Runner {
             .iter()
             .flatten()
             .map(|slot| WorkerView {
-                pid: slot.link.id(),
+                pid: slot.pid,
                 chunk: slot.assigned.map(|a| a.chunk),
                 alive: !slot.retired,
             })
@@ -1065,43 +986,35 @@ impl Runner {
         self.job.status.lock().unwrap().workers = views;
     }
 
-    /// Feeds the next pending chunk to `worker` under a fresh lease,
-    /// or retires it (closes its input) when nothing is left.
+    /// Feeds the next pending chunk to `worker`, or retires it (closes
+    /// its input) when nothing is left.
     fn assign_next(&mut self, worker: usize) {
-        let link_id = match self.slots[worker].as_ref() {
-            // A duplicated `ready` frame (net/dup) or a heartbeat on a
-            // busy worker must not double-assign.
-            Some(slot) if slot.assigned.is_some() => return,
-            Some(slot) => slot.link.id(),
-            None => return,
-        };
+        match self.slots[worker].as_ref() {
+            Some(slot) if slot.assigned.is_none() => {}
+            _ => return,
+        }
         let Some(chunk) = self.pending.pop_front() else {
             if let Some(slot) = self.slots[worker].as_mut() {
-                slot.retired = true;
-                slot.link.close_input(); // EOF → worker exits 0
+                slot.retire();
             }
             self.publish_workers();
             return;
         };
-        let epoch = self
-            .leases
-            .acquire(chunk, link_id, self.fabric.config.stall_deadline);
         let (start, end) = self.job.spec.chunk_range(chunk);
         let assign = Assign { chunk, start, end };
         let write = self.slots[worker]
             .as_mut()
-            .map(|slot| slot.link.send_line(&assign.encode()));
+            .map(|slot| slot.send_line(&assign.encode()));
         match write {
             Some(Ok(())) => {
                 if let Some(slot) = self.slots[worker].as_mut() {
                     slot.assigned = Some(assign);
-                    slot.epoch = epoch;
                     slot.assigned_at = Instant::now();
                 }
                 self.publish_workers();
             }
             _ => {
-                // Broken link: the worker is dead or dying; requeue
+                // Broken pipe: the worker is dead or dying; requeue
                 // and let its `Gone` event drive the respawn.
                 self.pending.push_front(chunk);
                 self.kill_worker(worker, "assignment write failed");
@@ -1109,80 +1022,24 @@ impl Runner {
         }
     }
 
-    /// Records that `worker` spoke: every frame is proof of liveness.
-    fn touch(&mut self, worker: usize) {
-        if let Some(slot) = self.slots[worker].as_mut() {
-            slot.last_heard = Instant::now();
-        }
-    }
-
     /// Returns `false` when the job reached a terminal state.
     fn handle_event(&mut self, event: Event) -> bool {
         match event {
             Event::Ready(worker) => {
-                self.touch(worker);
                 self.assign_next(worker);
                 true
             }
-            Event::Heartbeat(worker) => {
-                self.touch(worker);
-                // A beat from an idle worker is also an offer to work:
-                // this is how a worker whose assignment was revoked
-                // (expired lease, dropped frame) gets back in rotation
-                // once its link proves alive again.
-                let idle = self.slots[worker]
-                    .as_ref()
-                    .is_some_and(|s| !s.retired && s.assigned.is_none());
-                if idle && !self.pending.is_empty() {
-                    self.assign_next(worker);
-                }
-                true
-            }
             Event::ChunkDone { worker, chunk, rows } => {
-                self.touch(worker);
-                let assigned = self.slots[worker].as_ref().and_then(|s| s.assigned);
-                let epoch = self.slots[worker].as_ref().map_or(0, |s| s.epoch);
-                let owns = assigned.map(|a| a.chunk) == Some(chunk)
-                    && self.leases.current(chunk) == epoch
+                let owns = self.slots[worker]
+                    .as_ref()
+                    .and_then(|s| s.assigned)
+                    .is_some_and(|a| a.chunk == chunk)
                     && !self.done[chunk as usize];
                 if !owns {
-                    let was_revoked = self.slots[worker]
-                        .as_ref()
-                        .and_then(|s| s.revoked)
-                        .map(|(c, _)| c)
-                        == Some(chunk);
-                    let late = was_revoked
-                        || self.done[chunk as usize]
-                        || assigned.map(|a| a.chunk) == Some(chunk);
-                    if !late {
-                        // Never assigned, never revoked: a protocol
-                        // violation, not a race.
-                        self.kill_worker(worker, "answered a chunk it was not assigned");
-                        return self.ensure_progress();
-                    }
-                    // The first durable checkpoint already won (or a
-                    // newer lease holder is about to write it): this
-                    // answer arrived too late. Discard it, keep the
-                    // worker.
-                    counter!("jobs_late_commits_discarded_total").inc();
-                    self.job.status.lock().unwrap().late_commits += 1;
-                    debug!(
-                        "jobs: {} discarding late commit of chunk {chunk} from worker {worker}",
-                        self.job.id
-                    );
-                    if let Some(slot) = self.slots[worker].as_mut() {
-                        if slot.assigned.map(|a| a.chunk) == Some(chunk) {
-                            slot.assigned = None;
-                        }
-                        if was_revoked {
-                            slot.revoked = None;
-                        }
-                    }
-                    if self.finish_if_complete() {
-                        return false;
-                    }
-                    self.assign_next(worker);
-                    return true;
+                    // A local worker only ever answers the chunk it
+                    // holds: anything else is a protocol violation.
+                    self.kill_worker(worker, "answered a chunk it was not assigned");
+                    return self.ensure_progress();
                 }
                 let (start, end) = self.job.spec.chunk_range(chunk);
                 if rows.len() as u64 != end - start {
@@ -1200,7 +1057,6 @@ impl Runner {
                 match write_chunk(&self.job.dir, &file) {
                     Ok(_) => {
                         self.done[chunk as usize] = true;
-                        self.leases.release(chunk);
                         if let Some(slot) = self.slots[worker].as_mut() {
                             slot.assigned = None;
                         }
@@ -1223,7 +1079,6 @@ impl Runner {
                 true
             }
             Event::ChunkErr { worker, chunk, error } => {
-                self.touch(worker);
                 let matched = self.slots[worker]
                     .as_ref()
                     .is_some_and(|s| s.assigned.map(|a| a.chunk) == Some(chunk));
@@ -1236,21 +1091,14 @@ impl Runner {
                         self.teardown(false);
                         return false;
                     }
-                } else if let Some(slot) = self.slots[worker].as_mut() {
-                    // A stale error for a revoked chunk: the requeue
-                    // already happened at expiry. Just clear the
-                    // revocation.
-                    if slot.revoked.map(|(c, _)| c) == Some(chunk) {
-                        slot.revoked = None;
-                    }
                 }
                 self.assign_next(worker);
                 true
             }
             Event::Gone { worker, reason } => {
-                let (retired, assigned, local) = match self.slots[worker].as_ref() {
-                    Some(slot) => (slot.retired, slot.assigned, slot.link.is_local()),
-                    None => (true, None, true),
+                let (retired, assigned) = match self.slots[worker].as_ref() {
+                    Some(slot) => (slot.retired, slot.assigned),
+                    None => (true, None),
                 };
                 if retired {
                     self.reap(worker);
@@ -1267,7 +1115,7 @@ impl Runner {
                     self.teardown(false);
                     return false;
                 }
-                if local && !self.pending.is_empty() {
+                if !self.pending.is_empty() {
                     {
                         let mut status = self.job.status.lock().unwrap();
                         status.worker_restarts += 1;
@@ -1277,14 +1125,12 @@ impl Runner {
                         "jobs: {} worker {worker} lost ({reason}); respawning",
                         self.job.id
                     );
-                    if let Err(err) = self.spawn_local_worker() {
+                    if let Err(err) = self.spawn_worker() {
                         self.fail(format!("respawning worker: {err}"));
                         self.teardown(false);
                         return false;
                     }
                 }
-                // A lost *remote* worker is not respawned here: it
-                // redials on its own and re-enters through the gate.
                 self.ensure_progress()
             }
         }
@@ -1328,25 +1174,17 @@ impl Runner {
         counter!("jobs_failed_total").inc();
     }
 
-    /// Timeout-tick sweep. Local workers holding a chunk past the
-    /// stall deadline are killed (their death is observable, so the
-    /// `Gone` event handles requeue). Remote workers cannot be killed
-    /// meaningfully — silence may be a partition — so their chunk's
-    /// *lease* expires instead: epoch bump, requeue, link kept open.
-    /// Returns `false` when the job reached a terminal state.
-    fn check_deadlines(&mut self) -> bool {
+    /// Timeout-tick sweep: a worker holding one chunk past the stall
+    /// deadline is killed; its `Gone` event then requeues the chunk.
+    fn check_deadlines(&mut self) {
         let stall = self.fabric.config.stall_deadline;
-        let hb = self.fabric.config.heartbeat_timeout;
         let stalled: Vec<usize> = self
             .slots
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| {
                 let slot = slot.as_ref()?;
-                (slot.link.is_local()
-                    && slot.assigned.is_some()
-                    && !slot.retired
-                    && slot.assigned_at.elapsed() > stall)
+                (slot.assigned.is_some() && !slot.retired && slot.assigned_at.elapsed() > stall)
                     .then_some(i)
             })
             .collect();
@@ -1354,69 +1192,26 @@ impl Runner {
             counter!("jobs_workers_stalled_total").inc();
             self.kill_worker(worker, "stall deadline exceeded");
         }
-        let expired: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let slot = slot.as_ref()?;
-                (!slot.link.is_local()
-                    && slot.assigned.is_some()
-                    && !slot.retired
-                    && (slot.last_heard.elapsed() > hb || slot.assigned_at.elapsed() > stall))
-                    .then_some(i)
-            })
-            .collect();
-        let mut any_expired = false;
-        for worker in expired {
-            let Some(slot) = self.slots[worker].as_mut() else {
-                continue;
-            };
-            let Some(assign) = slot.assigned.take() else {
-                continue;
-            };
-            slot.revoked = Some((assign.chunk, slot.epoch));
-            self.leases.expire(assign.chunk);
-            counter!("jobs_leases_expired_total").inc();
-            {
-                let mut status = self.job.status.lock().unwrap();
-                status.leases_expired += 1;
-                status.reassigned_chunks += 1;
-            }
-            warn!(
-                "jobs: {} lease on chunk {} expired (worker {worker} silent); reassigning",
-                self.job.id, assign.chunk
-            );
-            self.requeue(assign.chunk, "lease expired");
-            any_expired = true;
-        }
-        if any_expired {
-            self.publish_workers();
-            if self.job_failed() {
-                self.teardown(false);
-                return false;
-            }
-        }
-        true
     }
 
-    /// Severs a worker's link; its reader thread will observe EOF and
-    /// deliver the `Gone` event that requeues + respawns.
+    /// Kills a worker; its reader thread will observe EOF and deliver
+    /// the `Gone` event that requeues + respawns.
     fn kill_worker(&mut self, worker: usize, reason: &str) {
         if let Some(slot) = self.slots[worker].as_mut() {
             warn!(
                 "jobs: {} killing worker {} ({reason})",
-                self.job.id,
-                slot.link.id()
+                self.job.id, slot.pid
             );
-            slot.link.kill();
+            let _ = slot.child.kill();
         }
     }
 
-    /// Reaps a finished worker: severs the link, joins the reader.
+    /// Reaps a finished worker: kills and waits for the child, joins
+    /// the reader.
     fn reap(&mut self, worker: usize) {
         if let Some(mut slot) = self.slots[worker].take() {
-            slot.link.reap();
+            let _ = slot.child.kill();
+            let _ = slot.child.wait();
             if let Some(reader) = slot.reader.take() {
                 let _ = reader.join();
             }
@@ -1431,8 +1226,7 @@ impl Runner {
         for worker in 0..self.slots.len() {
             if graceful {
                 if let Some(slot) = self.slots[worker].as_mut() {
-                    slot.retired = true;
-                    slot.link.close_input();
+                    slot.retire();
                 }
             }
             self.reap(worker);
@@ -1440,12 +1234,12 @@ impl Runner {
     }
 }
 
-/// Reader-thread body: turns a worker's byte stream (stdout pipe or
-/// TCP socket) into [`Event`]s. Stateful framing — after a
-/// `ChunkStart` header the next `points` lines are verbatim rows — and
-/// the `chunk_end` checksum is verified *here*, so a corrupted pipe
-/// never reaches a checkpoint.
-fn read_worker(worker: usize, stream: Box<dyn io::Read + Send>, tx: &mpsc::Sender<Event>) {
+/// Reader-thread body: turns a worker's stdout into [`Event`]s.
+/// Stateful framing — after a `ChunkStart` header the next `points`
+/// lines are verbatim rows — and the `chunk_end` checksum is verified
+/// *here*, so a corrupted pipe never reaches a checkpoint. `points` is
+/// capped at parse time, so the row buffer is too.
+fn read_worker(worker: usize, stream: ChildStdout, tx: &mpsc::Sender<Event>) {
     let gone = |reason: String| Event::Gone { worker, reason };
     let mut lines = BufReader::new(stream).lines();
     let outcome = loop {
@@ -1459,11 +1253,6 @@ fn read_worker(worker: usize, stream: Box<dyn io::Read + Send>, tx: &mpsc::Sende
         match WorkerFrame::parse(&line) {
             Ok(WorkerFrame::Ready(_)) => {
                 if tx.send(Event::Ready(worker)).is_err() {
-                    return;
-                }
-            }
-            Ok(WorkerFrame::Heartbeat(_)) => {
-                if tx.send(Event::Heartbeat(worker)).is_err() {
                     return;
                 }
             }

@@ -1,4 +1,4 @@
-//! Durable distributed sweep jobs for the leakage limit study.
+//! Durable sharded sweep jobs for the leakage limit study.
 //!
 //! `POST /v1/sweep` answers up to 512 generalized-model points in one
 //! request; the paper-scale question — "give me the optimal
@@ -15,48 +15,40 @@
 //! * [`checkpoint`] — completed chunks persist as FNV-1a-sealed files
 //!   written temp-file + fsync + rename, read back and verified before
 //!   they count; corrupt files are quarantined, never served.
-//! * [`protocol`] — coordinator↔worker frames as line-delimited JSON,
-//!   plus the worker main loop itself (the `leakage-job-worker` binary
-//!   is a thin shell around it).
-//! * [`transport`] — how those frames travel: stdio pipes to
-//!   locally-spawned children, or TCP sessions from remote workers
-//!   that dial `--job-listen`, admit themselves with a shared token,
-//!   heartbeat, and redial with jittered backoff. Both transports
-//!   carry identical bytes behind the `WorkerTransport` trait.
-//! * [`lease`] — per-chunk, epoch-counted ownership recorded in the
-//!   checkpoint dir, so a chunk reassigned across a partition cannot
-//!   be double-committed: first durable checkpoint wins, late frames
-//!   are discarded by epoch.
-//! * [`fabric`] — the coordinator: submission, worker fan-out (local
-//!   and remote), stall/heartbeat-driven reassignment, crash recovery
-//!   (a restart resumes from checkpoints and produces byte-identical
-//!   results), and paginated result reads.
+//! * [`protocol`] — coordinator↔worker frames as line-delimited JSON
+//!   over a worker child's stdin/stdout, plus the worker main loop
+//!   itself (the `leakage-job-worker` binary is a thin shell around
+//!   it).
+//! * [`fabric`] — the coordinator: submission, local worker fan-out,
+//!   stall-driven reassignment, crash recovery (a restart resumes from
+//!   checkpoints and produces byte-identical results), and paginated
+//!   result reads.
 //!
-//! Failure injection rides the workspace-wide `LEAKAGE_FAULTS` plane.
-//! Process sites: `jobs/spawn` (worker creation), `jobs/chunk`
-//! (per-chunk boundary inside the worker — arm `panic#N` to kill a
-//! worker deterministically), and `jobs/checkpoint` (the durable write
-//! — arm `truncate:` to tear a checkpoint and watch the read-back
-//! quarantine it). Network sites, visited on every data-frame send of
-//! the socket transport: `net/drop`, `net/delay` (latency),
-//! `net/partition` (latency under the writer lock, silencing
-//! heartbeats), and `net/dup`.
+//! Workers are local child processes only. A dead worker shows up as
+//! EOF on its stdout pipe and a stalled one is killed before its chunk
+//! is requeued, so no stale writer can outlive its assignment: a chunk
+//! commits when the worker it is assigned to answers it first, and the
+//! first durable checkpoint wins.
+//!
+//! Failure injection rides the workspace-wide `LEAKAGE_FAULTS` plane:
+//! `jobs/spawn` (worker creation), `jobs/chunk` (per-chunk boundary
+//! inside the worker — arm `panic#N` to kill a worker
+//! deterministically, or `latency:` to stall it), and `jobs/checkpoint`
+//! (the durable write — arm `truncate:` to tear a checkpoint and watch
+//! the read-back quarantine it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;
 pub mod fabric;
-pub mod lease;
 pub mod protocol;
 pub mod spec;
-pub mod transport;
 
 pub use fabric::{
     CancelOutcome, FabricConfig, JobFabric, JobState, ResultError, SubmitError, Submitted,
     MAX_PER_PAGE, WORKER_BIN_ENV,
 };
-pub use transport::{run_remote_worker, RemoteWorkerConfig, WorkerTransport};
 pub use spec::{
     render_job_row, render_sweep_row, JobPoint, JobSpec, PermilleAxis, SpecError,
     DEFAULT_CHUNK_POINTS, MAX_CHUNK_POINTS, MIN_CHUNK_POINTS,

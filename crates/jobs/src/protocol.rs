@@ -1,9 +1,7 @@
 //! The coordinator↔worker wire protocol and the worker's main loop.
 //!
-//! Workers are separate processes talking line-delimited JSON — over
-//! stdin/stdout when the coordinator spawns them locally, or over a
-//! TCP stream when they dial `--job-listen` (see [`crate::transport`]).
-//! Both transports carry the same bytes. The conversation per worker:
+//! Workers are local child processes talking line-delimited JSON over
+//! their stdin/stdout. The conversation per worker:
 //!
 //! ```text
 //! coordinator → worker   {"job":{...canonical spec...},"id":"j…"}      (once)
@@ -16,20 +14,15 @@
 //! coordinator closes stdin → worker exits 0
 //! ```
 //!
-//! Remote sessions add two frames the stdio transport never uses: an
-//! admission line `{"worker":<pid>,"token":"…"}` sent by the worker
-//! immediately after connecting (checked against `--job-token` before
-//! the session joins the pool), and application-level heartbeats
-//! `{"hb":<seq>}` so the coordinator can tell a slow network from a
-//! dead worker. Stdio workers send neither, which keeps that transport
-//! byte-compatible with the pre-socket fabric.
-//!
 //! Rows travel verbatim (they are already canonical JSON) and are not
 //! re-parsed in flight; the `chunk_end` footer carries FNV-1a over the
 //! newline-terminated row bytes so a corrupted pipe or a buggy worker
 //! is caught before anything reaches a checkpoint. Framing is
 //! stateful: after a `{"chunk":N,"points":K}` header the next `K`
 //! lines are rows, so row content can never be mistaken for a frame.
+//! A header announcing more than [`MAX_CHUNK_POINTS`] rows is refused
+//! at parse time ([`FrameError::ChunkTooLarge`]), so no frame field can
+//! size an allocation beyond what a valid chunk needs.
 //!
 //! The `jobs/chunk` fault site is visited at every chunk boundary
 //! *outside* any unwinding guard: an armed `panic` arm kills the
@@ -46,7 +39,7 @@ use leakage_faults::checksum::Fnv64;
 use leakage_faults::{panic_message, panic_point};
 use leakage_telemetry::json::{self, Json};
 
-use crate::spec::{JobPoint, JobSpec};
+use crate::spec::{JobPoint, JobSpec, MAX_CHUNK_POINTS};
 
 /// The one-time first frame: which job this worker will evaluate.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,50 +128,6 @@ impl Assign {
     }
 }
 
-/// The admission frame a remote worker sends immediately after
-/// connecting, before any job is in play: its pid (for status
-/// displays) and the shared token the listener checks before the
-/// session may join the pool. Stdio workers never send this — their
-/// parent/child link *is* the admission.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionHello {
-    /// The worker process id, as reported in job status.
-    pub pid: u32,
-    /// The shared secret; must match the coordinator's `--job-token`
-    /// when one is configured.
-    pub token: Option<String>,
-}
-
-impl SessionHello {
-    /// Encodes the admission frame (no trailing newline).
-    pub fn encode(&self) -> String {
-        let mut fields = vec![json::key("worker") + &self.pid.to_string()];
-        if let Some(token) = &self.token {
-            fields.push(json::key("token") + &json::string(token));
-        }
-        json::object(fields)
-    }
-
-    /// Parses an admission frame.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` when the line is not an admission frame.
-    pub fn parse(line: &str) -> io::Result<SessionHello> {
-        let doc = parse_frame(line)?;
-        let pid = doc
-            .get("worker")
-            .and_then(Json::as_f64)
-            .filter(|v| v.fract() == 0.0 && *v >= 0.0)
-            .ok_or_else(|| bad_frame(line, "no \"worker\" field"))? as u32;
-        let token = doc
-            .get("token")
-            .and_then(Json::as_str)
-            .map(str::to_string);
-        Ok(SessionHello { pid, token })
-    }
-}
-
 /// A frame the worker sends upward. Row lines are *not* frames — the
 /// coordinator's reader counts them off after each `ChunkStart`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,10 +155,37 @@ pub enum WorkerFrame {
         /// Human-readable cause, relayed into the job status.
         error: String,
     },
-    /// Remote-session liveness beacon (never sent over stdio); the
-    /// sequence number is monotonic per session.
-    Heartbeat(u64),
 }
+
+/// Why a worker frame line was refused. Either way the coordinator
+/// treats the worker as gone; the variants keep the reason precise.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameError {
+    /// Not JSON, not one of the four frames, or a frame with a bad
+    /// field.
+    Malformed(String),
+    /// A chunk header announcing more rows than any valid chunk holds.
+    ChunkTooLarge {
+        /// The chunk ordinal the header named.
+        chunk: u64,
+        /// The announced row count.
+        points: u64,
+    },
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameError::Malformed(why) => write!(f, "{why}"),
+            FrameError::ChunkTooLarge { chunk, points } => write!(
+                f,
+                "chunk {chunk} header announces {points} rows, above the {MAX_CHUNK_POINTS}-point chunk cap"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
 
 impl WorkerFrame {
     /// Encodes the frame (no trailing newline).
@@ -228,9 +204,6 @@ impl WorkerFrame {
                 json::key("chunk_err") + &chunk.to_string(),
                 json::key("error") + &json::string(error),
             ]),
-            WorkerFrame::Heartbeat(seq) => {
-                json::object([json::key("hb") + &seq.to_string()])
-            }
         }
     }
 
@@ -238,9 +211,12 @@ impl WorkerFrame {
     ///
     /// # Errors
     ///
-    /// `InvalidData` for anything that is not one of the four frames.
-    pub fn parse(line: &str) -> io::Result<WorkerFrame> {
-        let doc = parse_frame(line)?;
+    /// [`FrameError::Malformed`] for anything that is not one of the
+    /// four frames; [`FrameError::ChunkTooLarge`] for a chunk header
+    /// above [`MAX_CHUNK_POINTS`] rows.
+    pub fn parse(line: &str) -> Result<WorkerFrame, FrameError> {
+        let malformed = |err: io::Error| FrameError::Malformed(err.to_string());
+        let doc = parse_frame(line).map_err(malformed)?;
         let int = |field: &Json| -> Option<u64> {
             field
                 .as_f64()
@@ -250,16 +226,13 @@ impl WorkerFrame {
         if let Some(pid) = doc.get("ready").and_then(|f| int(f)) {
             return Ok(WorkerFrame::Ready(pid as u32));
         }
-        if let Some(seq) = doc.get("hb").and_then(|f| int(f)) {
-            return Ok(WorkerFrame::Heartbeat(seq));
-        }
         if let Some(chunk) = doc.get("chunk_end").and_then(|f| int(f)) {
             let fnv1a = doc
                 .get("fnv1a")
                 .and_then(Json::as_str)
                 .filter(|hex| hex.len() == 16)
                 .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-                .ok_or_else(|| bad_frame(line, "bad \"fnv1a\""))?;
+                .ok_or_else(|| malformed(bad_frame(line, "bad \"fnv1a\"")))?;
             return Ok(WorkerFrame::ChunkEnd { chunk, fnv1a });
         }
         if let Some(chunk) = doc.get("chunk_err").and_then(|f| int(f)) {
@@ -274,10 +247,13 @@ impl WorkerFrame {
             let points = doc
                 .get("points")
                 .and_then(|f| int(f))
-                .ok_or_else(|| bad_frame(line, "bad \"points\""))?;
+                .ok_or_else(|| malformed(bad_frame(line, "bad \"points\"")))?;
+            if points > u64::from(MAX_CHUNK_POINTS) {
+                return Err(FrameError::ChunkTooLarge { chunk, points });
+            }
             return Ok(WorkerFrame::ChunkStart { chunk, points });
         }
-        Err(bad_frame(line, "unrecognized frame"))
+        Err(malformed(bad_frame(line, "unrecognized frame")))
     }
 }
 
@@ -308,11 +284,7 @@ fn bad_frame(line: &str, why: &str) -> io::Error {
 /// Evaluates one assignment and renders the complete wire response —
 /// the `{"chunk":…}` header, the verbatim rows, and the sealing
 /// `chunk_end` (or a single `chunk_err` line), every line
-/// newline-terminated. The stdio and socket transports both emit this
-/// text unmodified, which is what keeps them byte-compatible; building
-/// the whole response before any byte leaves also lets the socket side
-/// send it under one writer lock so heartbeats can never interleave
-/// with rows.
+/// newline-terminated. The worker writes this text unmodified.
 pub fn chunk_response(spec: &JobSpec, store: &ProfileStore, assign: &Assign) -> String {
     if assign.end < assign.start || assign.end > spec.point_count() {
         let frame = WorkerFrame::ChunkErr {
@@ -392,7 +364,7 @@ pub fn chunk_response(spec: &JobSpec, store: &ProfileStore, assign: &Assign) -> 
     }
 }
 
-/// The stdio worker main loop: reads the hello, answers `ready`, then
+/// The worker main loop: reads the hello, answers `ready`, then
 /// evaluates assignments until stdin closes. Extracted from the binary
 /// so tests can drive a worker in-process over byte buffers.
 ///
@@ -450,21 +422,9 @@ mod tests {
                 chunk: 9,
                 error: "profile gzip: missing".into(),
             },
-            WorkerFrame::Heartbeat(17),
         ] {
             assert_eq!(WorkerFrame::parse(&frame.encode()).unwrap(), frame);
         }
-
-        for session in [
-            SessionHello { pid: 4242, token: None },
-            SessionHello {
-                pid: 7,
-                token: Some("secret".into()),
-            },
-        ] {
-            assert_eq!(SessionHello::parse(&session.encode()).unwrap(), session);
-        }
-        assert!(SessionHello::parse(r#"{"token":"secret"}"#).is_err());
     }
 
     #[test]
@@ -481,6 +441,32 @@ mod tests {
         }
         assert!(Hello::parse(r#"{"id":"j1"}"#).is_err());
         assert!(Hello::parse(r#"{"job":{"name":"x","nodes":["5nm"]},"id":"j1"}"#).is_err());
+    }
+
+    /// A chunk header's row count sizes the reader's row buffer, so an
+    /// absurd one is refused by type before anything is allocated.
+    #[test]
+    fn oversized_chunk_headers_are_refused() {
+        let cap = u64::from(MAX_CHUNK_POINTS);
+        assert_eq!(
+            WorkerFrame::parse(r#"{"chunk":3,"points":65536}"#).unwrap(),
+            WorkerFrame::ChunkStart {
+                chunk: 3,
+                points: cap
+            }
+        );
+        for points in [cap + 1, u64::MAX] {
+            let line = WorkerFrame::ChunkStart { chunk: 3, points }.encode();
+            assert_eq!(
+                WorkerFrame::parse(&line),
+                Err(FrameError::ChunkTooLarge { chunk: 3, points }),
+                "{line}"
+            );
+        }
+        assert!(matches!(
+            WorkerFrame::parse("not json"),
+            Err(FrameError::Malformed(_))
+        ));
     }
 
     #[test]

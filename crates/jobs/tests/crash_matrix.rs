@@ -1,18 +1,13 @@
 //! The crash matrix: one golden (fault-free) run of a sharded job,
 //! then the same job replayed under every failure mode the fabric
 //! claims to survive — worker panics at chunk boundaries, stalled
-//! workers, torn checkpoint writes, a coordinator restart, checkpoint
-//! corruption discovered at read time, and (over the TCP transport)
-//! dropped frames, duplicated frames, network partitions with
-//! late-arriving commits, and killed remote workers. Every scenario
-//! must complete and serve result pages byte-identical to the golden
-//! run.
+//! workers, torn checkpoint writes, a coordinator restart, and
+//! checkpoint corruption discovered at read time. Every scenario must
+//! complete and serve result pages byte-identical to the golden run.
 //!
 //! Scenarios run sequentially inside one `#[test]` because the torn-
 //! write scenario arms the process-global fault plane; parallel
-//! scenarios would race on it. (The network scenarios arm faults only
-//! in the *worker* processes' environment, so they cannot race, but
-//! they stay in line for determinism.)
+//! scenarios would race on it.
 
 use leakage_cachesim::Level1;
 use leakage_energy::TechnologyNode;
@@ -22,7 +17,6 @@ use leakage_jobs::{FabricConfig, JobFabric, JobSpec, PermilleAxis, ResultError};
 use leakage_telemetry::json::{self, Json};
 use leakage_workloads::Scale;
 use std::path::PathBuf;
-use std::process::{Child, Command};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -81,57 +75,6 @@ fn fabric_with_deadline(
         ..FabricConfig::default()
     })
     .expect("fabric starts")
-}
-
-const SOCKET_TOKEN: &str = "matrix-secret";
-
-/// A coordinator with zero local workers: all compute arrives over
-/// the TCP listener.
-fn remote_fabric(
-    dir: PathBuf,
-    heartbeat_timeout: Duration,
-    stall_deadline: Duration,
-) -> Arc<JobFabric> {
-    JobFabric::start(FabricConfig {
-        jobs_dir: dir,
-        workers: 0,
-        stall_deadline,
-        listen: Some("127.0.0.1:0".to_string()),
-        token: Some(SOCKET_TOKEN.to_string()),
-        heartbeat_timeout,
-        max_active_jobs: 4,
-        ..FabricConfig::default()
-    })
-    .expect("listening fabric starts")
-}
-
-/// Spawns one external `leakage-job-worker --connect` process.
-/// `faults` arms that worker's `LEAKAGE_FAULTS` plane (net sites
-/// fire inside its socket transport).
-fn spawn_remote_worker(fabric: &Arc<JobFabric>, hb_ms: u64, faults: Option<&str>) -> Child {
-    let addr = fabric.remote_addr().expect("fabric is listening");
-    let mut command = Command::new(env!("CARGO_BIN_EXE_leakage-job-worker"));
-    command
-        .arg("--connect")
-        .arg(addr.to_string())
-        .arg("--token")
-        .arg(SOCKET_TOKEN)
-        .arg("--hb-ms")
-        .arg(hb_ms.to_string())
-        .arg("--max-dials")
-        .arg("200")
-        .env_remove("LEAKAGE_FAULTS");
-    if let Some(spec) = faults {
-        command.env("LEAKAGE_FAULTS", spec);
-    }
-    command.spawn().expect("spawn remote worker")
-}
-
-fn reap_workers(mut workers: Vec<Child>) {
-    for worker in &mut workers {
-        let _ = worker.kill();
-        let _ = worker.wait();
-    }
 }
 
 fn status(fabric: &Arc<JobFabric>, id: &str) -> Json {
@@ -318,123 +261,4 @@ fn crash_matrix_runs_are_byte_identical_to_golden() {
     assert!(field(&doc, "quarantined") > 0, "{doc:?}");
     assert_eq!(all_pages(&second, &id, "heal"), golden);
     second.stop();
-
-    // ---- Socket transport: the same job, computed entirely by
-    // remote worker processes over TCP. ----
-
-    // Socket golden: two fault-free remote workers, zero local ones.
-    // The transport must be byte-invisible.
-    let sg_fabric = remote_fabric(
-        scenario_dir("socket-golden"),
-        Duration::from_secs(5),
-        Duration::from_secs(30),
-    );
-    let workers = vec![
-        spawn_remote_worker(&sg_fabric, 250, None),
-        spawn_remote_worker(&sg_fabric, 250, None),
-    ];
-    let id = submit(&sg_fabric, &spec);
-    let doc = wait_done(&sg_fabric, &id, "socket-golden");
-    assert_eq!(field(&doc, "late_commits"), 0, "{doc:?}");
-    assert_eq!(all_pages(&sg_fabric, &id, "socket-golden"), golden);
-    sg_fabric.stop();
-    reap_workers(workers);
-
-    // Partition + late commit: each worker freezes for 4s while
-    // *sending its second chunk response* (`net/partition` holds the
-    // writer lock, so heartbeats are silenced too — a true split
-    // brain). The 400ms heartbeat timeout expires the lease and
-    // requeues the chunk; when the partition heals, the stale response
-    // arrives under a dead epoch and must be discarded, not
-    // double-committed.
-    let part_fabric = remote_fabric(
-        scenario_dir("socket-partition"),
-        Duration::from_millis(400),
-        Duration::from_secs(30),
-    );
-    let workers = vec![
-        spawn_remote_worker(&part_fabric, 100, Some("net/partition=latency:4000#3")),
-        spawn_remote_worker(&part_fabric, 100, Some("net/partition=latency:4000#3")),
-    ];
-    let id = submit(&part_fabric, &spec);
-    let doc = wait_done(&part_fabric, &id, "socket-partition");
-    assert!(field(&doc, "leases_expired") >= 1, "{doc:?}");
-    assert!(field(&doc, "late_commits") >= 1, "{doc:?}");
-    assert_eq!(field(&doc, "chunks_done"), 7, "{doc:?}");
-    assert_eq!(all_pages(&part_fabric, &id, "socket-partition"), golden);
-    part_fabric.stop();
-    reap_workers(workers);
-
-    // Dropped frame: each worker's first chunk response vanishes on
-    // the wire. Heartbeats keep flowing, so only the stall deadline
-    // (2s) can expire the lease; the worker is idle by then and its
-    // next heartbeat offers it the requeued chunk again.
-    let drop_fabric = remote_fabric(
-        scenario_dir("socket-drop"),
-        Duration::from_secs(5),
-        Duration::from_secs(2),
-    );
-    let workers = vec![
-        spawn_remote_worker(&drop_fabric, 100, Some("net/drop=drop#2")),
-        spawn_remote_worker(&drop_fabric, 100, Some("net/drop=drop#2")),
-    ];
-    let id = submit(&drop_fabric, &spec);
-    let doc = wait_done(&drop_fabric, &id, "socket-drop");
-    assert!(field(&doc, "leases_expired") >= 1, "{doc:?}");
-    assert_eq!(all_pages(&drop_fabric, &id, "socket-drop"), golden);
-    drop_fabric.stop();
-    reap_workers(workers);
-
-    // Duplicated frames: every frame both workers send arrives twice.
-    // Duplicate `ready`s must not double-assign; duplicate chunk
-    // responses must lose to the first durable checkpoint.
-    let dup_fabric = remote_fabric(
-        scenario_dir("socket-dup"),
-        Duration::from_secs(5),
-        Duration::from_secs(30),
-    );
-    let workers = vec![
-        spawn_remote_worker(&dup_fabric, 250, Some("net/dup=dup")),
-        spawn_remote_worker(&dup_fabric, 250, Some("net/dup=dup")),
-    ];
-    let id = submit(&dup_fabric, &spec);
-    let doc = wait_done(&dup_fabric, &id, "socket-dup");
-    assert!(field(&doc, "late_commits") >= 1, "{doc:?}");
-    assert_eq!(field(&doc, "chunks_done"), 7, "{doc:?}");
-    assert_eq!(all_pages(&dup_fabric, &id, "socket-dup"), golden);
-    dup_fabric.stop();
-    reap_workers(workers);
-
-    // Killed remote worker: SIGKILL one mid-flight (slowed so it is
-    // certainly holding a chunk), then admit a fresh replacement into
-    // the same running job. The in-flight chunk is reassigned; the
-    // result does not change.
-    let kill_fabric = remote_fabric(
-        scenario_dir("socket-kill"),
-        Duration::from_secs(5),
-        Duration::from_secs(30),
-    );
-    let mut victim = spawn_remote_worker(&kill_fabric, 100, Some("jobs/chunk=latency:400"));
-    let survivor = spawn_remote_worker(&kill_fabric, 100, Some("jobs/chunk=latency:400"));
-    let id = submit(&kill_fabric, &spec);
-    let deadline = Instant::now() + DEADLINE;
-    loop {
-        let doc = status(&kill_fabric, &id);
-        if field(&doc, "chunks_done") >= 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "socket-kill: no chunk done yet: {doc:?}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    victim.kill().expect("kill remote worker");
-    let _ = victim.wait();
-    let replacement = spawn_remote_worker(&kill_fabric, 100, None);
-    let doc = wait_done(&kill_fabric, &id, "socket-kill");
-    assert_eq!(field(&doc, "chunks_done"), 7, "{doc:?}");
-    assert_eq!(all_pages(&kill_fabric, &id, "socket-kill"), golden);
-    kill_fabric.stop();
-    reap_workers(vec![survivor, replacement]);
 }

@@ -15,9 +15,7 @@ fn usage() -> ! {
          \x20                  [--pipeline-batch N] [--cache-shards N] [--no-preserialize]\n\
          \x20                  [--no-recorder] [--recorder-cap N]\n\
          \x20                  [--jobs-dir PATH] [--job-workers N] [--job-stall-ms MS]\n\
-         \x20                  [--job-worker-env KEY=VALUE] [--max-active-jobs N]\n\
-         \x20                  [--job-listen HOST:PORT] [--job-token SECRET]\n\
-         \x20                  [--job-hb-timeout-ms MS] [--job-worker-quorum N]"
+         \x20                  [--job-worker-env KEY=VALUE] [--max-active-jobs N]"
     );
     std::process::exit(2);
 }
@@ -87,15 +85,6 @@ fn parse_config() -> ServerConfig {
             "--max-active-jobs" => {
                 config.max_active_jobs = value().parse().unwrap_or_else(|_| usage());
             }
-            "--job-listen" => config.job_listen = Some(value()),
-            "--job-token" => config.job_token = Some(value()),
-            "--job-hb-timeout-ms" => {
-                config.job_hb_timeout =
-                    Duration::from_millis(value().parse().unwrap_or_else(|_| usage()));
-            }
-            "--job-worker-quorum" => {
-                config.job_worker_quorum = value().parse().unwrap_or_else(|_| usage());
-            }
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -115,10 +104,6 @@ fn main() {
     };
     // The exact line CI greps to discover the ephemeral port.
     println!("listening on {}", server.addr());
-    // Same contract for the remote-worker listener, when enabled.
-    if let Some(addr) = server.jobs().remote_addr() {
-        println!("job fabric listening on {addr}");
-    }
     let _ = std::io::stdout().flush();
 
     while !signal::shutdown_requested() {

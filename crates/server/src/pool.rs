@@ -93,16 +93,13 @@ pub struct ServerConfig {
     pub job_worker_env: Vec<(String, String)>,
     /// Queued + running jobs admitted before `POST /v1/jobs` sheds.
     pub max_active_jobs: usize,
-    /// TCP address the job fabric listens on for remote workers
-    /// (`None`: local stdio workers only). With a listener,
-    /// `job_workers` may be 0 for remote-only operation.
-    pub job_listen: Option<String>,
-    /// Shared admission token remote job workers must present.
-    pub job_token: Option<String>,
-    /// Remote-worker heartbeat timeout before a chunk lease expires.
+    /// Ignored: job workers are local children and nothing heartbeats.
+    /// Kept only because the repository benchmark still sets it;
+    /// remove it once that stops.
     pub job_hb_timeout: Duration,
-    /// Minimum connected remote workers before `/healthz` reports
-    /// `degraded: true` (0 disables the check).
+    /// Ignored: there is no remote worker pool to hold a quorum of.
+    /// Kept only because the repository benchmark still sets it;
+    /// remove it once that stops.
     pub job_worker_quorum: usize,
 }
 
@@ -132,8 +129,6 @@ impl Default for ServerConfig {
             job_stall: Duration::from_secs(30),
             job_worker_env: Vec::new(),
             max_active_jobs: 4,
-            job_listen: None,
-            job_token: None,
             job_hb_timeout: Duration::from_secs(5),
             job_worker_quorum: 0,
         }
@@ -277,19 +272,10 @@ impl Server {
         // `jobs_dir` before the listener starts answering.
         let jobs = JobFabric::start(FabricConfig {
             jobs_dir: config.jobs_dir.clone(),
-            // Remote-only operation (0 local workers) is legitimate
-            // when a listener is configured.
-            workers: if config.job_listen.is_some() {
-                config.job_workers
-            } else {
-                config.job_workers.max(1)
-            },
+            workers: config.job_workers.max(1),
             stall_deadline: config.job_stall,
             worker_env: config.job_worker_env.clone(),
             max_active_jobs: config.max_active_jobs.max(1),
-            listen: config.job_listen.clone(),
-            token: config.job_token.clone(),
-            heartbeat_timeout: config.job_hb_timeout,
             ..FabricConfig::default()
         })?;
 
@@ -308,7 +294,7 @@ impl Server {
             retry_after_secs: config.retry_after_secs,
             metrics: routes::HotMetrics::resolve(),
             jobs: Arc::clone(&jobs),
-            job_worker_quorum: config.job_worker_quorum,
+            job_worker_quorum: 0,
             recorder,
             info: ServerInfo::new("reactor", config.workers.max(1)),
         });

@@ -190,8 +190,9 @@ pub struct RouteContext {
     pub metrics: HotMetrics,
     /// The durable sweep-job fabric behind `/v1/jobs`.
     pub jobs: Arc<JobFabric>,
-    /// Minimum connected remote job workers before `/healthz` flips
-    /// `degraded: true` (0 disables the check).
+    /// Ignored: there is no remote worker pool to hold a quorum of.
+    /// Kept only because the repository benchmark still sets it;
+    /// remove it once that stops.
     pub job_worker_quorum: usize,
     /// Flight recorder behind `/debug/*`; `None` when disabled
     /// (`--no-recorder`).
@@ -463,24 +464,10 @@ fn healthz(ctx: &RouteContext) -> Response {
         Some(recorder) => (recorder.capacity() as u64, recorder.recorded_total()),
         None => (0, 0),
     };
-    // Degraded, not down: the server still serves and jobs still queue
-    // when the remote worker pool is below quorum, so this stays 200 —
-    // it is a signal for operators and load balancers that throughput
-    // is compromised, not an invitation to kill the coordinator.
-    let connected = ctx.jobs.remote_connected();
-    let degraded = match connected {
-        Some(connected) if ctx.job_worker_quorum > 0 => connected < ctx.job_worker_quorum,
-        _ => false,
-    };
-    leakage_telemetry::gauge!("jobs_remote_workers_connected")
-        .set(connected.unwrap_or(0) as u64);
     Response::json(
         200,
         json::object([
             json::key("status") + &json::string("ok"),
-            json::key("degraded") + bool_str(degraded),
-            json::key("job_workers_connected") + &num_u64(connected.unwrap_or(0) as u64),
-            json::key("job_worker_quorum") + &num_u64(ctx.job_worker_quorum as u64),
             json::key("uptime_s") + &num_u64(ctx.info.uptime_s()),
             json::key("transport") + &json::string(ctx.info.transport),
             json::key("workers") + &num_u64(ctx.info.workers as u64),
@@ -1216,42 +1203,6 @@ mod tests {
         assert_eq!(doc.get("recorder_capacity").and_then(Json::as_f64), Some(64.0));
         let suite = doc.get("suite").and_then(Json::as_array).unwrap();
         assert_eq!(suite.len(), SUITE_NAMES.len());
-        // No remote listener: never degraded, whatever the quorum.
-        assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(false));
-    }
-
-    #[test]
-    fn healthz_degrades_below_worker_quorum() {
-        let dir = std::env::temp_dir().join(format!(
-            "leakage-routes-quorum-{}",
-            std::process::id()
-        ));
-        let jobs = JobFabric::start(leakage_jobs::FabricConfig {
-            jobs_dir: dir,
-            workers: 0,
-            listen: Some("127.0.0.1:0".to_string()),
-            ..leakage_jobs::FabricConfig::default()
-        })
-        .expect("start listening fabric");
-        let mut ctx = ctx();
-        ctx.jobs = jobs;
-        ctx.job_worker_quorum = 2;
-        // Listener up, zero connected workers, quorum 2: degraded —
-        // but still HTTP 200; the coordinator itself is healthy.
-        let health = handle(&get("/healthz", &[]), &ctx);
-        assert_eq!(health.status(), 200);
-        let doc = json::parse(&body_text(&health)).unwrap();
-        assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(true));
-        assert_eq!(
-            doc.get("job_workers_connected").and_then(Json::as_f64),
-            Some(0.0)
-        );
-        assert_eq!(doc.get("job_worker_quorum").and_then(Json::as_f64), Some(2.0));
-        // Quorum 0 disables the check even with a listener.
-        ctx.job_worker_quorum = 0;
-        let doc = json::parse(&body_text(&handle(&get("/healthz", &[]), &ctx))).unwrap();
-        assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(false));
-        ctx.jobs.stop();
     }
 
     #[test]

@@ -7,22 +7,25 @@
 //!
 //! * Writers claim a ticket with one `fetch_add` on the write cursor;
 //!   the slot is `ticket % capacity`.
-//! * While writing, the slot's sequence word holds the odd value
-//!   `2*ticket + 1`; the eight data words are stored relaxed; the
-//!   sequence is then released as the even value `2*ticket + 2`.
+//! * A writer then claims the slot itself with one `compare_exchange`
+//!   of the sequence word, from the even value it holds (`0`, or
+//!   `2*t + 2` for the last committed ticket `t`) to the odd value
+//!   `2*ticket + 1`. It claims only when that even value belongs to an
+//!   older ticket; the eight data words are stored relaxed and the
+//!   sequence is released as the even value `2*ticket + 2`.
+//! * A writer that finds the slot odd (another writer, a full ring
+//!   *lap* apart, is mid-write — e.g. preempted), already committed by
+//!   a newer ticket, or changed under its exchange drops its ring
+//!   write and counts it ([`FlightRecorder::dropped_total`]); the
+//!   reservoir still sees the record. Claims therefore never overlap
+//!   and the sequence word only grows.
 //! * Readers compute the expected even sequence from the cursor, load
 //!   it with acquire ordering, copy the data words, issue an acquire
-//!   fence, and re-check the sequence. Any concurrent writer makes
-//!   the two sequence reads disagree (or show an odd value) and the
-//!   slot is skipped — a torn record is never surfaced.
-//!
-//! The one documented hole: two writers a full ring *lap* apart
-//! (tickets `t` and `t + capacity`) can interleave on the same slot
-//! and leave it with a valid-looking sequence over mixed words. At
-//! the default capacity (4096) that requires 4096 requests to
-//! complete inside one ~100ns slot write; the recorder is a
-//! diagnostic plane, not an audit log, and accepts that bounded
-//! probability instead of a per-slot lock on the hot path.
+//!   fence, and re-check the sequence. Only the claiming writer stores
+//!   data words, and every claim moves the sequence past the value the
+//!   reader expects, so any concurrent writer makes the two sequence
+//!   reads disagree and the slot is skipped — a torn record is never
+//!   surfaced, whatever the ring size or scheduling.
 //!
 //! The reservoir is off the hot path by construction: a record is
 //! only pushed through its `Mutex` when it is an error (5xx, shed,
@@ -166,6 +169,9 @@ pub struct FlightRecorder {
     slots: Vec<Slot>,
     mask: u64,
     cursor: AtomicU64,
+    /// Ring writes dropped because their slot was held by another
+    /// writer or already carried a newer ticket.
+    dropped: AtomicU64,
     start: Instant,
     slow: Mutex<SlowReservoir>,
     /// `total_us` floor for top-K admission, readable without the
@@ -182,6 +188,7 @@ impl FlightRecorder {
             slots: (0..capacity).map(|_| Slot::empty()).collect(),
             mask: capacity as u64 - 1,
             cursor: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
             start: Instant::now(),
             slow: Mutex::new(SlowReservoir {
                 top: Vec::with_capacity(SLOW_TOP_K),
@@ -212,23 +219,44 @@ impl FlightRecorder {
         self.cursor.load(Ordering::Relaxed)
     }
 
+    /// Ring writes dropped because a writer a lap apart held the slot
+    /// (or had already committed a newer ticket there). Their tickets
+    /// are counted in [`Self::recorded_total`] but never readable.
+    pub fn dropped_total(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
     /// Microseconds since the recorder started; the time base for
     /// [`RequestRecord::end_us`].
     pub fn now_us(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
     }
 
-    /// Publishes one record: a ticket claim, eight relaxed stores, and
-    /// (only for errors or new top-K entrants) a reservoir insert.
+    /// Publishes one record: a ticket claim, a slot claim, eight
+    /// relaxed stores, and (only for errors or new top-K entrants) a
+    /// reservoir insert.
     pub fn record(&self, rec: &RequestRecord) {
         let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket & self.mask) as usize];
-        slot.seq.store(ticket * 2 + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        for (word, value) in slot.words.iter().zip(rec.pack()) {
-            word.store(value, Ordering::Relaxed);
+        let writing = ticket * 2 + 1;
+        let held = slot.seq.load(Ordering::Relaxed);
+        let claimed = held.is_multiple_of(2)
+            && held < writing
+            && slot
+                .seq
+                // Acquire: the previous holder's data stores happen
+                // before ours, so they cannot land on top of them.
+                .compare_exchange(held, writing, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok();
+        if claimed {
+            fence(Ordering::Release);
+            for (word, value) in slot.words.iter().zip(rec.pack()) {
+                word.store(value, Ordering::Relaxed);
+            }
+            slot.seq.store(writing + 1, Ordering::Release);
+        } else {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        slot.seq.store(ticket * 2 + 2, Ordering::Release);
 
         let qualifies =
             rec.is_error() || u64::from(rec.total_us) > self.slow_gate.load(Ordering::Relaxed);
@@ -358,6 +386,35 @@ mod tests {
         let recent = recorder.recent(3);
         let ids: Vec<u64> = recent.iter().map(|r| r.trace_id).collect();
         assert_eq!(ids, vec![4, 3, 2]);
+    }
+
+    /// A writer a lap behind a stalled one drops its ring write rather
+    /// than share the slot, and the slot is usable again once the
+    /// stalled writer commits.
+    #[test]
+    fn a_lapping_writer_never_shares_a_slot() {
+        let recorder = FlightRecorder::new(8);
+        // Ticket 0 claims slot 0 and stalls mid-write.
+        let stalled = recorder.cursor.fetch_add(1, Ordering::Relaxed);
+        recorder.slots[0]
+            .seq
+            .store(stalled * 2 + 1, Ordering::Relaxed);
+        for id in 1..=8 {
+            recorder.record(&rec(id, 10));
+        }
+        assert_eq!(recorder.dropped_total(), 1, "ticket 8 found slot 0 held");
+        let ids: Vec<u64> = recorder.recent(8).iter().map(|r| r.trace_id).collect();
+        assert_eq!(ids, vec![7, 6, 5, 4, 3, 2, 1], "slot 0 is never read torn");
+        // The stalled writer commits; the next lap claims slot 0 again,
+        // even though ticket 8's write never landed.
+        recorder.slots[0]
+            .seq
+            .store(stalled * 2 + 2, Ordering::Release);
+        for id in 9..=16 {
+            recorder.record(&rec(id, 10));
+        }
+        assert_eq!(recorder.dropped_total(), 1);
+        assert_eq!(recorder.recent(1)[0].trace_id, 16);
     }
 
     #[test]

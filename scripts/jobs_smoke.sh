@@ -8,11 +8,6 @@
 #      and a fresh coordinator resumes from the on-disk checkpoints.
 #   3. The paginated results must be byte-identical to an
 #      uninterrupted single-worker reference run of the same spec.
-#   4. The same job again on *remote* TCP workers (--job-listen, zero
-#      local workers): one worker is SIGKILLed mid-flight, another is
-#      partitioned (armed net/partition), and the digest must still
-#      match the reference. Afterwards the whole fleet is killed and
-#      /healthz must flip degraded below the worker quorum.
 #
 # Usage: scripts/jobs_smoke.sh [workdir]   (default: results/jobs-smoke)
 
@@ -145,71 +140,4 @@ test "$DIGEST" = "$REF_DIGEST" || {
   echo "  reference: $REF_DIGEST"
   exit 1
 }
-echo "phases 1-3 OK: digest $DIGEST matches reference"
-
-# --- Phase 4: remote TCP workers, killed and partitioned mid-flight ------
-WORKER=target/release/leakage-job-worker
-TOKEN=smoke-secret
-read -r PID ADDR < <(start_server "$WORKDIR/remote.log" \
-  --jobs-dir "$WORKDIR/jobs-remote" --job-workers 0 \
-  --job-listen 127.0.0.1:0 --job-token "$TOKEN" \
-  --job-hb-timeout-ms 2000 --job-worker-quorum 2)
-JOB_ADDR=$(sed -n 's/^job fabric listening on //p' "$WORKDIR/remote.log" | head -n1)
-test -n "$JOB_ADDR" || { echo "no job fabric listener"; cat "$WORKDIR/remote.log"; exit 1; }
-echo "remote coordinator at $ADDR, job fabric at $JOB_ADDR (pid $PID)"
-
-# Three external workers: one healthy, one to be SIGKILLed, one that
-# partitions for 8s while sending its 4th data frame (heartbeats
-# silenced → lease expiry → reassignment → its late commit discarded).
-"$WORKER" --connect "$JOB_ADDR" --token "$TOKEN" --hb-ms 250 \
-  > "$WORKDIR/worker-1.log" 2>&1 &
-W1=$!
-"$WORKER" --connect "$JOB_ADDR" --token "$TOKEN" --hb-ms 250 \
-  > "$WORKDIR/worker-2.log" 2>&1 &
-W2=$!
-LEAKAGE_FAULTS='net/partition=latency:8000#4' \
-  "$WORKER" --connect "$JOB_ADDR" --token "$TOKEN" --hb-ms 250 \
-  > "$WORKDIR/worker-3.log" 2>&1 &
-W3=$!
-
-RID=$(submit_job "$ADDR")
-test "$RID" = "$ID" || { echo "content-addressed ids differ: $RID vs $ID"; exit 1; }
-
-# SIGKILL one worker once the job has made real progress.
-for _ in $(seq 1 240); do
-  chunks_done=$(job_field "$ADDR" "$RID" chunks_done)
-  [ "$chunks_done" -ge 3 ] && break
-  sleep 0.5
-done
-test "$chunks_done" -ge 3 || { echo "remote job stuck: $chunks_done chunks"; exit 1; }
-kill -KILL "$W2" 2>/dev/null || true
-echo "killed remote worker $W2 at $chunks_done chunks"
-
-wait_done "$ADDR" "$RID" 600
-expired=$(job_field "$ADDR" "$RID" leases_expired)
-test "$expired" -ge 1 || { echo "expected ≥1 expired lease, got $expired"; exit 1; }
-REMOTE_DIGEST=$(page_digest "$ADDR" "$RID")
-test "$REMOTE_DIGEST" = "$REF_DIGEST" || {
-  echo "remote-worker results differ from the reference run:"
-  echo "  remote:    $REMOTE_DIGEST"
-  echo "  reference: $REF_DIGEST"
-  exit 1
-}
-echo "remote run OK: $expired leases expired, digest matches reference"
-
-# Kill the whole fleet; /healthz must report degraded (still HTTP 200)
-# once the pool sweep notices the dead links.
-kill -KILL "$W1" "$W3" 2>/dev/null || true
-wait "$W1" "$W2" "$W3" 2>/dev/null || true
-degraded=false
-for _ in $(seq 1 40); do
-  degraded=$(curl -fsS "http://$ADDR/healthz" |
-    python3 -c 'import json,sys; print(str(json.load(sys.stdin)["degraded"]).lower())')
-  [ "$degraded" = "true" ] && break
-  sleep 0.25
-done
-test "$degraded" = "true" || { echo "healthz never degraded below quorum"; exit 1; }
-echo "healthz degraded below worker quorum as expected"
-
-stop_server "$PID"
-echo "jobs smoke OK: $EXPECTED_POINTS points, digest $DIGEST"
+echo "jobs smoke OK: $EXPECTED_POINTS points, digest $DIGEST matches reference"
