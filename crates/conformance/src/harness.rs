@@ -460,7 +460,7 @@ pub fn check_extractor_fuzz(traces: u32) -> CheckOutcome {
 /// oracle: fuzzed finite traces (explicit ends, same-cycle repeats,
 /// zero-length tails) plus the executed trace of every ISA program,
 /// demanding exact structural equality and resident state bounded by
-/// the number of live lines.
+/// the number of distinct lines the trace touches.
 pub fn check_streaming_intervals(traces: u32) -> CheckOutcome {
     const NAME: &str = "streaming_intervals";
     let mut rng = rng_for(NAME);

@@ -13,17 +13,20 @@
 //! * **Versioned format.** [`FORMAT_VERSION`] is checked on decode and
 //!   mixed into store keys, so a layout change invalidates stale files
 //!   instead of misreading them.
-//! * **Integrity footer.** Since format version 2 the final 8 bytes
-//!   are the FNV-1a digest of everything before them, verified before
-//!   any structural parsing. A crash (or injected fault) that tears a
-//!   write mid-file can therefore never yield a decodable-but-wrong
-//!   profile: the digest fails first and the store quarantines the
-//!   file. FNV-1a guards against torn writes and bit flips, not
-//!   adversaries.
+//! * **Sealed.** Since format version 3 the file ends with the
+//!   workspace's one durable-file trailer, `fnv1a=<16 lowercase
+//!   hex>\n` over every byte before it, added by
+//!   [`leakage_faults::durable::seal`] and verified by
+//!   [`leakage_faults::durable::unseal`] before any structural parsing
+//!   — the same trailer job checkpoints carry. A crash (or injected
+//!   fault) that tears a write mid-file can therefore never yield a
+//!   decodable-but-wrong profile: the seal fails first and the store
+//!   quarantines the file. FNV-1a guards against torn writes and bit
+//!   flips, not adversaries.
 
 use crate::{BenchmarkProfile, CacheProfile};
 use leakage_cachesim::CacheStats;
-use leakage_faults::checksum::fnv1a;
+use leakage_faults::durable::{self, SealError};
 use leakage_intervals::{CompactIntervalDist, IntervalClass, IntervalKind, WakeHints};
 use leakage_prefetch::PrefetchStats;
 
@@ -31,11 +34,9 @@ use leakage_prefetch::PrefetchStats;
 pub const MAGIC: [u8; 4] = *b"LKPF";
 
 /// Layout version; bump on any change to the byte format.
-/// Version history: 1 — initial layout; 2 — FNV-1a integrity footer.
-pub const FORMAT_VERSION: u32 = 2;
-
-/// Bytes of the trailing FNV-1a integrity footer.
-const FOOTER_BYTES: usize = 8;
+/// Version history: 1 — initial layout; 2 — 8-byte FNV-1a footer;
+/// 3 — the shared `fnv1a=` seal trailer.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Decode failures. The store treats any error as a cache miss (and
 /// quarantines the file), so corrupt files are self-healing.
@@ -56,14 +57,9 @@ pub enum CodecError {
     BadName,
     /// Trailing bytes followed a complete profile.
     TrailingBytes,
-    /// The integrity footer did not match the body — a torn write or
-    /// bit flip.
-    ChecksumMismatch {
-        /// Digest recomputed over the body.
-        expected: u64,
-        /// Digest found in the footer.
-        found: u64,
-    },
+    /// The seal trailer is missing or does not match the body — a torn
+    /// write or bit flip.
+    Seal(SealError),
 }
 
 impl std::fmt::Display for CodecError {
@@ -77,18 +73,14 @@ impl std::fmt::Display for CodecError {
             CodecError::BadTag(tag) => write!(f, "invalid enum tag {tag}"),
             CodecError::BadName => write!(f, "benchmark name is not UTF-8"),
             CodecError::TrailingBytes => write!(f, "trailing bytes after profile"),
-            CodecError::ChecksumMismatch { expected, found } => write!(
-                f,
-                "checksum mismatch: body hashes to {expected:016x}, footer says {found:016x}"
-            ),
+            CodecError::Seal(err) => write!(f, "bad profile seal: {err}"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
 
-/// Encodes a profile to its canonical byte form, integrity footer
-/// included.
+/// Encodes a profile to its canonical, sealed byte form.
 pub fn encode_profile(profile: &BenchmarkProfile) -> Vec<u8> {
     let mut out = Vec::with_capacity(4096);
     out.extend_from_slice(&MAGIC);
@@ -98,23 +90,20 @@ pub fn encode_profile(profile: &BenchmarkProfile) -> Vec<u8> {
     out.extend_from_slice(name);
     encode_cache(&mut out, &profile.icache);
     encode_cache(&mut out, &profile.dcache);
-    let digest = fnv1a(&out);
-    put_u64(&mut out, digest);
-    out
+    durable::seal(out)
 }
 
-/// Decodes a profile, validating magic, version, integrity footer, and
-/// framing.
+/// Decodes a profile, validating magic, version, seal, and framing.
 ///
 /// Check order matters for diagnosis: magic and version are read
 /// first (a stale-format file should report [`VersionMismatch`], not a
-/// digest failure — its footer convention may differ), then the
-/// footer is verified over the whole body *before* any structural
+/// seal failure — version 2 ended in an 8-byte footer instead), then
+/// the seal is verified over the whole body *before* any structural
 /// parsing, so a torn write or bit flip anywhere surfaces as
-/// [`ChecksumMismatch`] rather than as an arbitrary misparse.
+/// [`Seal`] rather than as an arbitrary misparse.
 ///
 /// [`VersionMismatch`]: CodecError::VersionMismatch
-/// [`ChecksumMismatch`]: CodecError::ChecksumMismatch
+/// [`Seal`]: CodecError::Seal
 ///
 /// # Errors
 ///
@@ -129,15 +118,9 @@ pub fn decode_profile(bytes: &[u8]) -> Result<BenchmarkProfile, CodecError> {
     if version != FORMAT_VERSION {
         return Err(CodecError::VersionMismatch { found: version });
     }
-    let body_len = bytes.len().checked_sub(FOOTER_BYTES).ok_or(CodecError::Truncated)?;
-    let expected = fnv1a(&bytes[..body_len]);
-    let mut footer = Reader { bytes, pos: body_len };
-    let found = footer.u64()?;
-    if expected != found {
-        return Err(CodecError::ChecksumMismatch { expected, found });
-    }
-    // Structural parsing sees only the checksummed body.
-    let mut r = Reader { bytes: &bytes[..body_len], pos: r.pos };
+    // Structural parsing sees only the sealed body.
+    let body = durable::unseal(bytes).map_err(CodecError::Seal)?;
+    let mut r = Reader { bytes: body, pos: r.pos };
     let name_len = r.u32()? as usize;
     let name = std::str::from_utf8(r.take(name_len)?)
         .map_err(|_| CodecError::BadName)?
@@ -386,23 +369,23 @@ mod tests {
             decode_profile(&bad_version).unwrap_err(),
             CodecError::VersionMismatch { .. }
         ));
-        // Appending or dropping a byte desynchronizes the footer, so
+        // Appending or dropping a byte desynchronizes the seal, so
         // both surface as integrity failures before any parsing.
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(matches!(
             decode_profile(&trailing).unwrap_err(),
-            CodecError::ChecksumMismatch { .. }
+            CodecError::Seal(_)
         ));
         assert!(matches!(
             decode_profile(&bytes[..bytes.len() - 1]).unwrap_err(),
-            CodecError::ChecksumMismatch { .. }
+            CodecError::Seal(_)
         ));
     }
 
     /// The crash-safety core: any single flipped bit, and any
     /// truncation long enough to pass the header, is caught by the
-    /// footer — never parsed into a plausible profile.
+    /// seal — never parsed into a plausible profile.
     #[test]
     fn every_flip_and_truncation_is_caught() {
         let bytes = encode_profile(&sample_profile());
@@ -410,11 +393,8 @@ mod tests {
             let mut flipped = bytes.clone();
             flipped[position] ^= 0x40;
             assert!(
-                matches!(
-                    decode_profile(&flipped),
-                    Err(CodecError::ChecksumMismatch { .. })
-                ),
-                "flip at byte {position} must fail the checksum"
+                matches!(decode_profile(&flipped), Err(CodecError::Seal(_))),
+                "flip at byte {position} must fail the seal"
             );
         }
         for keep in 8..bytes.len() {
@@ -426,11 +406,12 @@ mod tests {
     }
 
     #[test]
-    fn footer_is_fnv1a_of_the_body() {
+    fn profiles_end_in_the_shared_seal() {
         let bytes = encode_profile(&sample_profile());
-        let (body, footer) = bytes.split_at(bytes.len() - 8);
-        let mut expected = [0u8; 8];
-        expected.copy_from_slice(footer);
-        assert_eq!(u64::from_le_bytes(expected), fnv1a(body));
+        let body = durable::unseal(&bytes).unwrap();
+        assert_eq!(durable::seal(body.to_vec()), bytes);
+        assert!(std::str::from_utf8(&bytes[body.len()..])
+            .unwrap()
+            .starts_with("fnv1a="));
     }
 }

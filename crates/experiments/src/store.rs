@@ -34,9 +34,9 @@
 //!   out of handling it.
 //! * **Disk writes are crash-safe.** Profiles are written through
 //!   [`leakage_faults::durable`] (unique temp file, fsync, atomic
-//!   rename), and the codec appends an FNV-1a integrity footer — so
-//!   a concurrent process or a mid-write crash can never expose a
-//!   decodable-but-wrong profile.
+//!   rename), and the codec ends each file in durable's `fnv1a=` seal
+//!   — so a concurrent process or a mid-write crash can never expose
+//!   a decodable-but-wrong profile.
 //! * **Corrupt files are quarantined, not overwritten.** A file that
 //!   fails to decode moves to `<dir>/quarantine/` with a logged
 //!   reason and counts into `profile_store_quarantined_total`; the
@@ -392,32 +392,17 @@ impl ProfileStore {
     /// be served again, then counts and logs the event.
     fn quarantine(&self, path: &Path, reason: &str) {
         self.quarantined.inc();
-        let outcome = durable::quarantine(path);
-        match &outcome.moved {
-            Ok(target) => warn!(
-                "quarantined corrupt profile {} -> {}: {reason}",
-                path.display(),
-                target.display()
-            ),
-            Err(_) => warn!(
-                "deleted corrupt profile {} (quarantine move failed): {reason}",
-                path.display()
-            ),
-        }
+        let outcome = durable::quarantine(path, reason);
         if outcome.evicted.files > 0 {
             counter!("quarantined_evicted_total").add(outcome.evicted.files);
-            warn!(
-                "profile quarantine pen over budget; evicted {} file(s) / {} byte(s)",
-                outcome.evicted.files, outcome.evicted.bytes
-            );
         }
+        warn!("profile store: {outcome}");
     }
 
     /// Best-effort: a failed write (read-only FS, disk full) degrades
     /// to in-memory memoization rather than failing the experiment.
-    /// Transient errors are retried with backoff; each attempt
-    /// re-encodes its own buffer so an injected truncation corrupts at
-    /// most that attempt's file.
+    /// The `store/write` fault site tears or fails at most one attempt
+    /// per arrival ([`durable::write`]).
     fn save_to_disk(&self, key: u64, profile: &BenchmarkProfile) {
         let Some(path) = self.disk_path(key, &profile.name) else {
             return;
@@ -429,14 +414,7 @@ impl ProfileStore {
             }
         }
         let bytes = codec::encode_profile(profile);
-        let written = leakage_faults::retry(Backoff::DISK, |_| {
-            let mut attempt = bytes.clone();
-            // Fault site: may truncate the buffer (torn-write
-            // simulation) or inject an I/O error.
-            leakage_faults::corrupt_point("store/write", &mut attempt)?;
-            durable::write_atomically(&path, &attempt)
-        });
-        if let Err(err) = written {
+        if let Err(err) = durable::write("store/write", &path, &bytes) {
             warn!("cannot write {}: {err}; profile not persisted", path.display());
         }
     }

@@ -1,8 +1,8 @@
 //! FNV-1a, the workspace's shared integrity primitive.
 //!
-//! Both the profile store's cache keys and the profile codec's
-//! integrity footer hash explicit little-endian bytes through this one
-//! implementation, so the two layers can never drift apart. FNV-1a is
+//! Both the profile store's cache keys and the durable-file seal
+//! ([`crate::durable::seal`]) hash through this one implementation, so
+//! the two can never drift apart. FNV-1a is
 //! not cryptographic; it guards against torn writes and bit flips, not
 //! adversaries.
 

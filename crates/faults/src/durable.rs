@@ -1,10 +1,17 @@
-//! Crash-safe durable files: the workspace's single write and
+//! Crash-safe durable files: the workspace's single seal, write and
 //! quarantine policy.
 //!
 //! Every file whose bytes matter after a crash — disk profiles, job
 //! checkpoints, `job.json`, the `canceled` marker — goes through this
 //! module, so the policy lives in exactly one place:
 //!
+//! * [`seal`] appends the one integrity trailer, `fnv1a=<16 lowercase
+//!   hex digits>\n`, FNV-1a over every byte before it; [`unseal`]
+//!   verifies and strips it. Profiles and checkpoints carry only their
+//!   payload; neither codec writes or parses a checksum of its own.
+//! * [`write()`] is the one faulted write loop: each attempt under
+//!   [`Backoff::DISK`] passes one `corrupt_point` arrival at the
+//!   caller's fault site, then [`write_atomically`].
 //! * [`write_atomically`] writes a unique temp file in the target's
 //!   directory, fsyncs it, and renames it into place. A crash at any
 //!   point leaves the old file or the new one, never a mix, and no
@@ -21,14 +28,19 @@
 //!   most likely to still matter — so sustained corruption (or a chaos
 //!   run) cannot fill the disk.
 //!
-//! The module reports what happened ([`Quarantined`]) instead of
-//! logging or counting it; callers own their counters and log lines.
+//! The module reports what happened ([`Quarantined`], whose `Display`
+//! is the one quarantine log line) instead of logging or counting it;
+//! callers own their counters and loggers.
 
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
+
+use crate::checksum::fnv1a;
+use crate::inject::corrupt_point;
+use crate::retry::{retry, Backoff};
 
 /// Name of the quarantine pen, a sibling of the files it receives.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -39,6 +51,94 @@ pub const QUARANTINE_BUDGET_ENV: &str = "LEAKAGE_QUARANTINE_BUDGET";
 
 /// Default per-pen budget: 64 MiB of quarantined evidence.
 pub const DEFAULT_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
+
+/// Bytes of the seal trailer: `fnv1a=`, 16 hex digits, `\n`.
+const SEAL_BYTES: usize = 23;
+
+const SEAL_PREFIX: &[u8] = b"fnv1a=";
+
+/// Why [`unseal`] refused a buffer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SealError {
+    /// The buffer does not end in `fnv1a=<16 lowercase hex>\n`.
+    BadTrailer,
+    /// The trailer is well formed but names another digest: a torn
+    /// write or a bit flip.
+    Mismatch {
+        /// FNV-1a of the bytes before the trailer.
+        computed: u64,
+        /// The digest the trailer claims.
+        claimed: u64,
+    },
+}
+
+impl std::fmt::Display for SealError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SealError::BadTrailer => write!(f, "no fnv1a=<16 lowercase hex> trailer"),
+            SealError::Mismatch { computed, claimed } => write!(
+                f,
+                "checksum mismatch: trailer {claimed:016x}, content {computed:016x}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SealError {}
+
+/// Appends the seal trailer to `body`: `fnv1a=<digest>\n`, the digest
+/// being FNV-1a over every byte of `body`, in 16 lowercase hex digits.
+pub fn seal(mut body: Vec<u8>) -> Vec<u8> {
+    let digest = fnv1a(&body);
+    body.extend_from_slice(format!("fnv1a={digest:016x}\n").as_bytes());
+    body
+}
+
+/// Verifies a [`seal`]ed buffer and returns the body its trailer
+/// covers.
+///
+/// The hex must be canonical lowercase: parsing it numerically would
+/// accept `A` for `a`, a single-bit flip in the trailer itself that no
+/// digest over the body can see.
+///
+/// # Errors
+///
+/// A [`SealError`] naming the first check that failed.
+pub fn unseal(bytes: &[u8]) -> Result<&[u8], SealError> {
+    let body_len = bytes
+        .len()
+        .checked_sub(SEAL_BYTES)
+        .ok_or(SealError::BadTrailer)?;
+    let (body, trailer) = bytes.split_at(body_len);
+    let claimed = trailer
+        .strip_prefix(SEAL_PREFIX)
+        .and_then(|rest| rest.strip_suffix(b"\n"))
+        .filter(|hex| hex.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
+        .and_then(|hex| u64::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok())
+        .ok_or(SealError::BadTrailer)?;
+    let computed = fnv1a(body);
+    if computed != claimed {
+        return Err(SealError::Mismatch { computed, claimed });
+    }
+    Ok(body)
+}
+
+/// Writes `bytes` to `path` through the fault site `site`: each attempt
+/// under [`Backoff::DISK`] passes exactly one
+/// [`corrupt_point`] arrival, which may tear that
+/// attempt's copy of the buffer (the crash-mid-write rehearsal) or
+/// raise an injected I/O error, then [`write_atomically`]s it.
+///
+/// # Errors
+///
+/// The last attempt's filesystem (or injected) error.
+pub fn write(site: &str, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    retry(Backoff::DISK, |_| {
+        let mut attempt = bytes.to_vec();
+        corrupt_point(site, &mut attempt)?;
+        write_atomically(path, &attempt)
+    })
+}
 
 /// Writes `bytes` to `path` atomically: a unique temp file in the same
 /// directory, `write_all`, `sync_all`, rename.
@@ -82,9 +182,14 @@ pub fn is_temp_name(name: &str) -> bool {
     )
 }
 
-/// What one [`quarantine`] call did.
+/// What one [`quarantine`] call did. Its `Display` is the one log line
+/// every caller writes for it.
 #[derive(Debug)]
 pub struct Quarantined {
+    /// The file that failed verification.
+    pub path: PathBuf,
+    /// Why it failed, as the caller put it.
+    pub reason: String,
     /// The pen: `<parent>/quarantine/`.
     pub pen: PathBuf,
     /// Where the file landed, or why the move failed (the file was
@@ -94,10 +199,32 @@ pub struct Quarantined {
     pub evicted: Evicted,
 }
 
-/// Moves `path` verbatim into its sibling [`QUARANTINE_DIR`] pen,
-/// deleting it in place if the move fails, then caps the pen at the
-/// configured budget.
-pub fn quarantine(path: &Path) -> Quarantined {
+impl std::fmt::Display for Quarantined {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (path, reason) = (self.path.display(), &self.reason);
+        match &self.moved {
+            Ok(dest) => write!(f, "quarantined {path} -> {} ({reason})", dest.display())?,
+            Err(err) => write!(
+                f,
+                "quarantine move of {path} failed ({err}); removed in place ({reason})"
+            )?,
+        }
+        let Evicted { files, bytes } = self.evicted;
+        if files > 0 {
+            write!(
+                f,
+                "; pen {} over budget, evicted {files} file(s) / {bytes} byte(s)",
+                self.pen.display()
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// Moves `path`, which failed verification because of `reason`,
+/// verbatim into its sibling [`QUARANTINE_DIR`] pen, deleting it in
+/// place if the move fails, then caps the pen at the configured budget.
+pub fn quarantine(path: &Path, reason: &str) -> Quarantined {
     let pen = path.with_file_name(QUARANTINE_DIR);
     let dest = pen.join(path.file_name().unwrap_or_default());
     let moved = fs::create_dir_all(&pen)
@@ -108,6 +235,8 @@ pub fn quarantine(path: &Path) -> Quarantined {
     }
     let evicted = enforce_budget(&pen, budget_from_env());
     Quarantined {
+        path: path.to_path_buf(),
+        reason: reason.to_string(),
         pen,
         moved,
         evicted,
@@ -207,6 +336,48 @@ mod tests {
     }
 
     #[test]
+    fn seal_round_trips_with_the_checkpoint_trailer() {
+        for body in [
+            &b""[..],
+            b"leakage-job-chunk v1\n",
+            b"LKPF\x03\x00\x00\x00\xff\n",
+        ] {
+            let sealed = seal(body.to_vec());
+            assert_eq!(sealed.len(), body.len() + SEAL_BYTES);
+            let trailer = format!("fnv1a={:016x}\n", fnv1a(body));
+            assert!(sealed.ends_with(trailer.as_bytes()));
+            assert_eq!(unseal(&sealed), Ok(body));
+        }
+    }
+
+    /// Every truncation and every single-bit flip of a sealed buffer
+    /// is refused — never handed back as a (shorter or altered) body.
+    #[test]
+    fn every_truncation_and_bit_flip_is_refused() {
+        let sealed = seal(b"job=j1 chunk=0 start=0 end=2 points=2\n{}\n{}\n".to_vec());
+        for keep in 0..sealed.len() {
+            assert!(unseal(&sealed[..keep]).is_err(), "truncation to {keep}");
+        }
+        for position in 0..sealed.len() {
+            for bit in 0..8 {
+                let mut flipped = sealed.clone();
+                flipped[position] ^= 1 << bit;
+                assert!(unseal(&flipped).is_err(), "flip of bit {bit} at {position}");
+            }
+        }
+    }
+
+    #[test]
+    fn uppercase_hex_is_refused() {
+        let sealed = seal(b"payload".to_vec());
+        let hex_start = sealed.len() - SEAL_BYTES + SEAL_PREFIX.len();
+        let mut upper = sealed.clone();
+        upper[hex_start..sealed.len() - 1].make_ascii_uppercase();
+        assert_ne!(upper, sealed, "the digest has a letter to upcase");
+        assert_eq!(unseal(&upper), Err(SealError::BadTrailer));
+    }
+
+    #[test]
     fn failed_rename_leaves_no_temp_file() {
         let dir = pen("rename");
         // A non-empty directory where the file should go: the temp
@@ -247,8 +418,14 @@ mod tests {
         fs::write(dir.join(QUARANTINE_DIR), b"a plain file in the way").unwrap();
         let path = dir.join("gzip-0123456789abcdef.profile");
         fs::write(&path, b"garbage").unwrap();
-        let outcome = quarantine(&path);
+        let outcome = quarantine(&path, "bad magic");
         assert!(outcome.moved.is_err());
+        assert!(
+            outcome
+                .to_string()
+                .ends_with("removed in place (bad magic)"),
+            "{outcome}"
+        );
         assert!(!path.exists(), "a file that cannot be penned is deleted");
         assert_eq!(names(&dir), [QUARANTINE_DIR]);
     }

@@ -23,21 +23,24 @@
 //!
 //! * **Retry** ([`retry`]): bounded exponential backoff for transient
 //!   I/O ([`retry::Transient`] classifies `Interrupted`-style errors),
-//!   used by the disk profile store.
+//!   used by the durable write loop and the profile store's reads.
 //!
-//! * **Checksums** ([`checksum`]): the FNV-1a integrity primitive the
-//!   profile codec's footer and the store's cache keys share.
+//! * **Checksums** ([`checksum`]): FNV-1a, the one hash behind the
+//!   durable-file seal and the profile store's cache keys.
 //!
-//! * **Durable files** ([`durable`]): the one crash-safe write path
-//!   (temp file → fsync → rename) and the one quarantine move (into a
-//!   sibling `quarantine/` pen capped at a byte budget, oldest evicted
-//!   first) that every persisted profile, checkpoint and job file uses.
+//! * **Durable files** ([`durable`]): the one seal (an `fnv1a=<16
+//!   lowercase hex>\n` trailer over every byte before it), the one
+//!   faulted write loop (one `corrupt_point` arrival per retried
+//!   attempt, then temp file → fsync → rename), and the one quarantine
+//!   move (into a sibling `quarantine/` pen capped at a byte budget,
+//!   oldest evicted first) with its one log line. Every persisted
+//!   profile, checkpoint and job file uses them.
 //!
 //! The crate is dependency-free. Apart from how a durable file is
-//! written and set aside, it makes no policy decisions itself — what
-//! is retried, what is isolated, and what aborts is documented in
-//! `DESIGN.md` ("Failure model & degradation policy") and implemented
-//! at the call sites.
+//! sealed, written and set aside, it makes no policy decisions itself
+//! — what is retried, what is isolated, and what aborts is documented
+//! in `DESIGN.md` ("Failure model & degradation policy") and
+//! implemented at the call sites.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

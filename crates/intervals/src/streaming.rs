@@ -15,10 +15,13 @@
 //! raw [`MemoryAccess`] events one at a time (it implements
 //! [`TraceSink`], so a trace decoder can feed it directly), closes
 //! each line's interior interval the moment the line is re-accessed,
-//! and keeps only *constant state per resident line* — one open-interval
-//! timestamp. Memory is bounded by the number of live lines, never by
-//! the trace length, which is what lets the analysis server ingest
-//! arbitrarily long chunked trace uploads.
+//! and keeps only *constant state per touched line* — one open-interval
+//! timestamp. A line's entry is replaced on each access but never
+//! retired before [`finish`](StreamingExtractor::finish), so memory
+//! grows with the trace's line footprint (its distinct lines), never
+//! with its length. That is what lets the analysis server ingest
+//! arbitrarily long chunked uploads; the upload route caps the
+//! footprint itself (`leakage_server::streaming::MAX_RESIDENT_LINES`).
 //!
 //! # Watermark finalization
 //!
@@ -45,7 +48,8 @@ use leakage_cachesim::FrameId;
 use leakage_trace::{Cycle, LineAddr, MemoryAccess, TraceSink};
 use std::collections::HashMap;
 
-/// Incremental line-centric interval extractor with bounded state.
+/// Incremental line-centric interval extractor with state bounded by
+/// the trace's line footprint.
 ///
 /// # Examples
 ///
@@ -91,8 +95,9 @@ impl<S: IntervalSink> StreamingExtractor<S> {
         }
     }
 
-    /// Lines currently holding an open interval — the extractor's
-    /// entire per-trace state.
+    /// Lines currently holding an open interval: every line touched so
+    /// far, since none is retired before finalization. This is the
+    /// extractor's entire per-trace state.
     pub fn resident_lines(&self) -> usize {
         self.open.len()
     }

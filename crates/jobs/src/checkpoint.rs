@@ -10,27 +10,26 @@
 //! fnv1a=<16 hex digits>\n
 //! ```
 //!
-//! The footer is FNV-1a over *every byte before the footer line* —
-//! magic and header included, so a file pasted under the wrong name or
-//! truncated at a line boundary still fails verification. Writes go
-//! through [`leakage_faults::durable::write_atomically`] (unique temp
-//! file → `write_all` → `sync_all` → atomic rename) with the
-//! `jobs/checkpoint` fault site armed in front, and every write is
-//! *read back and verified* before the chunk is reported durable: a
-//! torn write is quarantined and retried immediately instead of being
-//! discovered by some later reader.
+//! The last line is the workspace's one durable-file seal
+//! ([`leakage_faults::durable::seal`]): FNV-1a over *every byte before
+//! it* — magic and header included, so a file pasted under the wrong
+//! name or truncated at a line boundary still fails verification. This
+//! module writes only the payload; sealing, unsealing, the faulted
+//! write loop ([`leakage_faults::durable::write`] at the
+//! `jobs/checkpoint` fault site) and the quarantine move all live in
+//! `durable`, shared with the profile store. Every write is *read back
+//! and verified* before the chunk is reported durable: a torn write is
+//! quarantined and retried immediately instead of being discovered by
+//! some later reader.
 //!
 //! Corrupt files are never deleted in place — [`quarantine`] moves
-//! them verbatim to `<job dir>/quarantine/` for post-mortems through
-//! the same [`leakage_faults::durable::quarantine`] the profile store
-//! uses.
+//! them verbatim to `<job dir>/quarantine/` for post-mortems.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use leakage_faults::checksum::Fnv64;
-use leakage_faults::{corrupt_point, durable, io_point, retry, Backoff};
+use leakage_faults::durable;
 use leakage_telemetry::{counter, warn};
 
 /// Magic first line of every checkpoint file.
@@ -122,10 +121,7 @@ pub fn encode_chunk(file: &ChunkFile) -> Vec<u8> {
         bytes.extend_from_slice(row.as_bytes());
         bytes.push(b'\n');
     }
-    let mut hash = Fnv64::new();
-    hash.update(&bytes);
-    bytes.extend_from_slice(format!("fnv1a={:016x}\n", hash.finish()).as_bytes());
-    bytes
+    durable::seal(bytes)
 }
 
 /// Decodes and verifies a checkpoint file's bytes.
@@ -135,32 +131,12 @@ pub fn encode_chunk(file: &ChunkFile) -> Vec<u8> {
 /// [`CkptError::Corrupt`] on any structural or checksum mismatch; the
 /// reason names the first broken invariant.
 pub fn decode_chunk(bytes: &[u8]) -> Result<ChunkFile, CkptError> {
-    let text = std::str::from_utf8(bytes).map_err(|_| corrupt("not utf-8"))?;
+    let body = durable::unseal(bytes).map_err(|err| corrupt(err.to_string()))?;
+    let text = std::str::from_utf8(body).map_err(|_| corrupt("not utf-8"))?;
     if !text.ends_with('\n') {
-        return Err(corrupt("missing trailing newline"));
+        return Err(corrupt("missing newline before the seal"));
     }
-    // Split the footer off first and checksum everything before it.
-    let body_end = text[..text.len() - 1]
-        .rfind('\n')
-        .ok_or_else(|| corrupt("no footer line"))?
-        + 1;
-    let footer = text[body_end..].trim_end_matches('\n');
-    let claimed = footer
-        .strip_prefix("fnv1a=")
-        .filter(|hex| hex.len() == 16)
-        .ok_or_else(|| corrupt(format!("bad footer {footer:?}")))?;
-    let mut hash = Fnv64::new();
-    hash.update(&bytes[..body_end]);
-    let actual = hash.finish();
-    // Compare the canonical lowercase rendering, not the parsed value:
-    // numeric comparison would accept `A` for `a` (a single-bit case
-    // flip in the footer itself, which the body checksum cannot see).
-    if format!("{actual:016x}") != claimed {
-        return Err(corrupt(format!(
-            "checksum mismatch: footer {claimed}, content {actual:016x}"
-        )));
-    }
-    let mut lines = text[..body_end].lines();
+    let mut lines = text.lines();
     if lines.next() != Some(CHUNK_MAGIC) {
         return Err(corrupt("bad magic"));
     }
@@ -208,35 +184,19 @@ pub fn decode_chunk(bytes: &[u8]) -> Result<ChunkFile, CkptError> {
 /// as a result again but stays available for post-mortems.
 pub fn quarantine(path: &Path, reason: &str) {
     counter!("jobs_checkpoints_quarantined_total").inc();
-    let outcome = durable::quarantine(path);
-    match &outcome.moved {
-        Ok(dest) => warn!(
-            "jobs: quarantined {} -> {} ({reason})",
-            path.display(),
-            dest.display()
-        ),
-        Err(err) => warn!(
-            "jobs: quarantine move of {} failed ({err}); removed in place ({reason})",
-            path.display()
-        ),
+    let outcome = durable::quarantine(path, reason);
+    if outcome.evicted.files > 0 {
+        counter!("quarantined_evicted_total").add(outcome.evicted.files);
     }
-    let evicted = outcome.evicted;
-    if evicted.files > 0 {
-        counter!("quarantined_evicted_total").add(evicted.files);
-        warn!(
-            "jobs: quarantine pen over budget; evicted {} file(s) / {} byte(s) from {}",
-            evicted.files,
-            evicted.bytes,
-            outcome.pen.display()
-        );
-    }
+    warn!("jobs: {outcome}");
 }
 
 /// Durably persists a completed chunk into `dir` and verifies it by
-/// reading the file back. The `jobs/checkpoint` fault site runs before
-/// the write, so an armed `truncate:` fault produces a genuinely torn
-/// file on disk — which the read-back catches, quarantines, and
-/// retries with clean bytes. Returns the checkpoint path.
+/// reading the file back. Each write attempt passes one arrival of the
+/// `jobs/checkpoint` fault site, so an armed `truncate:` fault produces
+/// a genuinely torn file on disk — which the read-back catches,
+/// quarantines, and retries with clean bytes. Returns the checkpoint
+/// path.
 ///
 /// # Errors
 ///
@@ -247,14 +207,7 @@ pub fn write_chunk(dir: &Path, file: &ChunkFile) -> io::Result<PathBuf> {
     let path = dir.join(chunk_file_name(file.chunk));
     let bytes = encode_chunk(file);
     for _ in 0..3 {
-        retry(Backoff::DISK, |_| {
-            io_point("jobs/checkpoint")?;
-            let mut attempt = bytes.clone();
-            // corrupt_point simulates a torn write: an armed
-            // `truncate:` arm shears the tail off this attempt only.
-            corrupt_point("jobs/checkpoint", &mut attempt)?;
-            durable::write_atomically(&path, &attempt)
-        })?;
+        durable::write("jobs/checkpoint", &path, &bytes)?;
         match read_chunk(&path) {
             Ok(decoded) if decoded == *file => {
                 counter!("jobs_checkpoints_written_total").inc();
@@ -282,6 +235,26 @@ pub fn write_chunk(dir: &Path, file: &ChunkFile) -> io::Result<PathBuf> {
 pub fn read_chunk(path: &Path) -> Result<ChunkFile, CkptError> {
     let bytes = fs::read(path)?;
     decode_chunk(&bytes)
+}
+
+/// [`read_chunk`] for chunk `chunk` of job `job_id`, covering points
+/// `start..end`: a verified file whose header names another job, chunk
+/// or range is as corrupt as a torn one.
+///
+/// # Errors
+///
+/// As [`read_chunk`], plus [`CkptError::Corrupt`] on a header mismatch.
+pub fn read_job_chunk(
+    path: &Path,
+    job_id: &str,
+    chunk: u64,
+    (start, end): (u64, u64),
+) -> Result<ChunkFile, CkptError> {
+    let file = read_chunk(path)?;
+    if file.job_id != job_id || file.chunk != chunk || file.start != start || file.end != end {
+        return Err(corrupt("checkpoint header disagrees with job spec"));
+    }
+    Ok(file)
 }
 
 #[cfg(test)]
@@ -313,6 +286,21 @@ mod tests {
             ..sample()
         };
         assert_eq!(decode_chunk(&encode_chunk(&empty)).unwrap(), empty);
+    }
+
+    /// One checkpoint's exact bytes. Job dirs written by earlier builds
+    /// resume only while this format stays put, so drift must fail here.
+    #[test]
+    fn encoding_is_pinned() {
+        let expected = concat!(
+            "leakage-job-chunk v1\n",
+            "job=j0123456789abcdef chunk=7 start=28672 end=28675 points=3\n",
+            "{\"benchmark\":\"gzip\",\"opt_drowsy\":1.5}\n",
+            "{\"benchmark\":\"gzip\",\"opt_drowsy\":2.5}\n",
+            "{\"benchmark\":\"mesa\",\"opt_drowsy\":null}\n",
+            "fnv1a=627e7905fc671327\n",
+        );
+        assert_eq!(encode_chunk(&sample()), expected.as_bytes());
     }
 
     #[test]
@@ -350,14 +338,9 @@ mod tests {
     fn range_and_count_must_agree() {
         let mut file = sample();
         file.end = file.start + 2; // three rows, range of two
-        let mut bytes = encode_chunk(&file);
-        // Re-seal with a valid checksum so only the semantic check fires.
-        let body_end = bytes.len() - 24;
-        let mut hash = Fnv64::new();
-        hash.update(&bytes[..body_end]);
-        let footer = format!("fnv1a={:016x}\n", hash.finish());
-        bytes.truncate(body_end);
-        bytes.extend_from_slice(footer.as_bytes());
+        // The encoder seals what it is given, so only the semantic
+        // check can fire.
+        let bytes = encode_chunk(&file);
         let err = decode_chunk(&bytes).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");
     }

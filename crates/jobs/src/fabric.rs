@@ -50,7 +50,7 @@ use leakage_telemetry::json;
 use leakage_telemetry::{counter, debug, warn};
 
 use crate::checkpoint::{
-    chunk_file_name, parse_chunk_file_name, quarantine, read_chunk, write_chunk, ChunkFile,
+    chunk_file_name, parse_chunk_file_name, quarantine, read_job_chunk, write_chunk, ChunkFile,
     CkptError,
 };
 use crate::protocol::{rows_checksum, Assign, Hello, WorkerFrame};
@@ -506,31 +506,12 @@ impl JobFabric {
             let chunk = index / u64::from(spec.chunk_points);
             let (chunk_start, chunk_end) = spec.chunk_range(chunk);
             let path = handle.dir.join(chunk_file_name(chunk));
-            let file = match read_chunk(&path) {
-                Ok(file)
-                    if file.job_id == handle.id
-                        && file.chunk == chunk
-                        && file.start == chunk_start
-                        && file.end == chunk_end =>
-                {
-                    file
-                }
-                Ok(_) => {
-                    self.heal_chunk(&handle, &path, "checkpoint header names a different chunk");
-                    return Err(ResultError::Corrupt(format!(
-                        "checkpoint {chunk} mismatched; recomputing"
-                    )));
-                }
-                Err(CkptError::Corrupt { reason }) => {
-                    self.heal_chunk(&handle, &path, &reason);
-                    return Err(ResultError::Corrupt(format!(
-                        "checkpoint {chunk} corrupt ({reason}); recomputing"
-                    )));
-                }
-                Err(CkptError::Io(err)) => {
+            let file = match read_job_chunk(&path, &handle.id, chunk, (chunk_start, chunk_end)) {
+                Ok(file) => file,
+                Err(err) => {
                     self.heal_chunk(&handle, &path, &err.to_string());
                     return Err(ResultError::Corrupt(format!(
-                        "checkpoint {chunk} unreadable ({err}); recomputing"
+                        "checkpoint {chunk} failed verification ({err}); recomputing"
                     )));
                 }
             };
@@ -857,22 +838,13 @@ impl Runner {
                 continue;
             }
             let (start, end) = spec.chunk_range(chunk);
-            match read_chunk(&path) {
-                Ok(file)
-                    if file.job_id == self.job.id
-                        && file.chunk == chunk
-                        && file.start == start
-                        && file.end == end =>
-                {
+            match read_job_chunk(&path, &self.job.id, chunk, (start, end)) {
+                Ok(_) => {
                     if !self.done[chunk as usize] {
                         self.done[chunk as usize] = true;
                         recovered += 1;
                         points += end - start;
                     }
-                }
-                Ok(_) => {
-                    quarantine(&path, "checkpoint header disagrees with job spec");
-                    quarantined += 1;
                 }
                 Err(CkptError::Corrupt { reason }) => {
                     quarantine(&path, &reason);

@@ -50,6 +50,6 @@ pub use fabric::{
     MAX_PER_PAGE, WORKER_BIN_ENV,
 };
 pub use spec::{
-    render_job_row, render_sweep_row, JobPoint, JobSpec, PermilleAxis, SpecError,
+    num_f64, render_job_row, render_sweep_row, JobPoint, JobSpec, PermilleAxis, SpecError,
     DEFAULT_CHUNK_POINTS, MAX_CHUNK_POINTS, MIN_CHUNK_POINTS,
 };

@@ -474,8 +474,9 @@ pub fn side_token(side: Level1) -> &'static str {
 }
 
 /// Finite f64 as canonical JSON (shortest round-trip form), `null`
-/// otherwise — the one float formatter shared by the sweep handler and
-/// the job fabric, so the two paths cannot drift.
+/// otherwise — the one float formatter: sweep rows, job results and
+/// every server route render floats through it, so no two paths can
+/// drift.
 pub fn num_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")

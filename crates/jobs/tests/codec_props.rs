@@ -2,7 +2,7 @@
 //! trusts with job state: the chunk checkpoint file format and the
 //! job-spec JSON. Round-trips must be exact, point decoding must be a
 //! bijection, and *any* truncation or bit flip of a checkpoint must be
-//! detected by the FNV-1a footer — the crash matrix relies on that
+//! detected by the FNV-1a seal — the crash matrix relies on that
 //! detection for every torn-write scenario.
 
 use leakage_cachesim::Level1;
@@ -128,7 +128,7 @@ proptest! {
     }
 
     /// Every single-bit flip anywhere in a checkpoint is detected:
-    /// either the structure breaks or the FNV-1a footer refuses it.
+    /// either the structure breaks or the FNV-1a seal refuses it.
     #[test]
     fn any_bit_flip_is_detected(
         file in arb_chunk_file(),

@@ -195,20 +195,23 @@ fn crash_matrix_runs_are_byte_identical_to_golden() {
 
     // Torn checkpoint write (coordinator side): the first checkpoint
     // buffer is truncated mid-write. Read-back verification must catch
-    // it, quarantine the torn file, and rewrite cleanly. Arrivals at a
-    // site are counted across every point type, and each write attempt
-    // passes `io_point` before `corrupt_point`, so the first torn
-    // *buffer* is the site's second arrival.
+    // it, quarantine the torn file, and rewrite cleanly. Each write
+    // attempt passes the site exactly once (`durable::write`), so `#1`
+    // tears the first checkpoint buffer and no other.
     let torn_dir = scenario_dir("torn");
     let torn_fabric = fabric(torn_dir.clone(), 2, &[]);
-    set_plane(Plane::parse("jobs/checkpoint=truncate:40#2").expect("torn spec"));
+    set_plane(Plane::parse("jobs/checkpoint=truncate:40#1").expect("torn spec"));
     let id = submit(&torn_fabric, &spec);
     let doc = wait_done(&torn_fabric, &id, "torn");
     set_plane(Plane::empty());
     let quarantined: Vec<_> = std::fs::read_dir(torn_dir.join(&id).join("quarantine"))
         .expect("quarantine dir exists")
         .collect();
-    assert!(!quarantined.is_empty(), "torn write must be quarantined");
+    assert_eq!(
+        quarantined.len(),
+        1,
+        "exactly the one torn write is quarantined"
+    );
     assert_eq!(all_pages(&torn_fabric, &id, "torn"), golden);
     assert_eq!(field(&doc, "chunks_done"), 7);
     torn_fabric.stop();

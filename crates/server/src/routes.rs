@@ -30,7 +30,7 @@ use crate::trace::{us32, StageTrace};
 use leakage_experiments::query::{self, QueryError, SweepPoint};
 use leakage_experiments::{CacheProfile, ProfileStore, Table};
 use leakage_faults::StoreError;
-use leakage_jobs::{CancelOutcome, JobFabric, JobSpec, ResultError, SubmitError};
+use leakage_jobs::{num_f64, CancelOutcome, JobFabric, JobSpec, ResultError, SubmitError};
 use leakage_telemetry::json::{self, Json};
 use leakage_telemetry::prometheus_text;
 use leakage_telemetry::{registry, striped_counter, Gauge, Histogram, StripedCounter};
@@ -468,13 +468,13 @@ fn healthz(ctx: &RouteContext) -> Response {
         200,
         json::object([
             json::key("status") + &json::string("ok"),
-            json::key("uptime_s") + &num_u64(ctx.info.uptime_s()),
+            json::key("uptime_s") + &ctx.info.uptime_s().to_string(),
             json::key("transport") + &json::string(ctx.info.transport),
-            json::key("workers") + &num_u64(ctx.info.workers as u64),
-            json::key("queue_depth") + &num_u64(ctx.info.queue_len() as u64),
-            json::key("inflight") + &num_u64(ctx.metrics.inflight.get()),
-            json::key("recorder_capacity") + &num_u64(recorder_cap),
-            json::key("recorder_recorded") + &num_u64(recorded_total),
+            json::key("workers") + &ctx.info.workers.to_string(),
+            json::key("queue_depth") + &ctx.info.queue_len().to_string(),
+            json::key("inflight") + &ctx.metrics.inflight.get().to_string(),
+            json::key("recorder_capacity") + &recorder_cap.to_string(),
+            json::key("recorder_recorded") + &recorded_total.to_string(),
             json::key("suite") + &json::array(SUITE_NAMES.iter().map(|n| json::string(n))),
             json::key("isa_suite")
                 + &json::array(
@@ -490,18 +490,18 @@ fn record_json(rec: &RequestRecord) -> String {
     json::object([
         json::key("trace_id") + &json::string(&rec.trace_id.to_string()),
         json::key("route") + &json::string(route_label(rec.route)),
-        json::key("status") + &num_u64(u64::from(rec.status)),
-        json::key("end_us") + &num_u64(rec.end_us),
-        json::key("total_us") + &num_u64(u64::from(rec.total_us)),
-        json::key("parse_us") + &num_u64(u64::from(rec.parse_us)),
-        json::key("queue_us") + &num_u64(u64::from(rec.queue_us)),
-        json::key("permit_us") + &num_u64(u64::from(rec.permit_us)),
-        json::key("handler_us") + &num_u64(u64::from(rec.handler_us)),
-        json::key("store_us") + &num_u64(u64::from(rec.store_us)),
-        json::key("serialize_us") + &num_u64(u64::from(rec.serialize_us)),
-        json::key("write_us") + &num_u64(u64::from(rec.write_us)),
-        json::key("req_bytes") + &num_u64(u64::from(rec.req_bytes)),
-        json::key("resp_bytes") + &num_u64(u64::from(rec.resp_bytes)),
+        json::key("status") + &rec.status.to_string(),
+        json::key("end_us") + &rec.end_us.to_string(),
+        json::key("total_us") + &rec.total_us.to_string(),
+        json::key("parse_us") + &rec.parse_us.to_string(),
+        json::key("queue_us") + &rec.queue_us.to_string(),
+        json::key("permit_us") + &rec.permit_us.to_string(),
+        json::key("handler_us") + &rec.handler_us.to_string(),
+        json::key("store_us") + &rec.store_us.to_string(),
+        json::key("serialize_us") + &rec.serialize_us.to_string(),
+        json::key("write_us") + &rec.write_us.to_string(),
+        json::key("req_bytes") + &rec.req_bytes.to_string(),
+        json::key("resp_bytes") + &rec.resp_bytes.to_string(),
         json::key("shed") + bool_str(rec.flags & FLAG_SHED != 0),
         json::key("panicked") + bool_str(rec.flags & FLAG_PANIC != 0),
         json::key("cache_hit") + bool_str(rec.flags & FLAG_CACHE_HIT != 0),
@@ -555,9 +555,9 @@ fn debug_requests(request: &Request, recorder: &FlightRecorder) -> Response {
     Response::json(
         200,
         json::object([
-            json::key("count") + &num_u64(records.len() as u64),
-            json::key("capacity") + &num_u64(recorder.capacity() as u64),
-            json::key("recorded_total") + &num_u64(recorder.recorded_total()),
+            json::key("count") + &records.len().to_string(),
+            json::key("capacity") + &recorder.capacity().to_string(),
+            json::key("recorded_total") + &recorder.recorded_total().to_string(),
             json::key("records") + &json::array(records.iter().map(record_json)),
         ]),
     )
@@ -607,19 +607,19 @@ fn debug_stats(recorder: &FlightRecorder) -> Response {
         };
         json::object([
             json::key("route") + &json::string(route_label(*code)),
-            json::key("count") + &num_u64(count as u64),
+            json::key("count") + &count.to_string(),
             json::key("rps") + &num_f64(count as f64 / window_s),
-            json::key("errors") + &num_u64(errors as u64),
+            json::key("errors") + &errors.to_string(),
             json::key("mean_us") + &num_f64(sum as f64 / count as f64),
-            json::key("p50_us") + &num_u64(pct(0.50)),
-            json::key("p99_us") + &num_u64(pct(0.99)),
+            json::key("p50_us") + &pct(0.50).to_string(),
+            json::key("p99_us") + &pct(0.99).to_string(),
         ])
     });
     Response::json(
         200,
         json::object([
             json::key("window_s") + &num_f64(window_s),
-            json::key("count") + &num_u64(window.len() as u64),
+            json::key("count") + &window.len().to_string(),
             json::key("routes") + &json::array(routes),
         ]),
     )
@@ -647,11 +647,11 @@ fn version() -> Response {
         200,
         json::object([
             json::key("generator_version")
-                + &num_u64(u64::from(leakage_workloads::GENERATOR_VERSION)),
+                + &leakage_workloads::GENERATOR_VERSION.to_string(),
             json::key("isa_generator_version")
-                + &num_u64(u64::from(leakage_workloads::ISA_GENERATOR_VERSION)),
+                + &leakage_workloads::ISA_GENERATOR_VERSION.to_string(),
             json::key("format_version")
-                + &num_u64(u64::from(leakage_experiments::codec::FORMAT_VERSION)),
+                + &leakage_experiments::codec::FORMAT_VERSION.to_string(),
             json::key("git") + &json::string(git_describe()),
         ]),
     )
@@ -676,33 +676,21 @@ fn parse_scale(request: &Request, default_scale: Scale) -> Result<Scale, Respons
     }
 }
 
-fn num_u64(v: u64) -> String {
-    v.to_string()
-}
-
-fn num_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn side_json(profile: &CacheProfile) -> String {
     json::object([
-        json::key("num_frames") + &num_u64(u64::from(profile.num_frames)),
-        json::key("total_cycles") + &num_u64(profile.total_cycles),
-        json::key("accesses") + &num_u64(profile.cache.accesses),
-        json::key("hits") + &num_u64(profile.cache.hits),
-        json::key("misses") + &num_u64(profile.cache.misses),
+        json::key("num_frames") + &profile.num_frames.to_string(),
+        json::key("total_cycles") + &profile.total_cycles.to_string(),
+        json::key("accesses") + &profile.cache.accesses.to_string(),
+        json::key("hits") + &profile.cache.hits.to_string(),
+        json::key("misses") + &profile.cache.misses.to_string(),
         json::key("hit_rate") + &num_f64(profile.cache.hit_rate()),
-        json::key("interval_classes") + &num_u64(profile.dist.num_classes() as u64),
-        json::key("total_intervals") + &num_u64(profile.dist.total_intervals()),
-        json::key("interval_cycles") + &num_u64(profile.dist.total_cycles()),
+        json::key("interval_classes") + &profile.dist.num_classes().to_string(),
+        json::key("total_intervals") + &profile.dist.total_intervals().to_string(),
+        json::key("interval_cycles") + &profile.dist.total_cycles().to_string(),
         json::key("covers_timeline")
             + if profile.covers_timeline() { "true" } else { "false" },
-        json::key("next_line_triggers") + &num_u64(profile.prefetch.next_line_triggers),
-        json::key("stride_triggers") + &num_u64(profile.prefetch.stride_triggers),
+        json::key("next_line_triggers") + &profile.prefetch.next_line_triggers.to_string(),
+        json::key("stride_triggers") + &profile.prefetch.stride_triggers.to_string(),
     ])
 }
 
@@ -724,7 +712,7 @@ fn profile(request: &Request, ctx: &RouteContext, scale: Scale, stage: &StageTra
             200,
             json::object([
                 json::key("benchmark") + &json::string(&profile.name),
-                json::key("scale_cycles") + &num_u64(scale.cycles()),
+                json::key("scale_cycles") + &scale.cycles().to_string(),
                 json::key("hierarchy") + &json::string("alpha"),
                 json::key("icache") + &side_json(&profile.icache),
                 json::key("dcache") + &side_json(&profile.dcache),
@@ -787,8 +775,8 @@ fn table(request: &Request, ctx: &RouteContext, scale: Scale, stage: &StageTrace
 
 fn figure_json(id: u8, scale: Scale, icache: &Table, dcache: &Table) -> String {
     json::object([
-        json::key("figure") + &num_u64(u64::from(id)),
-        json::key("scale_cycles") + &num_u64(scale.cycles()),
+        json::key("figure") + &id.to_string(),
+        json::key("scale_cycles") + &scale.cycles().to_string(),
         json::key("icache") + &icache.to_json(),
         json::key("dcache") + &dcache.to_json(),
     ])
@@ -1010,7 +998,7 @@ fn sweep(request: &Request, ctx: &RouteContext, stage: &StageTrace) -> Response 
     Response::json(
         200,
         json::object([
-            json::key("scale_cycles") + &num_u64(scale.cycles()),
+            json::key("scale_cycles") + &scale.cycles().to_string(),
             json::key("results") + &json::array(rows),
         ]),
     )

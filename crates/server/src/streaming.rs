@@ -15,13 +15,16 @@
 //!   time), and [`serve_upload`] pumps wire bytes through a
 //!   [`ChunkedDecoder`] → [`StreamDecoder`] → extractor pipeline.
 //!   Peak memory is one read chunk plus the decoder's partial-record
-//!   tail plus the extractor's per-resident-line state — independent
-//!   of body length, which is what lets a million-event trace stream
-//!   through a fixed-size worker.
+//!   tail plus the extractor's per-line state. That state is one entry
+//!   per distinct line the trace touches (lines are never retired
+//!   before the summary), so it grows with the trace's line footprint,
+//!   not its length: a million-event trace over a few hundred lines
+//!   streams through a small, fixed-size worker.
 //!
 //! Limits: decoded chunked bodies are capped at
-//! [`MAX_DECODED_BODY`] bytes (413 beyond it), `line_bits` at
-//! [`MAX_LINE_BITS`]. Uploads are counted in
+//! [`MAX_DECODED_BODY`] bytes (413 beyond it), the line footprint of
+//! either framing at [`MAX_RESIDENT_LINES`] (413 beyond it), and
+//! `line_bits` at [`MAX_LINE_BITS`]. Uploads are counted in
 //! `server_trace_uploads_total` / `server_trace_upload_bytes_total`;
 //! the `trace` route has the standard per-route request counter and
 //! latency histogram.
@@ -43,6 +46,14 @@ use std::time::Instant;
 /// Largest accepted decoded chunked body (wire bytes after chunk
 /// deframing, before LKTR record decoding): 256 MiB ≈ 10.7M events.
 pub const MAX_DECODED_BODY: u64 = 256 * 1024 * 1024;
+
+/// Most distinct lines one upload may touch (413 beyond): 2^18, six
+/// times the 41,943 records a 1 MiB `Content-Length` body holds.
+/// Measured on x86-64 with distinct-line loads, the open-line map holds
+/// 8.5 MiB at the cap and the upload peaks at 31.3 MiB once finalization
+/// adds one trailing-interval class per line. Checked after each fed
+/// buffer, so the map overshoots by at most that buffer's records.
+pub const MAX_RESIDENT_LINES: usize = 1 << 18;
 
 /// Largest accepted `line_bits` query value (a 16M-line index space;
 /// beyond this the per-line state stops being "cache-shaped").
@@ -70,8 +81,8 @@ fn parse_line_bits(request: &Request) -> Result<u32, Response> {
 }
 
 /// An in-flight trace upload: LKTR record decoding feeding the
-/// streaming per-line extractor. Constant memory per resident line;
-/// nothing retains the body.
+/// streaming per-line extractor. Constant memory per touched line, at
+/// most [`MAX_RESIDENT_LINES`] of them; nothing retains the body.
 struct TraceIngest {
     decoder: StreamDecoder,
     extractor: StreamingExtractor<CompactIntervalDist>,
@@ -87,14 +98,25 @@ impl TraceIngest {
         }
     }
 
-    fn feed(&mut self, bytes: &[u8]) -> Result<(), TraceError> {
-        self.decoder.feed(bytes, &mut self.extractor)
+    /// Feeds body bytes: 400 on a malformed trace, 413 once the trace
+    /// touches more than [`MAX_RESIDENT_LINES`] lines.
+    fn feed(&mut self, bytes: &[u8]) -> Result<(), Response> {
+        self.decoder
+            .feed(bytes, &mut self.extractor)
+            .map_err(bad_trace)?;
+        if self.extractor.resident_lines() > MAX_RESIDENT_LINES {
+            return Err(Response::error(
+                413,
+                &format!("trace touches more than {MAX_RESIDENT_LINES} distinct lines"),
+            ));
+        }
+        Ok(())
     }
 
     /// Finalizes open intervals at the watermark and renders the
-    /// summary document.
-    fn finish(self) -> Result<Response, TraceError> {
-        self.decoder.finish()?;
+    /// summary document (400 if the body ends mid-record).
+    fn finish(self) -> Result<Response, Response> {
+        self.decoder.finish().map_err(bad_trace)?;
         let extractor = self.extractor;
         let events = extractor.events();
         let lines = extractor.resident_lines() as u64;
@@ -128,13 +150,13 @@ pub fn intervals_from_bytes(request: &Request) -> Response {
     };
     count_upload(request.body.len() as u64);
     let mut ingest = TraceIngest::new(line_bits);
-    if let Err(err) = ingest.feed(&request.body) {
-        return Response::error(400, &format!("bad trace body: {err}"));
+    match ingest.feed(&request.body).and_then(|()| ingest.finish()) {
+        Ok(response) | Err(response) => response,
     }
-    match ingest.finish() {
-        Ok(response) => response,
-        Err(err) => Response::error(400, &format!("bad trace body: {err}")),
-    }
+}
+
+fn bad_trace(err: TraceError) -> Response {
+    Response::error(400, &format!("bad trace body: {err}"))
 }
 
 fn count_upload(body_bytes: u64) {
@@ -248,9 +270,7 @@ fn pump_chunked_body(conn: &mut Connection, request: &Request) -> Result<Respons
                     &format!("chunked trace body capped at {MAX_DECODED_BODY} decoded bytes"),
                 ));
             }
-            ingest
-                .feed(&decoded)
-                .map_err(|err| Response::error(400, &format!("bad trace body: {err}")))?;
+            ingest.feed(&decoded)?;
             decoded.clear();
             if chunks.is_done() {
                 // Surplus bytes belong to the next pipelined request.
@@ -279,9 +299,7 @@ fn pump_chunked_body(conn: &mut Connection, request: &Request) -> Result<Respons
         }
     }
     count_upload(chunks.decoded_bytes());
-    ingest
-        .finish()
-        .map_err(|err| Response::error(400, &format!("bad trace body: {err}")))
+    ingest.finish()
 }
 
 #[cfg(test)]

@@ -153,7 +153,7 @@ fn infallible_suite_reraises_the_failure() {
 }
 
 /// An injected torn write (crash mid-`write(2)`) leaves a file the next
-/// reader refuses: the checksum footer fails, the file is quarantined,
+/// reader refuses: the FNV-1a seal fails, the file is quarantined,
 /// and the profile is re-simulated — a partial profile is never served.
 #[test]
 fn torn_write_is_never_served() {

@@ -10,7 +10,7 @@ use cache_leakage_limits::experiments::{
     cached_profile, cached_suite, profile_suite, profile_suite_serial, profile_suite_uncached,
     ProfileStore,
 };
-use cache_leakage_limits::faults::checksum::fnv1a;
+use cache_leakage_limits::faults::durable;
 use cache_leakage_limits::workloads::{Scale, SUITE_NAMES};
 use std::path::{Path, PathBuf};
 
@@ -130,7 +130,7 @@ fn truncated_profile_is_quarantined() {
     assert_quarantines(&dir, &path, |bytes| bytes.truncate(bytes.len() / 2));
 }
 
-/// A single flipped bit anywhere in the body trips the FNV-1a footer.
+/// A single flipped bit anywhere in the body trips the FNV-1a seal.
 #[test]
 fn flipped_byte_is_quarantined() {
     let (dir, path) = seeded_dir("bitflip");
@@ -141,18 +141,16 @@ fn flipped_byte_is_quarantined() {
 }
 
 /// A file written by a different (stale) codec version is rejected even
-/// when its checksum is self-consistent.
+/// when its seal is self-consistent.
 #[test]
 fn stale_format_version_is_quarantined() {
     let (dir, path) = seeded_dir("version");
     assert_quarantines(&dir, &path, |bytes| {
-        // Layout: magic(4) | version u32 LE | body | fnv1a footer u64 LE.
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        // Recompute the footer so only the version — not the checksum —
-        // can reject the file.
-        let body_len = bytes.len() - 8;
-        let footer = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&footer.to_le_bytes());
+        // Layout: magic(4) | version u32 LE | body | durable seal.
+        let mut body = durable::unseal(bytes).expect("a fresh file is sealed").to_vec();
+        body[4..8].copy_from_slice(&2u32.to_le_bytes());
+        // Re-seal so only the version — not the seal — can reject it.
+        *bytes = durable::seal(body);
     });
 }
 

@@ -7,16 +7,18 @@
 //!   summaries for identical bodies, and stream chunked bodies larger
 //!   than the buffered-parse cap without ever holding them whole.
 //! - The streaming extractor's resident state must stay bounded by
-//!   the live line count while ingesting a >1M-event pointer-chase
-//!   trace.
+//!   the trace's line footprint while ingesting a >1M-event
+//!   pointer-chase trace, and an upload whose footprint passes the
+//!   server's resident-line cap is refused with 413.
 
 use cache_leakage_limits::experiments::ProfileStore;
 use cache_leakage_limits::intervals::{CompactIntervalDist, StreamingExtractor};
 use cache_leakage_limits::isa::{program_by_name, IsaSource};
+use cache_leakage_limits::server::streaming::MAX_RESIDENT_LINES;
 use cache_leakage_limits::server::{fetch, Server, ServerConfig};
 use cache_leakage_limits::telemetry::json::{self, Json};
 use cache_leakage_limits::trace::io::TraceWriter;
-use cache_leakage_limits::trace::{TraceSink, TraceSource};
+use cache_leakage_limits::trace::{Address, Cycle, MemoryAccess, Pc, TraceSink, TraceSource};
 use cache_leakage_limits::workloads::Scale;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -256,6 +258,42 @@ fn chunked_upload_streams_past_the_buffered_body_cap() {
     server.shutdown();
 }
 
+/// An LKTR body of `lines` loads, each to a distinct 64-byte line.
+fn distinct_line_trace(lines: u64) -> Vec<u8> {
+    let mut body = Vec::new();
+    let mut writer = TraceWriter::new(&mut body).expect("Vec sink cannot fail");
+    for i in 0..lines {
+        let address = Address::new(i * 64);
+        writer.accept(MemoryAccess::load(Cycle::new(i), Pc::new(0x2000), address));
+    }
+    writer.flush().expect("Vec sink cannot fail");
+    drop(writer);
+    body
+}
+
+/// The resident-line cap: an upload touching exactly
+/// `MAX_RESIDENT_LINES` lines is summarized; one more line is refused
+/// with 413 and the connection closes behind it.
+#[test]
+fn chunked_upload_past_the_resident_line_cap_is_refused() {
+    let server = Server::start(test_config()).expect("server starts");
+    let addr = server.addr();
+    let cap = MAX_RESIDENT_LINES as u64;
+
+    let target = "/v1/trace/intervals";
+    let raw = chunked_post(addr, target, &distinct_line_trace(cap), 64 * 1024, b"");
+    let (status, summary, _) = split_response(&raw);
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&summary));
+    let doc = json::parse(std::str::from_utf8(&summary).expect("UTF-8")).expect("parses");
+    assert_eq!(doc.get("lines").and_then(Json::as_f64), Some(cap as f64));
+
+    let raw = chunked_post(addr, target, &distinct_line_trace(cap + 1), 64 * 1024, b"");
+    let (status, reason, rest) = split_response(&raw);
+    assert_eq!(status, 413, "{}", String::from_utf8_lossy(&reason));
+    assert!(rest.is_empty(), "nothing may follow the 413");
+    server.shutdown();
+}
+
 #[test]
 fn chunked_bodies_are_refused_off_the_trace_route() {
     let server = Server::start(test_config()).expect("server starts");
@@ -382,7 +420,7 @@ fn chunked_upload_exhausting_the_request_budget_is_answered() {
 
 /// The bounded-memory acceptance gate: a >1M-event pointer-chase
 /// trace flows through the streaming extractor while its resident
-/// state never exceeds the program's live-line count — a fixed
+/// state never exceeds the program's line footprint — a fixed
 /// ceiling about three orders of magnitude below the event count.
 #[test]
 fn streaming_extractor_stays_line_bounded_on_a_million_event_chase() {
@@ -396,12 +434,12 @@ fn streaming_extractor_stays_line_bounded_on_a_million_event_chase() {
         events > 1_000_000,
         "chase at this budget must emit >1M events, got {events}"
     );
-    // Live lines: the 4096-word (32 KiB) chase arena is 512 cache
+    // Footprint: the 4096-word (32 KiB) chase arena is 512 cache
     // lines, plus the handful of code and scratch lines.
     let peak = extractor.peak_resident_lines();
     assert!(
         peak <= 1024,
-        "resident state must track live lines, not events: peak {peak}"
+        "resident state must track the line footprint, not events: peak {peak}"
     );
     assert_eq!(
         extractor.resident_lines(),
