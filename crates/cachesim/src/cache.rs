@@ -197,15 +197,16 @@ impl Cache {
     /// prefetch analyzer uses this to ask "is the predicted line
     /// resident?" without perturbing LRU order.
     pub fn probe(&self, line: LineAddr) -> Option<FrameId> {
-        let set = self.set_of(line) as usize;
-        let base = set * self.config.ways() as usize;
-        for way in 0..self.enabled_ways as usize {
-            let entry = self.ways[base + way];
-            if entry.valid && entry.line == line {
-                return Some(FrameId::new((base + way) as u32));
-            }
-        }
-        None
+        let base = self.set_of(line) as usize * self.config.ways() as usize;
+        self.find_way(base, line)
+            .map(|way| FrameId::new((base + way) as u32))
+    }
+
+    /// The enabled way of the set at `base` that holds `line`, if any.
+    fn find_way(&self, base: usize, line: LineAddr) -> Option<usize> {
+        self.ways[base..base + self.enabled_ways as usize]
+            .iter()
+            .position(|entry| entry.valid && entry.line == line)
     }
 
     /// The frame a fill of `line` would land in right now: the line's
@@ -247,27 +248,23 @@ impl Cache {
     /// marks the line dirty (write-back, write-allocate); displacing a
     /// dirty line reports a writeback.
     pub fn access_with(&mut self, line: LineAddr, store: bool) -> AccessResult {
-        let set = self.set_of(line) as usize;
-        let ways_per_set = self.config.ways() as usize;
-        let base = set * ways_per_set;
+        let base = self.set_of(line) as usize * self.config.ways() as usize;
         self.stats.accesses += 1;
 
         // Hit path: scan the enabled ways of the set.
-        for way in 0..self.enabled_ways as usize {
+        if let Some(way) = self.find_way(base, line) {
             let entry = &mut self.ways[base + way];
-            if entry.valid && entry.line == line {
-                let was_dirty = entry.dirty;
-                entry.dirty |= store;
-                self.stats.hits += 1;
-                self.touch(base, way as u8);
-                return AccessResult {
-                    hit: true,
-                    frame: FrameId::new((base + way) as u32),
-                    evicted: None,
-                    was_dirty,
-                    writeback: false,
-                };
-            }
+            let was_dirty = entry.dirty;
+            entry.dirty |= store;
+            self.stats.hits += 1;
+            self.touch(base, way as u8);
+            return AccessResult {
+                hit: true,
+                frame: FrameId::new((base + way) as u32),
+                evicted: None,
+                was_dirty,
+                writeback: false,
+            };
         }
 
         // Miss path: victim is the least recently used *enabled* way.
@@ -319,15 +316,23 @@ impl Cache {
     }
 
     /// Moves `way` to most-recently-used position within its set.
+    ///
+    /// One forward pass: `way` is carried in at the front and each
+    /// entry shifts one place right until the old slot of `way` is
+    /// reached, so the ways ahead of it keep their relative order and
+    /// the ways behind it do not move. A hit on the most recent way
+    /// stops at the first compare.
     fn touch(&mut self, base: usize, way: u8) {
         let ways_per_set = self.config.ways() as usize;
-        let order = &mut self.recency[base..base + ways_per_set];
-        let pos = order
-            .iter()
-            .position(|&w| w == way)
-            .expect("way present in recency order");
-        order[..=pos].rotate_right(1);
-        debug_assert_eq!(order[0], way);
+        let mut carried = way;
+        for slot in &mut self.recency[base..base + ways_per_set] {
+            let displaced = std::mem::replace(slot, carried);
+            if displaced == way {
+                return;
+            }
+            carried = displaced;
+        }
+        unreachable!("way present in recency order");
     }
 }
 
@@ -548,6 +553,54 @@ mod tests {
             let result = c.access(LineAddr::new(line));
             let way = result.frame.index() % 4;
             assert!(way < 2, "fill landed in gated way {way}");
+        }
+    }
+
+    #[test]
+    fn gating_keeps_fills_in_enabled_ways_and_recency_a_permutation() {
+        const WAYS: u32 = 8;
+        let mut c = toy(WAYS);
+        let mut rng = proptest::TestRng::for_test("cache::gating");
+        for k in [WAYS, 3, 1, 5, WAYS, 2, WAYS] {
+            // The lines the about-to-be-gated ways hold now.
+            let gated: Vec<(FrameId, LineAddr)> = (0..c.config().num_frames())
+                .map(FrameId::new)
+                .filter(|frame| frame.index() % WAYS >= k)
+                .filter_map(|frame| c.resident(frame).map(|line| (frame, line)))
+                .collect();
+            assert_eq!(c.set_enabled_ways(k), gated.len() as u64);
+            for &(frame, line) in &gated {
+                assert_eq!(c.resident(frame), None, "gated {frame} kept {line}");
+                assert_eq!(c.probe(line), None, "gated line {line} still resident");
+            }
+            // Re-enabling every way must not revive what gating dropped.
+            if k < WAYS {
+                c.set_enabled_ways(WAYS);
+                for &(frame, line) in &gated {
+                    assert_eq!(c.resident(frame), None, "re-enabled {frame} revived {line}");
+                }
+                for &(_, line) in &gated {
+                    assert!(!c.access(line).hit, "re-enabled way revived {line}");
+                }
+                c.set_enabled_ways(k);
+            }
+            for _ in 0..500 {
+                let line = LineAddr::new(rng.below(96));
+                let result = c.access_with(line, rng.below(3) == 0);
+                let way = result.frame.index() % WAYS;
+                assert!(
+                    way < k,
+                    "access to {line} landed in gated way {way} (k = {k})"
+                );
+                for order in c.recency.chunks(WAYS as usize) {
+                    let mut sorted = order.to_vec();
+                    sorted.sort_unstable();
+                    assert!(
+                        sorted.iter().copied().eq(0..WAYS as u8),
+                        "recency {order:?} is not a permutation"
+                    );
+                }
+            }
         }
     }
 

@@ -161,6 +161,7 @@ impl Hierarchy {
     }
 
     /// The L1 cache of the given side.
+    #[inline]
     pub fn l1(&self, side: Level1) -> &Cache {
         match side {
             Level1::Instruction => &self.l1i,
@@ -188,6 +189,7 @@ impl Hierarchy {
     }
 
     /// Routes one access through the hierarchy.
+    #[inline]
     pub fn access(&mut self, access: &MemoryAccess) -> HierarchyOutcome {
         let (side, l1) = match access.kind {
             AccessKind::InstFetch => (Level1::Instruction, &mut self.l1i),

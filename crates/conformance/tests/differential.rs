@@ -8,12 +8,16 @@
 //! `repro --conformance` runs the same checks via
 //! [`leakage_conformance::run_conformance`].
 
+use leakage_cachesim::{Cache, CacheConfig};
 use leakage_conformance::harness::{
     check_cache_fuzz, check_extractor_fuzz, check_fig6, check_opt_batch_bitwise,
     check_prefetch_fuzz, check_streaming_intervals, check_theorem_dp, check_workloads,
 };
+use leakage_conformance::refcache::ReferenceCache;
 use leakage_conformance::run_conformance;
+use leakage_trace::LineAddr;
 use leakage_workloads::Scale;
+use proptest::TestRng;
 
 #[test]
 fn greedy_equals_dp_on_ten_thousand_instances() {
@@ -37,6 +41,43 @@ fn batched_opt_evaluator_is_bit_identical_to_per_policy_walks() {
 fn production_cache_matches_reference_on_fuzz_traces() {
     let outcome = check_cache_fuzz(500);
     assert!(outcome.passed, "{}: {}", outcome.name, outcome.detail);
+}
+
+/// Verdict 1 samples 1, 2 or 4 ways; this covers the recency update
+/// at every associativity up to 32 ways, where a move-to-front that
+/// mishandles a deep position would first show.
+#[test]
+fn production_cache_matches_reference_at_wide_associativity() {
+    let mut rng = TestRng::for_test("differential::wide_associativity");
+    for ways in [1u32, 2, 4, 8, 16, 32] {
+        for trace in 0..20 {
+            let sets = 1u64 << rng.below(4);
+            let config = CacheConfig::new("wide", sets * u64::from(ways) * 64, ways, 64, 1)
+                .expect("geometry is valid");
+            let mut production = Cache::new(config.clone());
+            let mut reference = ReferenceCache::new(&config);
+            // A universe half again the cache's capacity keeps both
+            // hits at every recency depth and evictions frequent.
+            let universe = sets * u64::from(ways) * 3 / 2 + 1;
+            for step in 0..2_000 {
+                let line = LineAddr::new(rng.below(universe));
+                let store = rng.below(4) == 0;
+                let prod = production.access_with(line, store);
+                let refr = reference.access(line, store);
+                assert_eq!(
+                    (prod.hit, prod.evicted, prod.was_dirty, prod.writeback),
+                    (refr.hit, refr.evicted, refr.was_dirty, refr.writeback),
+                    "{ways} ways, trace {trace}, step {step}, line {line} ({config})"
+                );
+            }
+            let stats = production.stats();
+            assert_eq!(
+                (stats.hits, stats.misses, stats.evictions, stats.writebacks),
+                reference.counts(),
+                "{ways} ways, trace {trace}: final counters ({config})"
+            );
+        }
+    }
 }
 
 #[test]

@@ -66,8 +66,9 @@ mod tests {
 
     #[test]
     fn flag_reflects_requests() {
+        // The flag is process-wide and other tests may already have
+        // raised it, so only the state after a request is checked.
         install_shutdown_handler();
-        assert!(!shutdown_requested() || true, "flag readable");
         request_shutdown();
         assert!(shutdown_requested());
     }

@@ -37,25 +37,16 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+mod bench_util;
+use bench_util::{commit_arg, quartiles};
+
 const PATHS: [&str; 3] = ["per_policy_oracle", "optimal_savings_k1", "grouped_chunk"];
 
 /// Interleaved rounds; each times all three paths once.
 const ROUNDS: usize = 5;
 
-fn usage() -> ! {
-    eprintln!("usage: bench_core [--commit SHA]");
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut commit = String::from("unknown");
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--commit" => commit = args.next().unwrap_or_else(|| usage()),
-            _ => usage(),
-        }
-    }
+    let commit = commit_arg("bench_core");
     let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
 
     let spec = JobSpec::build(
@@ -174,16 +165,4 @@ fn main() {
         json::key("paths") + &json::object(paths),
     ]);
     println!("{report}");
-}
-
-/// `(q1, median, q3)` by linear interpolation between order statistics.
-fn quartiles(values: &[f64]) -> (f64, f64, f64) {
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let at = |q: f64| {
-        let pos = q * (sorted.len() - 1) as f64;
-        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
-    };
-    (at(0.25), at(0.5), at(0.75))
 }
