@@ -48,14 +48,12 @@
 
 mod dist;
 mod extractor;
-mod histogram;
 mod interval;
 mod streaming;
 mod tally;
 
 pub use dist::{CompactIntervalDist, IntervalClass};
 pub use extractor::IntervalExtractor;
-pub use histogram::IntervalHistogram;
 pub use interval::{Interval, IntervalKind, WakeHints};
 pub use streaming::StreamingExtractor;
 pub use tally::{IntervalTally, DENSE_LEN};

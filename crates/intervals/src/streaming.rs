@@ -118,12 +118,6 @@ impl<S: IntervalSink> StreamingExtractor<S> {
         self.events
     }
 
-    /// Intervals emitted so far (interiors; finalization adds the
-    /// trailing ones).
-    pub fn finalized_intervals(&self) -> u64 {
-        self.finalized
-    }
-
     /// Access to the wrapped sink (e.g. to inspect counts mid-stream).
     pub fn sink(&self) -> &S {
         &self.sink

@@ -21,7 +21,7 @@
 //! assemble to the signed instruction-count difference between the
 //! label and the referencing instruction.
 
-use crate::encoding::{AluOp, BranchCond, Imm14, Instr, Reg};
+use crate::instr::{AluOp, BranchCond, Imm14, Instr, Reg};
 use std::collections::HashMap;
 use std::fmt;
 

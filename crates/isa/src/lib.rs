@@ -5,7 +5,7 @@
 //! The paper's interval and prefetchability analyses consume access
 //! traces; the synthetic workload generators approximate program
 //! behavior statistically, while this crate *executes* real control
-//! flow: a fixed 32-bit encoding ([`encoding`]), a two-pass assembler
+//! flow: a 16-register instruction set ([`instr`]), a two-pass assembler
 //! for `.lasm` text ([`asm`]), a word-addressed machine with a simple
 //! cycle model ([`machine`]), and a six-program library ([`programs`])
 //! adapted to [`leakage_trace::TraceSource`] by [`IsaSource`].
@@ -37,13 +37,13 @@
 #![warn(missing_docs)]
 
 pub mod asm;
-pub mod encoding;
+pub mod instr;
 pub mod machine;
 pub mod programs;
 mod source;
 
 pub use asm::{assemble, AsmError};
-pub use encoding::{AluOp, BranchCond, DecodeError, Imm14, Instr, Reg};
+pub use instr::{AluOp, BranchCond, Imm14, Instr, Reg};
 pub use machine::{ExecStats, Machine, CODE_BASE, DATA_BASE, INSTR_BYTES, WORD_BYTES};
 pub use programs::{by_name as program_by_name, Program, DATA_WORDS, PROGRAM_NAMES, PROGRAMS};
 pub use source::IsaSource;

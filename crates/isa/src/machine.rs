@@ -22,7 +22,7 @@
 //! moves backwards, so emitted events are in non-decreasing cycle
 //! order as [`leakage_trace::TraceSink`] requires.
 
-use crate::encoding::{AluOp, BranchCond, Instr, Reg, NUM_REGS};
+use crate::instr::{AluOp, BranchCond, Instr, Reg, NUM_REGS};
 use leakage_trace::{Address, Cycle, MemoryAccess, Pc, TraceSink};
 
 /// Byte address of instruction index 0 in the emitted fetch stream.

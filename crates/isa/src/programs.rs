@@ -9,7 +9,7 @@
 //! fill a cycle budget.
 
 use crate::asm::assemble;
-use crate::encoding::Instr;
+use crate::instr::Instr;
 
 /// Words in every program's data arena (power of two).
 pub const DATA_WORDS: usize = 4096;
@@ -356,7 +356,7 @@ mod tests {
         assert_eq!(cursor, 0);
         // And the machine ends its 4096-step lap back at word 0.
         let machine = run("isa:chase", 11);
-        assert_eq!(machine.reg(crate::encoding::Reg::new(1).unwrap()), 0);
+        assert_eq!(machine.reg(crate::instr::Reg::new(1).unwrap()), 0);
     }
 
     #[test]

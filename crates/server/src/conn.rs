@@ -133,4 +133,11 @@ impl Connection {
     pub fn has_buffered_request(&self) -> bool {
         !matches!(parse_request(&self.buf), Parse::Partial)
     }
+
+    /// Whether the next response may advertise keep-alive: not when
+    /// the connection is closing, the server is `stopping`, or the peer
+    /// half-closed with no complete request left buffered.
+    pub fn can_keep_alive(&self, stopping: bool) -> bool {
+        !self.close && !stopping && (!self.eof || self.has_buffered_request())
+    }
 }

@@ -889,7 +889,7 @@ impl Client {
         out.extend_from_slice(self.addr.to_string().as_bytes());
         if let Some(id) = trace_id {
             out.extend_from_slice(b"\r\nX-Request-Id: ");
-            crate::trace::push_u64(out, id);
+            out.extend_from_slice(id.to_string().as_bytes());
         }
         out.extend_from_slice(b"\r\nContent-Length: ");
         out.extend_from_slice(body.len().to_string().as_bytes());

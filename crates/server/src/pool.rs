@@ -496,12 +496,8 @@ pub fn work_requests(
         let route = routes::route_name(&request);
         let stage = StageTrace::default();
         let wire = routes::handle(&request, ctx, &stage);
-        // The response's Connection header must state the fate: close
-        // when the client asked, the budget ran out, the peer
-        // half-closed with nothing left buffered, or we are draining.
-        let keep_alive = !conn.close
-            && !worker_config.stop.load(Ordering::Relaxed)
-            && !(conn.eof && !conn.has_buffered_request());
+        // The response's Connection header must state the fate.
+        let keep_alive = conn.can_keep_alive(worker_config.stop.load(Ordering::Relaxed));
         if recorder.is_some() {
             let trace = request.trace;
             let queue_us = us32(started.saturating_duration_since(trace.parsed_at));

@@ -657,6 +657,19 @@ fn version() -> Response {
     )
 }
 
+/// Refuses a scale above the serving cap, [`MAX_CUSTOM_CYCLES`], with
+/// a 400: the one cap check for query, sweep and job scales.
+fn within_serving_cap(scale: Scale) -> Result<Scale, Response> {
+    if scale.cycles() <= MAX_CUSTOM_CYCLES {
+        Ok(scale)
+    } else {
+        Err(Response::error(
+            400,
+            &format!("scale above the serving cap of {MAX_CUSTOM_CYCLES} cycles"),
+        ))
+    }
+}
+
 /// Parses `scale=` (preset name or cycle count) with the custom-cycle
 /// cap.
 fn parse_scale(request: &Request, default_scale: Scale) -> Result<Scale, Response> {
@@ -664,11 +677,7 @@ fn parse_scale(request: &Request, default_scale: Scale) -> Result<Scale, Respons
         return Ok(default_scale);
     };
     match Scale::parse_arg(arg) {
-        Some(scale) if scale.cycles() <= MAX_CUSTOM_CYCLES => Ok(scale),
-        Some(_) => Err(Response::error(
-            400,
-            &format!("scale above the serving cap of {MAX_CUSTOM_CYCLES} cycles"),
-        )),
+        Some(scale) => within_serving_cap(scale),
         None => Err(Response::error(
             400,
             &format!("bad scale {arg:?}: expected test|small|paper or a cycle count"),
@@ -857,11 +866,8 @@ fn jobs_submit(request: &Request, ctx: &RouteContext) -> Response {
         Ok(spec) => spec,
         Err(err) => return Response::error(400, &err.to_string()),
     };
-    if spec.scale.cycles() > MAX_CUSTOM_CYCLES {
-        return Response::error(
-            400,
-            &format!("scale above the serving cap of {MAX_CUSTOM_CYCLES} cycles"),
-        );
+    if let Err(response) = within_serving_cap(spec.scale) {
+        return response;
     }
     match ctx.jobs.submit(spec) {
         Ok(submitted) => Response::json(
@@ -921,8 +927,8 @@ fn parse_sweep_body(request: &Request, ctx: &RouteContext) -> Result<SweepReques
     let scale = match doc.get("scale").and_then(Json::as_str) {
         None => ctx.default_scale,
         Some(arg) => match Scale::parse_arg(arg) {
-            Some(scale) if scale.cycles() <= MAX_CUSTOM_CYCLES => scale,
-            _ => return Err(Response::error(400, &format!("bad sweep scale {arg:?}"))),
+            Some(scale) => within_serving_cap(scale)?,
+            None => return Err(Response::error(400, &format!("bad sweep scale {arg:?}"))),
         },
     };
     let raw_points = doc
@@ -1070,6 +1076,12 @@ mod tests {
 
     fn body_text(wire: &WireResponse) -> String {
         String::from_utf8_lossy(wire.body()).into_owned()
+    }
+
+    /// One cycle past `MAX_CUSTOM_CYCLES` (50000001): refused before
+    /// anything is simulated.
+    fn over_cap() -> String {
+        (MAX_CUSTOM_CYCLES + 1).to_string()
     }
 
     #[test]
@@ -1253,6 +1265,10 @@ mod tests {
             400,
             "custom scales above the cap are rejected"
         );
+        assert_eq!(
+            handle(&get("/v1/table/2", &[("scale", &over_cap())]), &ctx).status(),
+            400
+        );
     }
 
     #[test]
@@ -1275,6 +1291,10 @@ mod tests {
         assert_eq!(handle(&get("/v1/profile/perlbmk", &[]), &ctx).status(), 404);
         assert_eq!(
             handle(&get("/v1/profile/gzip", &[("hierarchy", "mips")]), &ctx).status(),
+            400
+        );
+        assert_eq!(
+            handle(&get("/v1/profile/gzip", &[("scale", &over_cap())]), &ctx).status(),
             400
         );
     }
@@ -1318,6 +1338,28 @@ mod tests {
             let status = handle(&request, &ctx).status();
             assert_eq!(status, 400, "{bad}");
         }
+
+        // The cap on custom scales is the query routes' cap.
+        let mut capped = request.clone();
+        capped.body = format!(r#"{{"scale": "{}", "points": []}}"#, over_cap()).into_bytes();
+        let refused = handle(&capped, &ctx);
+        assert_eq!(refused.status(), 400);
+        assert!(body_text(&refused).contains("serving cap"), "{}", body_text(&refused));
+
+        // The point cap: MAX_SWEEP_POINTS evaluate, one more is 413.
+        let point = r#"{"benchmark": "gzip", "side": "icache", "node": "70nm"}"#;
+        let batch = |n: usize| {
+            let mut request = request.clone();
+            let points = vec![point; n].join(",");
+            request.body = format!(r#"{{"scale": "test", "points": [{points}]}}"#).into_bytes();
+            request
+        };
+        let full = handle(&batch(MAX_SWEEP_POINTS), &ctx);
+        assert_eq!(full.status(), 200, "{}", body_text(&full));
+        let doc = json::parse(&body_text(&full)).unwrap();
+        let rows = doc.get("results").and_then(Json::as_array).map(<[Json]>::len);
+        assert_eq!(rows, Some(MAX_SWEEP_POINTS));
+        assert_eq!(handle(&batch(MAX_SWEEP_POINTS + 1), &ctx).status(), 413);
     }
 
     #[test]
@@ -1447,6 +1489,11 @@ mod tests {
         let mut bad_spec = request.clone();
         bad_spec.body = br#"{"name": "x", "nodes": ["90nm"]}"#.to_vec();
         assert_eq!(handle(&bad_spec, &ctx).status(), 400);
+        let mut capped = request.clone();
+        capped.body = format!(r#"{{"name": "over-cap", "scale": "{}"}}"#, over_cap()).into_bytes();
+        let refused = handle(&capped, &ctx);
+        assert_eq!(refused.status(), 400);
+        assert!(body_text(&refused).contains("serving cap"), "{}", body_text(&refused));
 
         // Canceling a finished job is a conflict.
         let mut delete = get(&format!("/v1/jobs/{id}"), &[]);
@@ -1471,5 +1518,11 @@ mod tests {
         assert!(ctx.cache.is_empty(), "500s are never cached");
         // With the plane restored, the same route serves normally.
         assert_eq!(handle(&get("/v1/figure/7", &[]), &ctx).status(), 200);
+        // The figure route shares the serving cap; checked here, as
+        // this test owns the figure handler.
+        assert_eq!(
+            handle(&get("/v1/figure/7", &[("scale", &over_cap())]), &ctx).status(),
+            400
+        );
     }
 }

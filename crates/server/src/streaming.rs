@@ -209,10 +209,7 @@ pub(crate) fn serve_upload(
 
     // An error mid-stream loses chunk framing: the connection cannot
     // be reused even if the socket is healthy.
-    let keep_alive = body_ok
-        && !conn.close
-        && !worker_config.stop.load(Ordering::Relaxed)
-        && !(conn.eof && !conn.has_buffered_request());
+    let keep_alive = body_ok && conn.can_keep_alive(worker_config.stop.load(Ordering::Relaxed));
     let wire = response.into_wire();
     let status = wire.status();
     let wrote = (&conn.stream).write_all(&wire.to_bytes(keep_alive)).is_ok();

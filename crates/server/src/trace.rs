@@ -87,11 +87,7 @@ pub fn parse_trace_id(value: &str) -> u64 {
             return id;
         }
     }
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in value.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = leakage_faults::checksum::fnv1a(value.as_bytes());
     if hash == 0 {
         1
     } else {
@@ -154,22 +150,6 @@ pub struct PendingRecord {
 /// saturates — far past any request timeout).
 pub fn us32(duration: Duration) -> u32 {
     u32::try_from(duration.as_micros()).unwrap_or(u32::MAX)
-}
-
-/// Appends a decimal u64 without allocating.
-pub fn push_u64(out: &mut Vec<u8>, value: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    let mut v = value;
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.extend_from_slice(&digits[i..]);
 }
 
 /// Fixed-size stack writer for header rendering: digits and literals
@@ -345,9 +325,9 @@ mod tests {
     #[test]
     fn u64_rendering_matches_display() {
         for value in [0u64, 7, 10, 999, 1000, u64::MAX] {
-            let mut out = Vec::new();
-            push_u64(&mut out, value);
-            assert_eq!(String::from_utf8(out).unwrap(), value.to_string());
+            let mut h = HeaderBuf::new();
+            h.u64(value);
+            assert_eq!(&h.buf[..h.len], value.to_string().as_bytes());
         }
     }
 }

@@ -94,14 +94,6 @@ impl Json {
         }
     }
 
-    /// The boolean value, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {

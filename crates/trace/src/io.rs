@@ -41,7 +41,7 @@
 
 use crate::{AccessKind, Address, Cycle, MemoryAccess, Pc, TraceSink, VecTrace};
 pub use leakage_faults::TraceError;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, ErrorKind, Read, Write};
 
 /// File magic.
 const MAGIC: [u8; 4] = *b"LKTR";
@@ -149,70 +149,30 @@ impl<W: Write> TraceSink for TraceWriter<W> {
     }
 }
 
-/// Streams a binary trace from a reader into any sink.
+/// Streams a binary trace from a reader into any sink, through one
+/// [`StreamDecoder`].
 ///
 /// Returns the number of records replayed.
 ///
 /// # Errors
 ///
 /// Fails on a bad header, an unsupported version, a torn final record,
-/// an invalid kind byte, or any underlying I/O error.
-pub fn replay_trace<R: Read>(reader: R, sink: &mut dyn TraceSink) -> Result<u64, TraceError> {
+/// an invalid kind byte, or any underlying I/O error other than
+/// [`std::io::ErrorKind::Interrupted`], which is retried.
+pub fn replay_trace<R: Read>(mut reader: R, sink: &mut dyn TraceSink) -> Result<u64, TraceError> {
     leakage_faults::io_point(READ_SITE)?;
-    let mut reader = BufReader::new(reader);
-    let mut header = [0u8; 8];
-    reader
-        .read_exact(&mut header)
-        .map_err(|err| match err.kind() {
-            std::io::ErrorKind::UnexpectedEof => TraceError::TornRecord,
-            _ => TraceError::Io(err),
-        })?;
-    if header[0..4] != MAGIC {
-        return Err(TraceError::BadMagic);
-    }
-    let mut version = [0u8; 4];
-    version.copy_from_slice(&header[4..8]);
-    let version = u32::from_le_bytes(version);
-    if version != VERSION {
-        return Err(TraceError::UnsupportedVersion { found: version });
-    }
-    let mut count = 0;
-    let mut record = [0u8; RECORD_BYTES];
+    let mut decoder = StreamDecoder::new();
+    let mut chunk = [0u8; 8 * 1024];
     loop {
-        match read_record(&mut reader, &mut record)? {
-            false => return Ok(count),
-            true => {
-                let kind = kind_from_byte(record[24])?;
-                sink.accept(MemoryAccess::new(
-                    Cycle::new(le_u64(&record, 0)),
-                    Pc::new(le_u64(&record, 8)),
-                    Address::new(le_u64(&record, 16)),
-                    kind,
-                ));
-                count += 1;
-            }
+        match reader.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => decoder.feed(&chunk[..n], sink)?,
+            Err(err) if err.kind() == ErrorKind::Interrupted => {}
+            Err(err) => return Err(err.into()),
         }
     }
-}
-
-/// Reads one full record; `Ok(false)` on clean EOF, error on torn data.
-fn read_record<R: Read>(
-    reader: &mut R,
-    record: &mut [u8; RECORD_BYTES],
-) -> Result<bool, TraceError> {
-    let mut filled = 0;
-    while filled < RECORD_BYTES {
-        let n = reader.read(&mut record[filled..])?;
-        if n == 0 {
-            return if filled == 0 {
-                Ok(false)
-            } else {
-                Err(TraceError::TornRecord)
-            };
-        }
-        filled += n;
-    }
-    Ok(true)
+    decoder.finish()?;
+    Ok(decoder.records())
 }
 
 /// Reads a whole binary trace into memory.
@@ -229,10 +189,9 @@ pub fn read_trace<R: Read>(reader: R) -> Result<VecTrace, TraceError> {
 /// Incremental decoder for the binary trace format, fed arbitrary
 /// byte chunks as they arrive off a wire.
 ///
-/// [`replay_trace`] pulls from a blocking `Read` and therefore needs
-/// the whole stream behind it; `StreamDecoder` inverts that: the
-/// caller pushes whatever bytes it has (network chunks, file pages),
-/// decoded events flow to the sink immediately, and the decoder's own
+/// The caller pushes whatever bytes it has (network chunks, file
+/// pages; [`replay_trace`] pushes what a `Read` returns), decoded
+/// events flow to the sink immediately, and the decoder's own
 /// state never exceeds one partial record (24 bytes) no matter how
 /// long the trace runs. This is what lets the analysis server ingest
 /// chunked trace uploads without buffering the body.

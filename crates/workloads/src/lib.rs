@@ -50,7 +50,6 @@
 mod bench;
 mod engine;
 mod isa;
-pub mod kernels;
 mod rng;
 mod spec;
 mod streams;
