@@ -9,9 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Frames are numbered `set * ways + way`; the numbering is stable for
 /// the lifetime of the cache, so a `FrameId` can key per-frame state such
 /// as the interval extractor's last-access table.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct FrameId(u32);
 
 impl FrameId {

@@ -180,8 +180,12 @@ impl Hierarchy {
         for (level, cache) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
             let stats = cache.stats();
             let registry = leakage_telemetry::registry();
-            registry.counter(&format!("cachesim_{level}_accesses_total")).add(stats.accesses);
-            registry.counter(&format!("cachesim_{level}_misses_total")).add(stats.misses);
+            registry
+                .counter(&format!("cachesim_{level}_accesses_total"))
+                .add(stats.accesses);
+            registry
+                .counter(&format!("cachesim_{level}_misses_total"))
+                .add(stats.misses);
             registry
                 .counter(&format!("cachesim_{level}_writebacks_total"))
                 .add(stats.writebacks);
@@ -220,7 +224,11 @@ impl Hierarchy {
         let l2_result = self.l2.access(l2_line);
         let latency = l1_latency
             + self.l2.config().hit_latency()
-            + if l2_result.hit { 0 } else { self.memory_latency };
+            + if l2_result.hit {
+                0
+            } else {
+                self.memory_latency
+            };
         HierarchyOutcome {
             l1: event,
             l2: Some(LevelOutcome {

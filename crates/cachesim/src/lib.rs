@@ -38,5 +38,5 @@ mod stats;
 
 pub use cache::{AccessResult, Cache, FrameId};
 pub use config::{CacheConfig, CacheConfigError};
-pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyOutcome, L1Event, LevelOutcome, Level1};
+pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyOutcome, L1Event, Level1, LevelOutcome};
 pub use stats::CacheStats;

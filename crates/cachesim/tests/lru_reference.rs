@@ -51,7 +51,10 @@ impl ReferenceLru {
 
 fn geometry() -> impl Strategy<Value = (u32, u32)> {
     // (ways, sets) both powers of two.
-    (prop::sample::select(vec![1u32, 2, 4, 8]), prop::sample::select(vec![1u32, 2, 8, 32]))
+    (
+        prop::sample::select(vec![1u32, 2, 4, 8]),
+        prop::sample::select(vec![1u32, 2, 8, 32]),
+    )
 }
 
 proptest! {

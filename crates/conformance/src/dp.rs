@@ -140,7 +140,10 @@ mod tests {
         }
         let dp = min_energy_dp(&ctx, &dist);
         let exhaustive = min_energy_exhaustive(&ctx, &classes);
-        assert!(energy_close(dp, exhaustive), "dp {dp} vs exhaustive {exhaustive}");
+        assert!(
+            energy_close(dp, exhaustive),
+            "dp {dp} vs exhaustive {exhaustive}"
+        );
     }
 
     #[test]

@@ -24,13 +24,11 @@ use leakage_workloads::{suite, Scale};
 use proptest::TestRng;
 
 use crate::dp::{greedy_energy, min_energy_dp, min_energy_exhaustive};
+use crate::energy_close;
 use crate::fig6::Fig6Machine;
 use crate::refcache::ReferenceCache;
-use crate::refextract::{
-    reference_intervals, reference_line_intervals_quadratic, AccessEvent,
-};
+use crate::refextract::{reference_intervals, reference_line_intervals_quadratic, AccessEvent};
 use crate::refprefetch::{ReferenceNextLine, ReferenceStride};
-use crate::energy_close;
 
 /// The verdict of one conformance check.
 #[derive(Debug, Clone)]
@@ -46,11 +44,19 @@ pub struct CheckOutcome {
 
 impl CheckOutcome {
     fn pass(name: &'static str, detail: String) -> Self {
-        CheckOutcome { name, passed: true, detail }
+        CheckOutcome {
+            name,
+            passed: true,
+            detail,
+        }
     }
 
     fn fail(name: &'static str, detail: String) -> Self {
-        CheckOutcome { name, passed: false, detail }
+        CheckOutcome {
+            name,
+            passed: false,
+            detail,
+        }
     }
 }
 
@@ -69,7 +75,11 @@ impl ConformanceReport {
 
     /// The names of failing checks.
     pub fn failures(&self) -> Vec<&'static str> {
-        self.checks.iter().filter(|c| !c.passed).map(|c| c.name).collect()
+        self.checks
+            .iter()
+            .filter(|c| !c.passed)
+            .map(|c| c.name)
+            .collect()
     }
 }
 
@@ -90,7 +100,13 @@ fn sample_params(rng: &mut TestRng) -> CircuitParams {
     let s4 = rng.below(20);
     CircuitParams::builder()
         .powers(ModePowers::from_ratios(active, drowsy_ratio, sleep_ratio))
-        .timings(ModeTimings { s1, s3: d, s4, d1: d, d3: d })
+        .timings(ModeTimings {
+            s1,
+            s3: d,
+            s4,
+            d1: d,
+            d3: d,
+        })
         .refetch_energy(refetch_units * active)
         .build()
 }
@@ -178,7 +194,9 @@ pub fn check_theorem_dp(instances: u32) -> CheckOutcome {
             if !energy_close(exhaustive, dp_single) {
                 return CheckOutcome::fail(
                     NAME,
-                    format!("instance {instance}: exhaustive {exhaustive} != per-interval {dp_single}"),
+                    format!(
+                        "instance {instance}: exhaustive {exhaustive} != per-interval {dp_single}"
+                    ),
                 );
             }
         }
@@ -264,7 +282,10 @@ pub fn check_cache_fuzz(traces: u32) -> CheckOutcome {
             );
         }
     }
-    CheckOutcome::pass(NAME, format!("{traces} fuzz traces, {accesses_checked} accesses"))
+    CheckOutcome::pass(
+        NAME,
+        format!("{traces} fuzz traces, {accesses_checked} accesses"),
+    )
 }
 
 /// One benchmark side's replay through production cache + extractor,
@@ -375,7 +396,11 @@ pub fn check_workloads(scale: Scale) -> (CheckOutcome, CheckOutcome) {
                     expected_cycles
                 ));
             }
-            cache_detail.push(format!("{}/{side}: {} accesses", bench.name(), accesses.len()));
+            cache_detail.push(format!(
+                "{}/{side}: {} accesses",
+                bench.name(),
+                accesses.len()
+            ));
             extract_detail.push(format!(
                 "{}/{side}: {} intervals",
                 bench.name(),
@@ -435,7 +460,9 @@ pub fn check_extractor_fuzz(traces: u32) -> CheckOutcome {
         if prod != reference {
             return CheckOutcome::fail(
                 NAME,
-                format!("trace {trace}: frame-keyed dist diverges ({len} events, {num_frames} frames)"),
+                format!(
+                    "trace {trace}: frame-keyed dist diverges ({len} events, {num_frames} frames)"
+                ),
             );
         }
 
@@ -453,7 +480,10 @@ pub fn check_extractor_fuzz(traces: u32) -> CheckOutcome {
             );
         }
     }
-    CheckOutcome::pass(NAME, format!("{traces} fuzz traces (frame-keyed and line-centric)"))
+    CheckOutcome::pass(
+        NAME,
+        format!("{traces} fuzz traces (frame-keyed and line-centric)"),
+    )
 }
 
 /// The bounded-state streaming extractor against the line-keyed O(n²)
@@ -549,7 +579,12 @@ pub fn check_streaming_intervals(traces: u32) -> CheckOutcome {
                 ),
             );
         }
-        program_detail.push(format!("{}: {} events, {} lines", program.name, events.len(), live_lines.len()));
+        program_detail.push(format!(
+            "{}: {} events, {} lines",
+            program.name,
+            events.len(),
+            live_lines.len()
+        ));
     }
     CheckOutcome::pass(
         NAME,
@@ -623,7 +658,12 @@ pub fn check_fig6() -> CheckOutcome {
             for &length in &lengths {
                 for kind in kinds {
                     for dirty in [false, true] {
-                        let class = IntervalClass { length, kind, wake: WakeHints::NONE, dirty };
+                        let class = IntervalClass {
+                            length,
+                            kind,
+                            wake: WakeHints::NONE,
+                            dirty,
+                        };
                         for mode in PowerMode::ALL {
                             let overhead = match mode {
                                 PowerMode::Active => (0, 0),
@@ -658,7 +698,13 @@ pub fn check_fig6() -> CheckOutcome {
             }
         }
     }
-    CheckOutcome::pass(NAME, format!("{compared} energies across {} nodes", TechnologyNode::ALL.len()))
+    CheckOutcome::pass(
+        NAME,
+        format!(
+            "{compared} energies across {} nodes",
+            TechnologyNode::ALL.len()
+        ),
+    )
 }
 
 /// Production prefetchers against the naive references on fuzzed
@@ -705,7 +751,10 @@ pub fn check_prefetch_fuzz(streams: u32) -> CheckOutcome {
             observations += 2;
         }
     }
-    CheckOutcome::pass(NAME, format!("{streams} streams, {observations} observations"))
+    CheckOutcome::pass(
+        NAME,
+        format!("{streams} streams, {observations} observations"),
+    )
 }
 
 /// The batched OPT evaluator against three per-policy

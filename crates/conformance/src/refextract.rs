@@ -71,7 +71,9 @@ fn frame_intervals(accesses: &[&AccessEvent], end: u64, dist: &mut CompactInterv
                 dist.add(
                     IntervalClass {
                         length: event.cycle - prev.cycle,
-                        kind: IntervalKind::Interior { reaccess: event.hit },
+                        kind: IntervalKind::Interior {
+                            reaccess: event.hit,
+                        },
                         wake: WakeHints::NONE,
                         dirty: prev.dirty,
                     },
@@ -133,10 +135,7 @@ pub fn reference_intervals_quadratic(
 /// intervals are always re-accesses (a line-keyed timeline has no
 /// fills-over-other-data), each line contributes a trailing interval,
 /// and there are no leading or untouched intervals.
-pub fn reference_line_intervals_quadratic(
-    events: &[AccessEvent],
-    end: u64,
-) -> CompactIntervalDist {
+pub fn reference_line_intervals_quadratic(events: &[AccessEvent], end: u64) -> CompactIntervalDist {
     let mut seen: Vec<LineAddr> = Vec::new();
     for event in events {
         if !seen.contains(&event.line) {

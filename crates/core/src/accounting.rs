@@ -191,7 +191,10 @@ impl EnergyContext {
         accounting: RefetchAccounting,
         writeback_energy: Energy,
     ) -> Self {
-        assert!(writeback_energy >= 0.0, "writeback energy cannot be negative");
+        assert!(
+            writeback_energy >= 0.0,
+            "writeback energy cannot be negative"
+        );
         let mut ctx = EnergyContext::new(params, accounting);
         ctx.writeback_energy = Some(writeback_energy);
         ctx
@@ -549,16 +552,15 @@ mod tests {
     fn writeback_awareness_charges_dirty_sleeps_only() {
         let params = CircuitParams::for_node(TechnologyNode::N70);
         let plain = EnergyContext::new(params.clone(), RefetchAccounting::PaperStrict);
-        let aware = EnergyContext::with_writeback(
-            params,
-            RefetchAccounting::PaperStrict,
-            5.0,
-        );
+        let aware = EnergyContext::with_writeback(params, RefetchAccounting::PaperStrict, 5.0);
         assert_eq!(plain.writeback_energy(), None);
         assert_eq!(aware.writeback_energy(), Some(5.0));
 
         let clean = interior(10_000, true);
-        let dirty = IntervalClass { dirty: true, ..clean };
+        let dirty = IntervalClass {
+            dirty: true,
+            ..clean
+        };
 
         // Clean intervals are unaffected.
         assert_eq!(

@@ -52,10 +52,7 @@ pub trait LeakagePolicy: Send + Sync {
 /// Is this interval's frame invalid (holding no program data)?
 #[inline]
 pub(crate) fn frame_invalid(class: &IntervalClass) -> bool {
-    matches!(
-        class.kind,
-        IntervalKind::Leading | IntervalKind::Untouched
-    )
+    matches!(class.kind, IntervalKind::Leading | IntervalKind::Untouched)
 }
 
 /// Minimum energy over the allowed feasible modes (active is always
@@ -480,7 +477,11 @@ impl PeriodicDrowsy {
     fn drowses(&self, ctx: &EnergyContext, class: &IntervalClass) -> bool {
         let t = ctx.params().timings();
         let head = self.window / 2;
-        let exit = if class.kind.ends_with_access() { t.d3 } else { 0 };
+        let exit = if class.kind.ends_with_access() {
+            t.d3
+        } else {
+            0
+        };
         class.length > head + t.d1 + exit
     }
 }
@@ -508,7 +509,11 @@ impl LeakagePolicy for PeriodicDrowsy {
             return (ctx.baseline_energy(class), false);
         }
         let head = self.window / 2;
-        let exit = if class.kind.ends_with_access() { t.d3 } else { 0 };
+        let exit = if class.kind.ends_with_access() {
+            t.d3
+        } else {
+            0
+        };
         let rest = class.length - head - t.d1 - exit;
         let energy = pa * head as f64
             + ramp.ramp_power(pa, pd) * t.d1 as f64
@@ -591,7 +596,11 @@ impl DrowsyDecay {
     /// Whether an interval at least reaches the drowsy state.
     fn drowses(&self, ctx: &EnergyContext, class: &IntervalClass) -> bool {
         let t = ctx.params().timings();
-        let exit = if class.kind.ends_with_access() { t.d3 } else { 0 };
+        let exit = if class.kind.ends_with_access() {
+            t.d3
+        } else {
+            0
+        };
         class.length > self.window / 2 + t.d1 + exit
     }
 }
@@ -630,7 +639,11 @@ impl LeakagePolicy for DrowsyDecay {
         }
         if !self.sleeps(ctx, class) {
             // Drowsy only: active head, down-ramp, rest, wake on close.
-            let exit = if class.kind.ends_with_access() { t.d3 } else { 0 };
+            let exit = if class.kind.ends_with_access() {
+                t.d3
+            } else {
+                0
+            };
             let rest = class.length - head - t.d1 - exit;
             let energy = pa * head as f64
                 + ramp.ramp_power(pa, pd) * t.d1 as f64
@@ -952,7 +965,6 @@ mod tests {
         assert!(format!("{bank:?}").contains("OPT-Hybrid"));
     }
 
-
     #[test]
     fn drowsy_decay_descends_through_both_modes() {
         let ctx = ctx();
@@ -972,8 +984,14 @@ mod tests {
         let (e_hybrid, _) = hybrid.interval_energy(&ctx, &long);
         let (e_p, _) = PeriodicDrowsy::new(4_000).interval_energy(&ctx, &long);
         let (e_d, _) = DecaySleep::with_counter_ratio(100_000, 0.0).interval_energy(&ctx, &long);
-        assert!(e_hybrid < e_p, "gating beats resting drowsy on huge intervals");
-        assert!(e_hybrid < e_d, "drowsing the 100K head beats staying active");
+        assert!(
+            e_hybrid < e_p,
+            "gating beats resting drowsy on huge intervals"
+        );
+        assert!(
+            e_hybrid < e_d,
+            "drowsing the 100K head beats staying active"
+        );
         // And the oracle still bounds it.
         let (e_opt, _) = OptHybrid::new().interval_energy(&ctx, &long);
         assert!(e_opt <= e_hybrid);
@@ -1036,7 +1054,10 @@ mod tests {
         let (e, fell_back) = policy.interval_energy(&ctx, &class);
         assert!(!fell_back);
         assert_eq!(e, ctx.baseline_energy(&class));
-        assert_eq!(policy.interval_stall(&ctx, &class), crate::perf::Stall::None);
+        assert_eq!(
+            policy.interval_stall(&ctx, &class),
+            crate::perf::Stall::None
+        );
     }
 
     #[test]

@@ -323,9 +323,7 @@ mod tests {
                 .refetch_energy(1700.0)
                 .build(),
         );
-        assert!(
-            (a.drowsy_sleep_point_exact() - b.drowsy_sleep_point_exact()).abs() < 1e-6
-        );
+        assert!((a.drowsy_sleep_point_exact() - b.drowsy_sleep_point_exact()).abs() < 1e-6);
     }
 
     #[test]

@@ -19,8 +19,8 @@ use crate::{BenchmarkProfile, Table, HEADLINE_NODE};
 use leakage_cachesim::Level1;
 use leakage_core::policy::{OptHybrid, PrefetchGuided, PrefetchScheme};
 use leakage_core::{
-    CircuitParams, EnergyContext, IntervalEnergyModel, ModePowers,
-    RefetchAccounting, TransitionModel,
+    CircuitParams, EnergyContext, IntervalEnergyModel, ModePowers, RefetchAccounting,
+    TransitionModel,
 };
 use leakage_energy::calibrate_refetch_energy;
 use rayon::prelude::*;
@@ -202,10 +202,9 @@ pub fn l2_limits(scale: leakage_workloads::Scale) -> Table {
             .iter()
             .map(|p| model.optimal_savings(&p.dist))
             .collect();
-        let mean =
-            |f: fn(&leakage_core::OptimalSavings) -> f64| crate::eval::mean(
-                &savings.iter().map(f).collect::<Vec<_>>(),
-            );
+        let mean = |f: fn(&leakage_core::OptimalSavings) -> f64| {
+            crate::eval::mean(&savings.iter().map(f).collect::<Vec<_>>())
+        };
         table.push_row(vec![
             node.to_string(),
             pct(mean(|s| s.opt_drowsy)),
@@ -390,9 +389,8 @@ pub fn writebacks(profiles: &[BenchmarkProfile]) -> Table {
         .iter()
         .map(|p| {
             let dist = &p.dcache.dist;
-            let dirty = dist.cycles_matching(|c| {
-                c.dirty && matches!(c.kind, IntervalKind::Interior { .. })
-            });
+            let dirty = dist
+                .cycles_matching(|c| c.dirty && matches!(c.kind, IntervalKind::Interior { .. }));
             100.0 * dirty as f64 / dist.total_cycles().max(1) as f64
         })
         .collect();

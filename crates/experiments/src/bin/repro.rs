@@ -49,9 +49,8 @@
 //! check makes the process exit non-zero.
 
 use leakage_experiments::{
-    ablations, cached_suite_partial, checks, fig1, fig10, fig3, fig7, fig8, fig9,
-    implementable, online, table1, table2, table3, BenchmarkFailure, BenchmarkProfile,
-    ProfileStore, Table,
+    ablations, cached_suite_partial, checks, fig1, fig10, fig3, fig7, fig8, fig9, implementable,
+    online, table1, table2, table3, BenchmarkFailure, BenchmarkProfile, ProfileStore, Table,
 };
 use leakage_telemetry::{self as telemetry, error, info, Mode, RunManifest};
 use leakage_workloads::Scale;
@@ -202,7 +201,13 @@ fn main() {
     let slug = |title: &str| -> String {
         title
             .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
+            .map(|c| {
+                if c.is_ascii_alphanumeric() {
+                    c.to_ascii_lowercase()
+                } else {
+                    '-'
+                }
+            })
             .collect::<String>()
             .split('-')
             .filter(|s| !s.is_empty())
@@ -253,9 +258,8 @@ fn main() {
             emit(&a);
             emit(&b);
         };
-        let profiles = |experiment: &str| {
-            profiles.unwrap_or_else(|| panic!("{experiment} requires profiles"))
-        };
+        let profiles =
+            |experiment: &str| profiles.unwrap_or_else(|| panic!("{experiment} requires profiles"));
         let run = || match name.as_str() {
             "table1" => emit(&table1::generate()),
             "table2" => emit(&table2::generate(profiles("table2"))),
@@ -268,9 +272,9 @@ fn main() {
             "fig10" => emit(&fig10::generate()),
             "ablation-dead" => emit(&ablations::dead_intervals(profiles("ablation-dead"))),
             "ablation-power" => emit(&ablations::power_ratios(profiles("ablation-power"))),
-            "ablation-transition" => {
-                emit(&ablations::transition_models(profiles("ablation-transition")))
-            }
+            "ablation-transition" => emit(&ablations::transition_models(profiles(
+                "ablation-transition",
+            ))),
             "prefetch-frontier" => {
                 emit(&ablations::prefetch_frontier(profiles("prefetch-frontier")))
             }
@@ -310,7 +314,10 @@ fn main() {
         info!("running the differential conformance suite...");
         let start = std::time::Instant::now();
         let report = leakage_conformance::run_conformance(scale, 10_000);
-        info!("conformance suite ran in {:.1}s", start.elapsed().as_secs_f64());
+        info!(
+            "conformance suite ran in {:.1}s",
+            start.elapsed().as_secs_f64()
+        );
         for check in &report.checks {
             if check.passed {
                 println!("conformance {:<22} ok    {}", check.name, check.detail);
@@ -381,7 +388,10 @@ fn main() {
     }
     manifest.set("threads", rayon::current_num_threads());
     manifest.set("generator_version", leakage_workloads::GENERATOR_VERSION);
-    manifest.set("isa_generator_version", leakage_workloads::ISA_GENERATOR_VERSION);
+    manifest.set(
+        "isa_generator_version",
+        leakage_workloads::ISA_GENERATOR_VERSION,
+    );
     // Executed-workload odometers: zero unless an `isa:*` program was
     // actually simulated this run, in which case they pin down exactly
     // how much architectural work backed the emitted artifacts.

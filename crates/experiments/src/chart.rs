@@ -59,7 +59,9 @@ fn ticks(lo: f64, hi: f64, target: usize) -> Vec<f64> {
 }
 
 fn escape(text: &str) -> String {
-    text.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    text.replace('&', "&amp;")
+        .replace('<', "&lt;")
+        .replace('>', "&gt;")
 }
 
 fn fmt_tick(value: f64) -> String {
@@ -148,7 +150,13 @@ impl Canvas {
         let y0 = MARGIN_TOP + plot_height();
         self.line(x0, MARGIN_TOP, x0, y0, "#333", 1.2);
         self.line(x0, y0, x0 + plot_width(), y0, "#333", 1.2);
-        self.text(x0 + plot_width() / 2.0, HEIGHT - 14.0, 13.0, "middle", x_label);
+        self.text(
+            x0 + plot_width() / 2.0,
+            HEIGHT - 14.0,
+            13.0,
+            "middle",
+            x_label,
+        );
         let _ = write!(
             self.body,
             r#"<text x="18" y="{y:.1}" font-size="13" text-anchor="middle" transform="rotate(-90 18 {y:.1})">{l}</text>"#,
@@ -223,7 +231,11 @@ pub struct LineChart {
 
 impl LineChart {
     /// Creates an empty chart.
-    pub fn new(title: impl Into<String>, x_label: impl Into<String>, y_label: impl Into<String>) -> Self {
+    pub fn new(
+        title: impl Into<String>,
+        x_label: impl Into<String>,
+        y_label: impl Into<String>,
+    ) -> Self {
         LineChart {
             title: title.into(),
             x_label: x_label.into(),
@@ -265,7 +277,11 @@ impl LineChart {
     ///
     /// Panics if no series with at least one point was added.
     pub fn render(&self) -> String {
-        let points: Vec<(f64, f64)> = self.series.iter().flat_map(|(_, p)| p.iter().copied()).collect();
+        let points: Vec<(f64, f64)> = self
+            .series
+            .iter()
+            .flat_map(|(_, p)| p.iter().copied())
+            .collect();
         assert!(!points.is_empty(), "line chart needs data");
         let (x_lo, x_hi) = bounds(points.iter().map(|p| p.0));
         let (y_lo, y_hi) = self
@@ -283,7 +299,13 @@ impl LineChart {
         }
         for tick in axis_ticks(x_lo, x_hi, self.log_x) {
             let x = xs.x(tick);
-            canvas.text(x, MARGIN_TOP + plot_height() + 18.0, 11.0, "middle", &fmt_tick(tick));
+            canvas.text(
+                x,
+                MARGIN_TOP + plot_height() + 18.0,
+                11.0,
+                "middle",
+                &fmt_tick(tick),
+            );
         }
         canvas.axes(&self.x_label, &self.y_label);
         let mut legend = Vec::new();
@@ -371,7 +393,10 @@ impl BarChart {
     ///
     /// Panics on empty data or series/category length mismatch.
     pub fn render(&self) -> String {
-        assert!(!self.categories.is_empty() && !self.series.is_empty(), "bar chart needs data");
+        assert!(
+            !self.categories.is_empty() && !self.series.is_empty(),
+            "bar chart needs data"
+        );
         for (name, values) in &self.series {
             assert_eq!(
                 values.len(),

@@ -35,7 +35,9 @@ pub fn check_table(table: &Table) -> Result<(), String> {
         }
         for (cell, header) in row.iter().zip(table.headers()) {
             if cell.trim().is_empty() {
-                return Err(format!("{title:?} row {index}, column {header:?}: empty cell"));
+                return Err(format!(
+                    "{title:?} row {index}, column {header:?}: empty cell"
+                ));
             }
             if let Ok(value) = cell.trim().parse::<f64>() {
                 if !value.is_finite() {
@@ -63,7 +65,10 @@ pub fn check_static_artifact(experiment: &str, table: &Table) -> Result<(), Stri
                 return Err(format!("table1: expected 2 rows, got {}", rows.len()));
             }
             if rows[0].iter().skip(1).any(|cell| cell != "6") {
-                return Err(format!("table1: active→drowsy row should be all 6s: {:?}", rows[0]));
+                return Err(format!(
+                    "table1: active→drowsy row should be all 6s: {:?}",
+                    rows[0]
+                ));
             }
             if rows[1][4] != "103084" {
                 return Err(format!(
@@ -80,13 +85,16 @@ pub fn check_static_artifact(experiment: &str, table: &Table) -> Result<(), Stri
                 .rows()
                 .iter()
                 .map(|row| {
-                    row[1].trim_end_matches('%').parse::<f64>().map_err(|_| {
-                        format!("fig1: unparsable leakage fraction {:?}", row[1])
-                    })
+                    row[1]
+                        .trim_end_matches('%')
+                        .parse::<f64>()
+                        .map_err(|_| format!("fig1: unparsable leakage fraction {:?}", row[1]))
                 })
                 .collect::<Result<_, _>>()?;
             if fractions.windows(2).any(|pair| pair[1] < pair[0]) {
-                return Err(format!("fig1: leakage fraction not increasing: {fractions:?}"));
+                return Err(format!(
+                    "fig1: leakage fraction not increasing: {fractions:?}"
+                ));
             }
             Ok(())
         }
@@ -123,7 +131,11 @@ pub fn check_static_artifact(experiment: &str, table: &Table) -> Result<(), Stri
                 if !leakage_workloads::ISA_SUITE_NAMES.contains(&row[0].as_str()) {
                     return Err(format!("isa-suite: unknown program {:?}", row[0]));
                 }
-                if row[2].parse::<u64>().ok().is_none_or(|accesses| accesses == 0) {
+                if row[2]
+                    .parse::<u64>()
+                    .ok()
+                    .is_none_or(|accesses| accesses == 0)
+                {
                     return Err(format!(
                         "isa-suite: {}/{} retired no cache accesses",
                         row[0], row[1]
@@ -166,11 +178,23 @@ mod tests {
 
     #[test]
     fn static_checks_pass_on_real_artifacts() {
-        assert_eq!(check_static_artifact("table1", &crate::table1::generate()), Ok(()));
-        assert_eq!(check_static_artifact("fig1", &crate::fig1::generate()), Ok(()));
-        assert_eq!(check_static_artifact("table3", &crate::table3::generate()), Ok(()));
+        assert_eq!(
+            check_static_artifact("table1", &crate::table1::generate()),
+            Ok(())
+        );
+        assert_eq!(
+            check_static_artifact("fig1", &crate::fig1::generate()),
+            Ok(())
+        );
+        assert_eq!(
+            check_static_artifact("table3", &crate::table3::generate()),
+            Ok(())
+        );
         // Unknown experiments pass vacuously.
-        assert_eq!(check_static_artifact("fig8", &table(&["a"], &[&["1"]])), Ok(()));
+        assert_eq!(
+            check_static_artifact("fig8", &table(&["a"], &[&["1"]])),
+            Ok(())
+        );
     }
 
     #[test]

@@ -68,7 +68,10 @@ impl std::fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "profile data truncated"),
             CodecError::BadMagic => write!(f, "not a profile file (bad magic)"),
             CodecError::VersionMismatch { found } => {
-                write!(f, "profile format version {found}, expected {FORMAT_VERSION}")
+                write!(
+                    f,
+                    "profile format version {found}, expected {FORMAT_VERSION}"
+                )
             }
             CodecError::BadTag(tag) => write!(f, "invalid enum tag {tag}"),
             CodecError::BadName => write!(f, "benchmark name is not UTF-8"),
@@ -120,7 +123,10 @@ pub fn decode_profile(bytes: &[u8]) -> Result<BenchmarkProfile, CodecError> {
     }
     // Structural parsing sees only the sealed body.
     let body = durable::unseal(bytes).map_err(CodecError::Seal)?;
-    let mut r = Reader { bytes: body, pos: r.pos };
+    let mut r = Reader {
+        bytes: body,
+        pos: r.pos,
+    };
     let name_len = r.u32()? as usize;
     let name = std::str::from_utf8(r.take(name_len)?)
         .map_err(|_| CodecError::BadName)?
@@ -130,7 +136,11 @@ pub fn decode_profile(bytes: &[u8]) -> Result<BenchmarkProfile, CodecError> {
     if r.pos != r.bytes.len() {
         return Err(CodecError::TrailingBytes);
     }
-    Ok(BenchmarkProfile { name, icache, dcache })
+    Ok(BenchmarkProfile {
+        name,
+        icache,
+        dcache,
+    })
 }
 
 fn encode_cache(out: &mut Vec<u8>, cache: &CacheProfile) {
@@ -196,7 +206,15 @@ fn decode_dist(r: &mut Reader<'_>) -> Result<CompactIntervalDist, CodecError> {
             tag => return Err(CodecError::BadTag(tag)),
         };
         let count = r.u64()?;
-        dist.add(IntervalClass { length, kind, wake, dirty }, count);
+        dist.add(
+            IntervalClass {
+                length,
+                kind,
+                wake,
+                dirty,
+            },
+            count,
+        );
     }
     Ok(dist)
 }
@@ -275,11 +293,15 @@ impl<'a> Reader<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 }
 
@@ -293,7 +315,10 @@ mod tests {
             IntervalClass {
                 length: 100,
                 kind: IntervalKind::Interior { reaccess: true },
-                wake: WakeHints { next_line: true, stride: false },
+                wake: WakeHints {
+                    next_line: true,
+                    stride: false,
+                },
                 dirty: false,
             },
             7,
@@ -311,7 +336,10 @@ mod tests {
             dist,
             num_frames: 1024,
             total_cycles: 200_000,
-            prefetch: PrefetchStats { next_line_triggers: 11, stride_triggers: 2 },
+            prefetch: PrefetchStats {
+                next_line_triggers: 11,
+                stride_triggers: 2,
+            },
             cache: CacheStats {
                 accesses: 50,
                 hits: 40,
@@ -359,10 +387,16 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         let bytes = encode_profile(&sample_profile());
-        assert_eq!(decode_profile(&bytes[..3]).unwrap_err(), CodecError::Truncated);
+        assert_eq!(
+            decode_profile(&bytes[..3]).unwrap_err(),
+            CodecError::Truncated
+        );
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
-        assert_eq!(decode_profile(&bad_magic).unwrap_err(), CodecError::BadMagic);
+        assert_eq!(
+            decode_profile(&bad_magic).unwrap_err(),
+            CodecError::BadMagic
+        );
         let mut bad_version = bytes.clone();
         bad_version[4] = 0xFF;
         assert!(matches!(

@@ -11,9 +11,7 @@ use crate::eval::mean;
 use crate::render::pct;
 use crate::{BenchmarkProfile, Table, HEADLINE_NODE};
 use leakage_cachesim::Level1;
-use leakage_core::{
-    CircuitParams, EnergyContext, ModeCensus, PowerMode, RefetchAccounting,
-};
+use leakage_core::{CircuitParams, EnergyContext, ModeCensus, PowerMode, RefetchAccounting};
 use leakage_intervals::IntervalKind;
 use leakage_trace::{FootprintTracker, TraceSource};
 use leakage_workloads::{suite, Scale};

@@ -8,7 +8,9 @@ use leakage_core::{CircuitParams, IntervalEnergyModel};
 /// inflection points, logarithmic elsewhere.
 pub fn sample_lengths() -> Vec<u64> {
     let mut lengths = vec![1, 2, 4, 6, 8, 16, 37, 64, 128, 256, 512];
-    lengths.extend([800, 1000, 1057, 1100, 1500, 2000, 4000, 8000, 16_000, 50_000, 100_000]);
+    lengths.extend([
+        800, 1000, 1057, 1100, 1500, 2000, 4000, 8000, 16_000, 50_000, 100_000,
+    ]);
     lengths
 }
 

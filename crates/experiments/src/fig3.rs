@@ -54,8 +54,7 @@ pub fn series(profiles: &[BenchmarkProfile], side: Level1) -> Vec<(String, Vec<f
                 let (eval, stalls) = ctx.evaluate_with_perf(policy.as_ref(), &cache.dist);
                 // System power while stalled: kappa x the cache's own
                 // all-active leakage (frames x P_active).
-                let cache_power =
-                    f64::from(cache.num_frames) * ctx.params().powers().active;
+                let cache_power = f64::from(cache.num_frames) * ctx.params().powers().active;
                 for (bucket, &kappa) in per_kappa.iter_mut().zip(&KAPPAS) {
                     let stall_energy = kappa * cache_power * stalls.stall_cycles;
                     let net = 100.0 * (1.0 - (eval.energy + stall_energy) / eval.baseline);
@@ -76,9 +75,7 @@ pub fn generate(profiles: &[BenchmarkProfile]) -> (Table, Table) {
         let mut headers = vec!["Scheme".to_string()];
         headers.extend(KAPPAS.iter().map(|k| format!("net % @ kappa={k}")));
         let mut table = Table::new(
-            format!(
-                "Figure 3 quantified{label}: net savings with stall energy charged (70nm)"
-            ),
+            format!("Figure 3 quantified{label}: net savings with stall energy charged (70nm)"),
             headers,
         );
         for (name, nets) in series(profiles, side) {
@@ -110,7 +107,10 @@ mod tests {
         let oracle = &rows[0];
         assert_eq!(oracle.0, "OPT-Hybrid");
         for pair in oracle.1.windows(2) {
-            assert!((pair[0] - pair[1]).abs() < 1e-9, "no stalls, no kappa effect");
+            assert!(
+                (pair[0] - pair[1]).abs() < 1e-9,
+                "no stalls, no kappa effect"
+            );
         }
     }
 

@@ -137,12 +137,7 @@ pub fn generate(profiles: &[BenchmarkProfile]) -> (Table, Table) {
                 "Non-prefetchable".to_string(),
             ],
         );
-        table.push_row(vec![
-            "(0, 6]".to_string(),
-            pct(0.0),
-            pct(0.0),
-            pct(p.short),
-        ]);
+        table.push_row(vec!["(0, 6]".to_string(), pct(0.0), pct(0.0), pct(p.short)]);
         table.push_row(vec![
             "(6, 1057]".to_string(),
             pct(p.mid_nl),

@@ -34,7 +34,10 @@ pub fn fig7_charts(profiles: &[BenchmarkProfile]) -> (String, String) {
     let build = |side: Level1, label: &str| {
         let series = fig7::series(profiles, side);
         let to_points = |f: fn(&(u64, f64, f64)) -> f64| {
-            series.iter().map(|row| (row.0 as f64, f(row))).collect::<Vec<_>>()
+            series
+                .iter()
+                .map(|row| (row.0 as f64, f(row)))
+                .collect::<Vec<_>>()
         };
         LineChart::new(
             format!("Figure 7{label}: hybrid vs sleep, 70nm"),
@@ -186,10 +189,7 @@ mod tests {
 
     #[test]
     fn write_all_creates_files() {
-        let dir = std::env::temp_dir().join(format!(
-            "leakage-figures-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("leakage-figures-{}", std::process::id()));
         let written = write_all(&dir, &profiles()).unwrap();
         assert_eq!(written.len(), 8);
         for name in &written {

@@ -75,12 +75,7 @@ pub fn generate(profiles: &[BenchmarkProfile]) -> (Table, Table) {
             ],
         );
         for (name, saving, stalls, rate) in series(profiles, side) {
-            table.push_row(vec![
-                name,
-                pct(saving),
-                format!("{stalls:.1}"),
-                pct(rate),
-            ]);
+            table.push_row(vec![name, pct(saving), format!("{stalls:.1}"), pct(rate)]);
         }
         table
     };
@@ -154,7 +149,10 @@ mod tests {
             margin_over_drowsy += hybrid - get("Drowsy(4K)");
         }
         // And on this workload the gating actually bites somewhere.
-        assert!(margin_over_drowsy > 5.0, "hybrid margin {margin_over_drowsy}");
+        assert!(
+            margin_over_drowsy > 5.0,
+            "hybrid margin {margin_over_drowsy}"
+        );
     }
 
     #[test]

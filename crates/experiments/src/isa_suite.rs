@@ -30,9 +30,7 @@ pub fn generate(scale: Scale) -> Table {
     let model = GeneralizedModel::from_params(CircuitParams::for_node(HEADLINE_NODE));
 
     let mut table = Table::new(
-        format!(
-            "ISA suite: executed-program profiles and optimal savings ({HEADLINE_NODE})"
-        ),
+        format!("ISA suite: executed-program profiles and optimal savings ({HEADLINE_NODE})"),
         [
             "program",
             "cache",

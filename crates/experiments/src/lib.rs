@@ -62,9 +62,9 @@ pub mod table3;
 
 pub use pipeline::{
     cached_profile, cached_suite, cached_suite_partial, fetch_partial, profile_benchmark,
-    profile_benchmark_with, profile_l2, profile_line_centric, profile_suite,
-    profile_suite_serial, profile_suite_uncached, suite_partial_with, BenchmarkFailure,
-    BenchmarkProfile, CacheProfile, SuiteOutcome,
+    profile_benchmark_with, profile_l2, profile_line_centric, profile_suite, profile_suite_serial,
+    profile_suite_uncached, suite_partial_with, BenchmarkFailure, BenchmarkProfile, CacheProfile,
+    SuiteOutcome,
 };
 pub use render::Table;
 pub use store::{ProfileStore, StoreCounters};

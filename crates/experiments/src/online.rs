@@ -174,8 +174,14 @@ mod tests {
         let rows = series(Scale::Test);
         let ideal = &rows[0];
         let real = &rows[1];
-        assert!((ideal.1[0] - real.1[0]).abs() < 3.0, "I$ idealization error");
-        assert!((ideal.2[0] - real.2[0]).abs() < 3.0, "D$ idealization error");
+        assert!(
+            (ideal.1[0] - real.1[0]).abs() < 3.0,
+            "I$ idealization error"
+        );
+        assert!(
+            (ideal.2[0] - real.2[0]).abs() < 3.0,
+            "D$ idealization error"
+        );
     }
 
     #[test]
@@ -185,7 +191,10 @@ mod tests {
         // A laxer miss bound shrinks more aggressively: savings must not
         // fall as the bound rises.
         let savings: Vec<f64> = table.rows().iter().map(|r| r[1].parse().unwrap()).collect();
-        assert!(savings.windows(2).all(|w| w[1] + 1.0 >= w[0]), "{savings:?}");
+        assert!(
+            savings.windows(2).all(|w| w[1] + 1.0 >= w[0]),
+            "{savings:?}"
+        );
         for row in table.rows() {
             let ways: f64 = row[3].parse().unwrap();
             assert!((1.0..=2.0).contains(&ways), "{row:?}");

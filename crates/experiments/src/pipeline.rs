@@ -185,9 +185,7 @@ impl TraceSink for PipelineSink {
         for trigger in &self.triggers {
             if let Some(frame) = cache.probe(trigger.line) {
                 match event.cache {
-                    Level1::Instruction => {
-                        self.icache.extractor.mark_wake(frame, trigger.hints)
-                    }
+                    Level1::Instruction => self.icache.extractor.mark_wake(frame, trigger.hints),
                     Level1::Data => self.dcache.extractor.mark_wake(frame, trigger.hints),
                 }
             } else {
@@ -195,7 +193,8 @@ impl TraceSink for PipelineSink {
                     Level1::Instruction => &mut self.icache,
                     Level1::Data => &mut self.dcache,
                 };
-                side.predictions.insert(trigger.line, access.cycle, trigger.hints);
+                side.predictions
+                    .insert(trigger.line, access.cycle, trigger.hints);
             }
         }
         if access.cycle >= self.end {
@@ -353,7 +352,11 @@ pub fn profile_line_centric(
         .watermark()
         .max(sink.dcache.watermark())
         .map_or(Cycle::ZERO, |last| last.advanced(1));
-    (sink.icache.finish_at(end), sink.dcache.finish_at(end), end.raw())
+    (
+        sink.icache.finish_at(end),
+        sink.dcache.finish_at(end),
+        end.raw(),
+    )
 }
 
 /// Profiles the whole six-benchmark suite at the given scale —
@@ -531,10 +534,7 @@ pub fn profile_suite_uncached(scale: Scale) -> Vec<BenchmarkProfile> {
 /// Profiles the suite serially on the calling thread, no store — the
 /// baseline the parallel paths are checked (and benchmarked) against.
 pub fn profile_suite_serial(scale: Scale) -> Vec<BenchmarkProfile> {
-    suite(scale)
-        .iter_mut()
-        .map(profile_benchmark)
-        .collect()
+    suite(scale).iter_mut().map(profile_benchmark).collect()
 }
 
 #[cfg(test)]
@@ -578,7 +578,10 @@ mod tests {
             .dcache
             .dist
             .count_matching(|c| c.wake.any() && matches!(c.kind, IntervalKind::Interior { .. }));
-        assert!(hinted > 0, "sequential sweeps must produce NL-hinted intervals");
+        assert!(
+            hinted > 0,
+            "sequential sweeps must produce NL-hinted intervals"
+        );
     }
 
     #[test]

@@ -51,7 +51,11 @@ impl std::fmt::Display for QueryError {
             }
             QueryError::Store(err) => write!(f, "{err}"),
             QueryError::Degraded { failed } => {
-                write!(f, "suite degraded; failed benchmarks: {}", failed.join(", "))
+                write!(
+                    f,
+                    "suite degraded; failed benchmarks: {}",
+                    failed.join(", ")
+                )
             }
         }
     }
@@ -72,7 +76,11 @@ fn full_suite(store: &ProfileStore, scale: Scale) -> Result<Vec<BenchmarkProfile
     let outcome = suite_partial_with(store, scale);
     if !outcome.all_healthy() {
         return Err(QueryError::Degraded {
-            failed: outcome.failures.iter().map(|f| f.benchmark.clone()).collect(),
+            failed: outcome
+                .failures
+                .iter()
+                .map(|f| f.benchmark.clone())
+                .collect(),
         });
     }
     Ok(outcome.cloned_profiles())
@@ -188,7 +196,10 @@ mod tests {
         let store = ProfileStore::new();
         assert!(matches!(
             table(&store, 4, Scale::Test),
-            Err(QueryError::UnknownArtifact { kind: "table", id: 4 })
+            Err(QueryError::UnknownArtifact {
+                kind: "table",
+                id: 4
+            })
         ));
         // The figure path profiles the suite before dispatching, so use
         // the global store's memoized profiles to keep this test cheap.

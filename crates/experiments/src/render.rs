@@ -99,7 +99,14 @@ impl Table {
         let escape = |cell: &str| cell.replace('|', "\\|");
         let mut out = String::new();
         out.push_str("| ");
-        out.push_str(&self.headers.iter().map(|h| escape(h)).collect::<Vec<_>>().join(" | "));
+        out.push_str(
+            &self
+                .headers
+                .iter()
+                .map(|h| escape(h))
+                .collect::<Vec<_>>()
+                .join(" | "),
+        );
         out.push_str(" |\n|");
         for _ in &self.headers {
             out.push_str("---|");
@@ -107,7 +114,12 @@ impl Table {
         out.push('\n');
         for row in &self.rows {
             out.push_str("| ");
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(" | "));
+            out.push_str(
+                &row.iter()
+                    .map(|c| escape(c))
+                    .collect::<Vec<_>>()
+                    .join(" | "),
+            );
             out.push_str(" |\n");
         }
         out
@@ -257,7 +269,10 @@ mod tests {
     #[test]
     fn json_round_trips() {
         // Cells exercising every escape class the renderer can emit.
-        let mut t = Table::new("Table X: quotes \"and\" commas", vec!["a,b".into(), "c".into()]);
+        let mut t = Table::new(
+            "Table X: quotes \"and\" commas",
+            vec!["a,b".into(), "c".into()],
+        );
         t.push_row(vec!["12.3".into(), "say \"hi\"\nline2".into()]);
         t.push_row(vec!["-4".into(), "τ≥8".into()]);
         let doc = t.to_json();

@@ -268,7 +268,11 @@ impl ProfileStore {
         let key = Self::profile_key(name, scale, config);
         let cell = {
             let mut entries = self.lock_entries();
-            Arc::clone(entries.entry(key).or_insert_with(|| Arc::new(KeyCell::new())))
+            Arc::clone(
+                entries
+                    .entry(key)
+                    .or_insert_with(|| Arc::new(KeyCell::new())),
+            )
         };
         // Claim the cell or wait for the fetch that holds it. A failed
         // resolution returns the cell to idle and wakes the waiters,
@@ -283,7 +287,10 @@ impl ProfileStore {
                         return Ok(Arc::clone(profile));
                     }
                     CellState::Running => {
-                        state = cell.ready.wait(state).unwrap_or_else(PoisonError::into_inner);
+                        state = cell
+                            .ready
+                            .wait(state)
+                            .unwrap_or_else(PoisonError::into_inner);
                     }
                     CellState::Idle => {
                         *state = CellState::Running;
@@ -409,13 +416,19 @@ impl ProfileStore {
         };
         if let Some(dir) = path.parent() {
             if let Err(err) = std::fs::create_dir_all(dir) {
-                warn!("cannot create {}: {err}; profile not persisted", dir.display());
+                warn!(
+                    "cannot create {}: {err}; profile not persisted",
+                    dir.display()
+                );
                 return;
             }
         }
         let bytes = codec::encode_profile(profile);
         if let Err(err) = durable::write("store/write", &path, &bytes) {
-            warn!("cannot write {}: {err}; profile not persisted", path.display());
+            warn!(
+                "cannot write {}: {err}; profile not persisted",
+                path.display()
+            );
         }
     }
 
@@ -453,7 +466,10 @@ mod tests {
         let base = ProfileStore::profile_key("gzip", Scale::Test, &alpha);
         assert_eq!(base, ProfileStore::profile_key("gzip", Scale::Test, &alpha));
         assert_ne!(base, ProfileStore::profile_key("gcc", Scale::Test, &alpha));
-        assert_ne!(base, ProfileStore::profile_key("gzip", Scale::Small, &alpha));
+        assert_ne!(
+            base,
+            ProfileStore::profile_key("gzip", Scale::Small, &alpha)
+        );
         let wider = HierarchyConfig {
             l1d: CacheConfig::new("L1D", 64 * 1024, 4, 64, 3).unwrap(),
             ..HierarchyConfig::alpha_like()
@@ -473,12 +489,22 @@ mod tests {
         let first = store.fetch("gzip", Scale::Test);
         assert_eq!(
             store.counters(),
-            StoreCounters { hits: 0, misses: 1, disk_hits: 0, quarantined: 0 }
+            StoreCounters {
+                hits: 0,
+                misses: 1,
+                disk_hits: 0,
+                quarantined: 0
+            }
         );
         let second = store.fetch("gzip", Scale::Test);
         assert_eq!(
             store.counters(),
-            StoreCounters { hits: 1, misses: 1, disk_hits: 0, quarantined: 0 }
+            StoreCounters {
+                hits: 1,
+                misses: 1,
+                disk_hits: 0,
+                quarantined: 0
+            }
         );
         // Same allocation, not merely an equal profile.
         assert!(Arc::ptr_eq(&first, &second));
@@ -522,7 +548,12 @@ mod tests {
         let reloaded = reader.fetch("gzip", Scale::Test);
         assert_eq!(
             reader.counters(),
-            StoreCounters { hits: 0, misses: 0, disk_hits: 1, quarantined: 0 }
+            StoreCounters {
+                hits: 0,
+                misses: 0,
+                disk_hits: 1,
+                quarantined: 0
+            }
         );
         assert_eq!(reloaded.name, original.name);
         assert_eq!(reloaded.icache.dist, original.icache.dist);

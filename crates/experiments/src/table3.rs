@@ -33,8 +33,8 @@ mod tests {
     use crate::HEADLINE_NODE;
     use leakage_core::policy::{LeakagePolicy, PrefetchGuided, PrefetchScheme};
     use leakage_core::{
-        CircuitParams, EnergyContext, IntervalClass, IntervalKind, PowerMode,
-        RefetchAccounting, WakeHints,
+        CircuitParams, EnergyContext, IntervalClass, IntervalKind, PowerMode, RefetchAccounting,
+        WakeHints,
     };
 
     /// The table is definitional; verify the implemented policies obey it.
@@ -57,15 +57,23 @@ mod tests {
         let b = PrefetchGuided::new(PrefetchScheme::B);
 
         let active = |len, pf| ctx.baseline_energy(&class(len, pf));
-        let drowsy =
-            |len, pf| ctx.mode_energy(PowerMode::Drowsy, &class(len, pf)).unwrap();
+        let drowsy = |len, pf| ctx.mode_energy(PowerMode::Drowsy, &class(len, pf)).unwrap();
         let sleep = |len, pf| ctx.mode_energy(PowerMode::Sleep, &class(len, pf)).unwrap();
 
         // Row 1: short intervals stay active under both.
-        assert_eq!(a.interval_energy(&ctx, &class(3, false)).0, active(3, false));
-        assert_eq!(b.interval_energy(&ctx, &class(3, false)).0, active(3, false));
+        assert_eq!(
+            a.interval_energy(&ctx, &class(3, false)).0,
+            active(3, false)
+        );
+        assert_eq!(
+            b.interval_energy(&ctx, &class(3, false)).0,
+            active(3, false)
+        );
         // Row 2: prefetchable mid-length -> drowsy.
-        assert_eq!(a.interval_energy(&ctx, &class(500, true)).0, drowsy(500, true));
+        assert_eq!(
+            a.interval_energy(&ctx, &class(500, true)).0,
+            drowsy(500, true)
+        );
         // Row 3: prefetchable long -> sleep.
         assert_eq!(
             a.interval_energy(&ctx, &class(50_000, true)).0,

@@ -211,7 +211,10 @@ mod tests {
 
     #[test]
     fn conversions_wrap() {
-        let pipeline: PipelineError = StoreError::UnknownBenchmark { name: "nope".into() }.into();
+        let pipeline: PipelineError = StoreError::UnknownBenchmark {
+            name: "nope".into(),
+        }
+        .into();
         assert!(matches!(pipeline, PipelineError::Store(_)));
         let trace: TraceError = io::Error::new(io::ErrorKind::Interrupted, "eintr").into();
         assert!(matches!(trace, TraceError::Io(_)));

@@ -276,7 +276,9 @@ fn parse_clause(clause: &str) -> Result<Arm, SpecError> {
         }
         (kind.trim(), Trigger::Nth(n))
     } else if let Some((kind, prob)) = rest.split_once('%') {
-        let (permille, seed) = prob.split_once('@').ok_or_else(|| err("'%' needs '@SEED'"))?;
+        let (permille, seed) = prob
+            .split_once('@')
+            .ok_or_else(|| err("'%' needs '@SEED'"))?;
         let permille: u16 = permille.trim().parse().map_err(|_| err("bad permille"))?;
         if permille > 1000 {
             return Err(err("permille above 1000"));
@@ -463,9 +465,8 @@ mod tests {
     fn permille_stream_is_deterministic() {
         let a = Plane::parse("s=io%500@42").unwrap();
         let b = Plane::parse("s=io%500@42").unwrap();
-        let pattern = |plane: &Plane| -> Vec<bool> {
-            (0..64).map(|_| plane.io_site("s").is_err()).collect()
-        };
+        let pattern =
+            |plane: &Plane| -> Vec<bool> { (0..64).map(|_| plane.io_site("s").is_err()).collect() };
         let first = pattern(&a);
         assert_eq!(first, pattern(&b), "same seed, same firing pattern");
         assert!(first.iter().any(|&fired| fired));
@@ -483,7 +484,13 @@ mod tests {
             plane.io_site("a").unwrap_err().kind(),
             io::ErrorKind::Interrupted
         );
-        assert_eq!(plane.io_site("b").unwrap_err().kind(), io::ErrorKind::NotFound);
-        assert_eq!(plane.io_site("c").unwrap_err().kind(), io::ErrorKind::TimedOut);
+        assert_eq!(
+            plane.io_site("b").unwrap_err().kind(),
+            io::ErrorKind::NotFound
+        );
+        assert_eq!(
+            plane.io_site("c").unwrap_err().kind(),
+            io::ErrorKind::TimedOut
+        );
     }
 }

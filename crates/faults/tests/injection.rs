@@ -6,7 +6,8 @@ use leakage_faults::{corrupt_point, io_point, panic_point, retry, set_plane, Bac
 /// Tests in this binary share the process-wide plane; serialize them.
 fn plane_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[test]

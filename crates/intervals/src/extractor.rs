@@ -359,7 +359,9 @@ mod tests {
         x.on_access(f(0), c(50), false, &mut sink);
         x.finish(c(30), &mut sink);
         let v = sink.into_intervals();
-        let trailing = v.iter().find(|i| i.frame == f(0) && i.kind == IntervalKind::Trailing);
+        let trailing = v
+            .iter()
+            .find(|i| i.frame == f(0) && i.kind == IntervalKind::Trailing);
         assert_eq!(trailing.unwrap().length, 0);
         // Untouched frames still cover [0, end).
         let untouched = v.iter().find(|i| i.frame == f(1)).unwrap();

@@ -55,9 +55,7 @@ impl IntervalKind {
 /// the frame's resident line while the interval was open — i.e. a real
 /// implementation could have woken (or refetched) the line just in time,
 /// approximating the oracle.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct WakeHints {
     /// The line before this one was accessed during the interval
     /// (next-line prefetchable, "P-NL").

@@ -132,9 +132,11 @@ impl<S: IntervalSink> StreamingExtractor<S> {
             None => cycle,
         });
         if let Some(last) = self.open.insert(line, cycle) {
-            self.emit(last, cycle.saturating_since(last), IntervalKind::Interior {
-                reaccess: true,
-            });
+            self.emit(
+                last,
+                cycle.saturating_since(last),
+                IntervalKind::Interior { reaccess: true },
+            );
         } else {
             self.peak_resident = self.peak_resident.max(self.open.len());
         }
@@ -208,11 +210,18 @@ mod tests {
         }
         let intervals = x.finish_at(c(50)).into_intervals();
         let lengths = |kind: IntervalKind| -> Vec<u64> {
-            intervals.iter().filter(|i| i.kind == kind).map(|i| i.length).collect()
+            intervals
+                .iter()
+                .filter(|i| i.kind == kind)
+                .map(|i| i.length)
+                .collect()
         };
         // Interiors in closing order: line 1 (0→20), line 2 (5→30),
         // line 1 (20→44).
-        assert_eq!(lengths(IntervalKind::Interior { reaccess: true }), vec![20, 25, 24]);
+        assert_eq!(
+            lengths(IntervalKind::Interior { reaccess: true }),
+            vec![20, 25, 24]
+        );
         // One trailing interval per line, in address order.
         assert_eq!(lengths(IntervalKind::Trailing), vec![6, 20, 29]);
     }

@@ -148,9 +148,7 @@ pub fn assemble(source: &str) -> Result<Vec<Instr>, AsmError> {
 
 fn is_ident(text: &str) -> bool {
     !text.is_empty()
-        && text
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_')
+        && text.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
         && !text.starts_with(|c: char| c.is_ascii_digit())
 }
 
@@ -310,9 +308,7 @@ fn imm14(line: usize, text: &str) -> Result<Imm14, AsmError> {
 
 /// Parses the `imm(rs1)` memory operand of `lw`/`sw`.
 fn mem_operand(line: usize, text: &str) -> Result<(Imm14, Reg), AsmError> {
-    let inner = text
-        .strip_suffix(')')
-        .and_then(|rest| rest.split_once('('));
+    let inner = text.strip_suffix(')').and_then(|rest| rest.split_once('('));
     match inner {
         Some((offset, base)) => Ok((imm14(line, offset.trim())?, reg(line, base.trim())?)),
         None => err(line, format!("bad memory operand {text:?}, want imm(reg)")),

@@ -45,5 +45,5 @@ mod source;
 pub use asm::{assemble, AsmError};
 pub use instr::{AluOp, BranchCond, Imm14, Instr, Reg};
 pub use machine::{ExecStats, Machine, CODE_BASE, DATA_BASE, INSTR_BYTES, WORD_BYTES};
-pub use programs::{by_name as program_by_name, Program, DATA_WORDS, PROGRAM_NAMES, PROGRAMS};
+pub use programs::{by_name as program_by_name, Program, DATA_WORDS, PROGRAMS, PROGRAM_NAMES};
 pub use source::IsaSource;

@@ -330,10 +330,7 @@ mod tests {
 
     #[test]
     fn instruction_budget_pauses_without_halt() {
-        let mut machine = Machine::new(
-            assemble("loop: jal r0, loop\n").unwrap(),
-            vec![],
-        );
+        let mut machine = Machine::new(assemble("loop: jal r0, loop\n").unwrap(), vec![]);
         let stats = machine.run(&mut Vec::new(), 10);
         assert!(!stats.halted);
         assert_eq!(stats.instructions, 10);

@@ -331,8 +331,12 @@ mod tests {
     fn sorts_sort() {
         for (name, len) in [("isa:isort", 64usize), ("isa:msort", 128)] {
             let program = by_name(name).unwrap();
-            let mut expected: Vec<i64> =
-                program.data_image(5).iter().take(len).map(|&w| w as i64).collect();
+            let mut expected: Vec<i64> = program
+                .data_image(5)
+                .iter()
+                .take(len)
+                .map(|&w| w as i64)
+                .collect();
             expected.sort_unstable();
             let machine = run(name, 5);
             let got: Vec<i64> = machine.data()[..len].iter().map(|&w| w as i64).collect();
@@ -374,7 +378,12 @@ mod tests {
     #[test]
     fn images_are_seed_deterministic() {
         for program in &PROGRAMS {
-            assert_eq!(program.data_image(1), program.data_image(1), "{}", program.name);
+            assert_eq!(
+                program.data_image(1),
+                program.data_image(1),
+                "{}",
+                program.name
+            );
             assert_ne!(
                 program.data_image(1),
                 program.data_image(2),

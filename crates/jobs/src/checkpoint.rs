@@ -220,7 +220,10 @@ pub fn write_chunk(dir: &Path, file: &ChunkFile) -> io::Result<PathBuf> {
     }
     Err(io::Error::new(
         io::ErrorKind::InvalidData,
-        format!("checkpoint {} failed read-back verification 3 times", path.display()),
+        format!(
+            "checkpoint {} failed read-back verification 3 times",
+            path.display()
+        ),
     ))
 }
 
@@ -338,8 +341,8 @@ mod tests {
     fn range_and_count_must_agree() {
         let mut file = sample();
         file.end = file.start + 2; // three rows, range of two
-        // The encoder seals what it is given, so only the semantic
-        // check can fire.
+                                   // The encoder seals what it is given, so only the semantic
+                                   // check can fire.
         let bytes = encode_chunk(&file);
         let err = decode_chunk(&bytes).unwrap_err();
         assert!(matches!(err, CkptError::Corrupt { .. }), "{err}");

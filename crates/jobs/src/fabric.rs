@@ -368,10 +368,13 @@ impl JobFabric {
                 debug!("jobs: resubmission of {id} ({})", state.as_str());
                 return Ok(Submitted { id, created: false });
             }
-            if let Some(taken) = jobs
-                .values()
-                .find(|j| j.spec.name == spec.name && !matches!(j.status.lock().unwrap().state, JobState::Canceled | JobState::Failed))
-            {
+            if let Some(taken) = jobs.values().find(|j| {
+                j.spec.name == spec.name
+                    && !matches!(
+                        j.status.lock().unwrap().state,
+                        JobState::Canceled | JobState::Failed
+                    )
+            }) {
                 return Err(SubmitError::Conflict(format!(
                     "name {:?} is taken by job {}",
                     spec.name, taken.id
@@ -437,8 +440,7 @@ impl JobFabric {
                 + &json::array(status.workers.iter().map(|w| {
                     json::object([
                         json::key("pid") + &w.pid.to_string(),
-                        json::key("chunk")
-                            + &w.chunk.map_or("null".to_string(), |c| c.to_string()),
+                        json::key("chunk") + &w.chunk.map_or("null".to_string(), |c| c.to_string()),
                         json::key("alive") + if w.alive { "true" } else { "false" },
                     ])
                 })),
@@ -644,7 +646,10 @@ impl JobFabric {
 /// still says canceled for the rest of this run.
 fn write_cancel_marker(dir: &Path) {
     if let Err(err) = durable::write_atomically(&dir.join(CANCEL_MARKER), b"") {
-        warn!("jobs: cannot write cancel marker in {}: {err}", dir.display());
+        warn!(
+            "jobs: cannot write cancel marker in {}: {err}",
+            dir.display()
+        );
     }
 }
 
@@ -687,7 +692,10 @@ enum Event {
     },
     /// The worker's stream closed or spoke garbage; `reason` is for
     /// logs. Sent at most once per worker.
-    Gone { worker: usize, reason: String },
+    Gone {
+        worker: usize,
+        reason: String,
+    },
 }
 
 /// One worker child. Its stdout belongs to the slot's reader thread,
@@ -1001,7 +1009,11 @@ impl Runner {
                 self.assign_next(worker);
                 true
             }
-            Event::ChunkDone { worker, chunk, rows } => {
+            Event::ChunkDone {
+                worker,
+                chunk,
+                rows,
+            } => {
                 let owns = self.slots[worker]
                     .as_ref()
                     .and_then(|s| s.assigned)
@@ -1050,7 +1062,11 @@ impl Runner {
                 }
                 true
             }
-            Event::ChunkErr { worker, chunk, error } => {
+            Event::ChunkErr {
+                worker,
+                chunk,
+                error,
+            } => {
                 let matched = self.slots[worker]
                     .as_ref()
                     .is_some_and(|s| s.assigned.map(|a| a.chunk) == Some(chunk));

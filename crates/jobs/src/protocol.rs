@@ -379,7 +379,11 @@ pub fn run_worker(input: impl BufRead, mut output: impl Write) -> io::Result<()>
         Some(line) => Hello::parse(&line?)?,
     };
     let spec = hello.spec;
-    writeln!(output, "{}", WorkerFrame::Ready(std::process::id()).encode())?;
+    writeln!(
+        output,
+        "{}",
+        WorkerFrame::Ready(std::process::id()).encode()
+    )?;
     output.flush()?;
     let store = ProfileStore::global();
     for line in lines {
@@ -416,8 +420,14 @@ mod tests {
 
         for frame in [
             WorkerFrame::Ready(4242),
-            WorkerFrame::ChunkStart { chunk: 9, points: 512 },
-            WorkerFrame::ChunkEnd { chunk: 9, fnv1a: 0x0123_4567_89ab_cdef },
+            WorkerFrame::ChunkStart {
+                chunk: 9,
+                points: 512,
+            },
+            WorkerFrame::ChunkEnd {
+                chunk: 9,
+                fnv1a: 0x0123_4567_89ab_cdef,
+            },
             WorkerFrame::ChunkErr {
                 chunk: 9,
                 error: "profile gzip: missing".into(),
@@ -486,7 +496,11 @@ mod tests {
             vec!["gzip".into()],
             vec![leakage_cachesim::Level1::Instruction],
             vec![leakage_energy::TechnologyNode::N70],
-            crate::spec::PermilleAxis { from: 1000, to: 1003, step: 1 },
+            crate::spec::PermilleAxis {
+                from: 1000,
+                to: 1003,
+                step: 1,
+            },
             crate::spec::MIN_CHUNK_POINTS,
         )
         .unwrap();
@@ -498,7 +512,12 @@ mod tests {
         let script = format!(
             "{}\n{}\n",
             hello.encode(),
-            Assign { chunk: 0, start: 0, end: spec.point_count() }.encode()
+            Assign {
+                chunk: 0,
+                start: 0,
+                end: spec.point_count()
+            }
+            .encode()
         );
         let mut out = Vec::new();
         run_worker(script.as_bytes(), &mut out).unwrap();
@@ -510,14 +529,20 @@ mod tests {
         ));
         assert_eq!(
             WorkerFrame::parse(lines[1]).unwrap(),
-            WorkerFrame::ChunkStart { chunk: 0, points: 4 }
+            WorkerFrame::ChunkStart {
+                chunk: 0,
+                points: 4
+            }
         );
         let rows: Vec<String> = lines[2..6].iter().map(|l| l.to_string()).collect();
         assert!(rows.iter().all(|r| r.contains("\"benchmark\": \"gzip\"")));
         assert!(rows[0].contains("\"refetch_permille\": 1000"));
         assert_eq!(
             WorkerFrame::parse(lines[6]).unwrap(),
-            WorkerFrame::ChunkEnd { chunk: 0, fnv1a: rows_checksum(&rows) }
+            WorkerFrame::ChunkEnd {
+                chunk: 0,
+                fnv1a: rows_checksum(&rows)
+            }
         );
     }
 
@@ -590,7 +615,12 @@ mod tests {
         let script = format!(
             "{}\n{}\n",
             hello.encode(),
-            Assign { chunk: 5, start: 0, end: spec.point_count() + 1 }.encode()
+            Assign {
+                chunk: 5,
+                start: 0,
+                end: spec.point_count() + 1
+            }
+            .encode()
         );
         let mut out = Vec::new();
         run_worker(script.as_bytes(), &mut out).unwrap();

@@ -295,8 +295,7 @@ impl JobSpec {
         json::object([
             json::key("name") + &json::string(&self.name),
             json::key("scale_cycles") + &self.scale.cycles().to_string(),
-            json::key("benchmarks")
-                + &json::array(self.benchmarks.iter().map(|b| json::string(b))),
+            json::key("benchmarks") + &json::array(self.benchmarks.iter().map(|b| json::string(b))),
             json::key("sides")
                 + &json::array(self.sides.iter().map(|s| json::string(side_token(*s)))),
             json::key("nodes")
@@ -327,7 +326,9 @@ impl JobSpec {
             .ok_or_else(|| bad("job needs a \"name\" string"))?;
         let scale = match (doc.get("scale"), doc.get("scale_cycles")) {
             (Some(raw), _) => {
-                let arg = raw.as_str().ok_or_else(|| bad("\"scale\" must be a string"))?;
+                let arg = raw
+                    .as_str()
+                    .ok_or_else(|| bad("\"scale\" must be a string"))?;
                 Scale::parse_arg(arg).ok_or_else(|| bad(format!("bad scale {arg:?}")))?
             }
             (None, Some(raw)) => {
@@ -537,7 +538,12 @@ mod tests {
         assert_eq!(axis.len(), 7);
         assert_eq!(axis.value(0), 500);
         assert_eq!(axis.value(6), 2000);
-        assert!(PermilleAxis { from: 2, to: 1, step: 1 }.is_empty());
+        assert!(PermilleAxis {
+            from: 2,
+            to: 1,
+            step: 1
+        }
+        .is_empty());
         assert_eq!(PermilleAxis::DEFAULT.len(), 1);
     }
 
@@ -549,7 +555,11 @@ mod tests {
             vec!["gzip".into(), "mesa".into()],
             vec![Level1::Instruction, Level1::Data],
             vec![TechnologyNode::N70, TechnologyNode::N130],
-            PermilleAxis { from: 1000, to: 1002, step: 1 },
+            PermilleAxis {
+                from: 1000,
+                to: 1002,
+                step: 1,
+            },
             MIN_CHUNK_POINTS,
         )
         .unwrap();
@@ -610,10 +620,9 @@ mod tests {
 
     #[test]
     fn isa_benchmarks_are_valid_axis_values() {
-        let spec = JobSpec::parse(
-            r#"{"name":"isa-mix","benchmarks":["gzip","isa:matmul","isa:chase"]}"#,
-        )
-        .unwrap();
+        let spec =
+            JobSpec::parse(r#"{"name":"isa-mix","benchmarks":["gzip","isa:matmul","isa:chase"]}"#)
+                .unwrap();
         assert_eq!(spec.benchmarks.len(), 3);
         assert!(spec.point_count() > 0);
     }
@@ -624,13 +633,28 @@ mod tests {
             (r#"{}"#, "missing name"),
             (r#"{"name":""}"#, "empty name"),
             (r#"{"name":"Bad Name"}"#, "bad characters"),
-            (r#"{"name":"x","benchmarks":["perlbmk"]}"#, "unknown benchmark"),
-            (r#"{"name":"x","benchmarks":["gzip","gzip"]}"#, "duplicate benchmark"),
-            (r#"{"name":"x","sides":["icache","icache"]}"#, "duplicate side"),
+            (
+                r#"{"name":"x","benchmarks":["perlbmk"]}"#,
+                "unknown benchmark",
+            ),
+            (
+                r#"{"name":"x","benchmarks":["gzip","gzip"]}"#,
+                "duplicate benchmark",
+            ),
+            (
+                r#"{"name":"x","sides":["icache","icache"]}"#,
+                "duplicate side",
+            ),
             (r#"{"name":"x","sides":["l2"]}"#, "unknown side"),
             (r#"{"name":"x","nodes":["90nm"]}"#, "unknown node"),
-            (r#"{"name":"x","refetch_permille":{"from":1,"to":2,"step":0}}"#, "zero step"),
-            (r#"{"name":"x","refetch_permille":{"from":1,"to":2000000}}"#, "permille cap"),
+            (
+                r#"{"name":"x","refetch_permille":{"from":1,"to":2,"step":0}}"#,
+                "zero step",
+            ),
+            (
+                r#"{"name":"x","refetch_permille":{"from":1,"to":2000000}}"#,
+                "permille cap",
+            ),
             (r#"{"name":"x","chunk_points":1}"#, "chunk floor"),
             (r#"{"name":"x","chunk_points":1000000}"#, "chunk cap"),
             (r#"{"name":"x","scale":"huge"}"#, "bad scale"),
@@ -706,7 +730,10 @@ mod tests {
             render_sweep_row("gzip", point.side, point.node, &savings)
         );
         let extended = render_job_row(&point, &savings, true);
-        assert!(extended.contains("\"refetch_permille\": 1500"), "{extended}");
+        assert!(
+            extended.contains("\"refetch_permille\": 1500"),
+            "{extended}"
+        );
         assert!(!plain.contains("refetch_permille"));
     }
 }

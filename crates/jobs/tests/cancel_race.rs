@@ -72,7 +72,10 @@ fn snapshot(dir: &Path) -> BTreeMap<String, u64> {
     let mut files = BTreeMap::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(current) = stack.pop() {
-        for entry in std::fs::read_dir(&current).expect("job dir readable").flatten() {
+        for entry in std::fs::read_dir(&current)
+            .expect("job dir readable")
+            .flatten()
+        {
             let path = entry.path();
             if path.is_dir() {
                 stack.push(path);
@@ -92,10 +95,7 @@ fn snapshot(dir: &Path) -> BTreeMap<String, u64> {
 
 #[test]
 fn cancel_beats_inflight_checkpoints_and_survives_restart() {
-    let jobs_dir = std::env::temp_dir().join(format!(
-        "leakage-cancel-race-{}",
-        std::process::id()
-    ));
+    let jobs_dir = std::env::temp_dir().join(format!("leakage-cancel-race-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&jobs_dir);
 
     let first = fabric(jobs_dir.clone());
@@ -148,8 +148,16 @@ fn cancel_beats_inflight_checkpoints_and_survives_restart() {
     std::thread::sleep(Duration::from_millis(400));
     let doc = status(&second, &id);
     assert_eq!(doc.get("state").and_then(Json::as_str), Some("canceled"));
-    assert_eq!(field(&doc, "chunks_done"), 0, "no recovery scan ran: {doc:?}");
-    assert_eq!(snapshot(&job_dir), before, "restart must not touch a canceled job");
+    assert_eq!(
+        field(&doc, "chunks_done"),
+        0,
+        "no recovery scan ran: {doc:?}"
+    );
+    assert_eq!(
+        snapshot(&job_dir),
+        before,
+        "restart must not touch a canceled job"
+    );
 
     // Resubmitting the identical spec finds the canceled job, it does
     // not silently restart the work.

@@ -282,9 +282,7 @@ fn decay_trajectory(
     } else {
         d - theta - down
     };
-    let mut energy = pa * theta as f64
-        + ramp.ramp_power(pa, ps) * down as f64
-        + ps * slept as f64;
+    let mut energy = pa * theta as f64 + ramp.ramp_power(pa, ps) * down as f64 + ps * slept as f64;
     let mut stall = 0;
     if closes_with_access {
         // The line must be powered back up and (on a hit) refetched; the
@@ -326,8 +324,7 @@ fn periodic_trajectory(
     }
     let down = (d - head).min(t.d1);
     let rest = d - head - down;
-    let mut energy =
-        pa * head as f64 + ramp.ramp_power(pa, pd) * down as f64 + pd * rest as f64;
+    let mut energy = pa * head as f64 + ramp.ramp_power(pa, pd) * down as f64 + pd * rest as f64;
     let mut stall = 0;
     if closes_with_access {
         energy += ramp.ramp_power(pd, pa) * t.d3 as f64;
@@ -479,7 +476,7 @@ mod tests {
     #[test]
     fn quantized_decay_effective_theta_depends_on_phase() {
         let ctrl = Controller::quantized_decay(12_000); // tick = 4000, 2 bits
-        // Armed right after a tick: nearly 3 full ticks until saturation.
+                                                        // Armed right after a tick: nearly 3 full ticks until saturation.
         let just_after = ctrl.effective_theta(c(4_001), 0).unwrap();
         // Armed right before a tick: barely over 2 ticks.
         let just_before = ctrl.effective_theta(c(7_999), 0).unwrap();
@@ -518,7 +515,10 @@ mod tests {
         // rely on exactly this Some/None split; assert it explicitly
         // at the boundary cycles used above.
         for t0 in [c(4_000), c(8_000)] {
-            assert_eq!(Controller::decay(10_000).effective_theta(t0, 0), Some(10_000));
+            assert_eq!(
+                Controller::decay(10_000).effective_theta(t0, 0),
+                Some(10_000)
+            );
             assert_eq!(
                 Controller::decay_idealized(10_000).effective_theta(t0, 0),
                 Some(10_000)
@@ -532,7 +532,10 @@ mod tests {
                 Controller::adaptive_decay().effective_theta(t0, 7_777),
                 Some(7_777)
             );
-            assert_eq!(Controller::periodic_drowsy(4_000).effective_theta(t0, 0), None);
+            assert_eq!(
+                Controller::periodic_drowsy(4_000).effective_theta(t0, 0),
+                None
+            );
         }
     }
 
@@ -587,8 +590,12 @@ mod tests {
         // The hybrid's energy on the long interval beats pure periodic
         // drowsy and pure decay with the same knobs.
         let drowsy = Controller::periodic_drowsy(4_000).trajectory(&p, c(0), c(500_000), true, 0);
-        let decay = Controller::Decay { theta: 50_000, counter_ratio: 0.0, idealized: false }
-            .trajectory(&p, c(0), c(500_000), true, 0);
+        let decay = Controller::Decay {
+            theta: 50_000,
+            counter_ratio: 0.0,
+            idealized: false,
+        }
+        .trajectory(&p, c(0), c(500_000), true, 0);
         assert!(long.energy < drowsy.energy);
         assert!(long.energy < decay.energy);
     }

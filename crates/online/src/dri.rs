@@ -80,8 +80,7 @@ impl DriReport {
         if self.accesses == 0 {
             0.0
         } else {
-            1_000.0 * self.misses.saturating_sub(self.shadow_misses) as f64
-                / self.accesses as f64
+            1_000.0 * self.misses.saturating_sub(self.shadow_misses) as f64 / self.accesses as f64
         }
     }
 }
@@ -145,8 +144,8 @@ impl DriCacheSim {
             let per_set = self.cache.config().ways() as f64;
             let enabled = frames * f64::from(self.ways) / per_set;
             let gated = frames - enabled;
-            self.energy += span
-                * (enabled * self.params.powers().active + gated * self.params.powers().sleep);
+            self.energy +=
+                span * (enabled * self.params.powers().active + gated * self.params.powers().sleep);
             self.weighted_way_cycles += span * f64::from(self.ways);
             self.last_change = now;
         }
@@ -246,7 +245,11 @@ mod tests {
         assert_eq!(s.ways(), 1, "shrunk to the minimum");
         let report = s.finish();
         assert!(report.avg_ways < 4.0);
-        assert!(report.saving_fraction() > 0.4, "{}", report.saving_percent());
+        assert!(
+            report.saving_fraction() > 0.4,
+            "{}",
+            report.saving_percent()
+        );
         assert!(report.resize_history.len() > 1);
     }
 

@@ -99,9 +99,13 @@ impl OnlineCacheSim {
     pub fn on_access(&mut self, frame: FrameId, cycle: Cycle, hit: bool) {
         self.maybe_retune(cycle);
         let state = self.frames[frame.index() as usize];
-        let traj =
-            self.controller
-                .trajectory(&self.params, state.armed_at, cycle, true, state.armed_theta);
+        let traj = self.controller.trajectory(
+            &self.params,
+            state.armed_at,
+            cycle,
+            true,
+            state.armed_theta,
+        );
         self.energy += traj.energy;
         for (bucket, cycles) in self.mode_cycles.iter_mut().zip(traj.mode_cycles) {
             *bucket += cycles;
@@ -231,11 +235,7 @@ impl OnlineSink {
     }
 
     /// Builds with distinct controllers per side.
-    pub fn with_controllers(
-        params: CircuitParams,
-        icache: Controller,
-        dcache: Controller,
-    ) -> Self {
+    pub fn with_controllers(params: CircuitParams, icache: Controller, dcache: Controller) -> Self {
         let config = HierarchyConfig::alpha_like();
         OnlineSink {
             icache: OnlineCacheSim::new(params.clone(), icache, config.l1i.num_frames()),
@@ -332,7 +332,11 @@ mod tests {
         for i in 1..60 {
             sim.on_access(f(0), c(i * 2_000), true);
         }
-        assert!(sim.current_theta() < 64_000, "theta fell: {}", sim.current_theta());
+        assert!(
+            sim.current_theta() < 64_000,
+            "theta fell: {}",
+            sim.current_theta()
+        );
         let report = sim.finish(c(200_000));
         assert!(report.theta_history.len() > 1);
         assert_eq!(report.theta_history[0], (0, 64_000));
@@ -353,7 +357,11 @@ mod tests {
         for i in 1..40 {
             sim.on_access(f(0), c(i * 10_000), true);
         }
-        assert!(sim.current_theta() > 1_000, "theta rose: {}", sim.current_theta());
+        assert!(
+            sim.current_theta() > 1_000,
+            "theta rose: {}",
+            sim.current_theta()
+        );
     }
 
     #[test]

@@ -148,8 +148,9 @@ mod tests {
         for i in 0..4u64 {
             a.observe_into(&load(0x400, i * 256), &mut triggers);
         }
-        assert!(triggers.iter().any(|t| t.hints.stride
-            && t.line == Address::new(4 * 256).line(6)));
+        assert!(triggers
+            .iter()
+            .any(|t| t.hints.stride && t.line == Address::new(4 * 256).line(6)));
         // Confirmed at the 3rd access, so the 3rd and 4th both predict.
         assert_eq!(a.stats().stride_triggers, 2);
         assert!(a.stats().next_line_triggers >= 1);

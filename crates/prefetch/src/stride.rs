@@ -142,7 +142,7 @@ mod tests {
             p.observe(pc(4), addr);
         }
         assert_eq!(p.observe(pc(4), a(32)), Some(a(40))); // confirmed stride 8
-        // Break the pattern.
+                                                          // Break the pattern.
         assert_eq!(p.observe(pc(4), a(1000)), None);
         assert_eq!(p.observe(pc(4), a(1008)), None); // new stride once
         assert_eq!(p.observe(pc(4), a(1016)), Some(a(1024))); // twice

@@ -41,8 +41,7 @@ fn main() {
                 config.duration = Duration::from_secs(value().parse().unwrap_or_else(|_| usage()));
             }
             "--timeout-ms" => {
-                config.timeout =
-                    Duration::from_millis(value().parse().unwrap_or_else(|_| usage()));
+                config.timeout = Duration::from_millis(value().parse().unwrap_or_else(|_| usage()));
             }
             "--mix" => config.mix = parse_mix(&value()).unwrap_or_else(|| usage()),
             "--pipeline" => config.pipeline = value().parse().unwrap_or_else(|_| usage()),

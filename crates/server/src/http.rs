@@ -272,7 +272,11 @@ pub fn parse_request(buf: &[u8]) -> Parse {
     // wire-framed by the chunk grammar (RFC 9112 overrides any
     // Content-Length) and is consumed by the connection layer through
     // a `ChunkedDecoder`, never buffered here.
-    let total = if chunked { head_end } else { head_end + content_length };
+    let total = if chunked {
+        head_end
+    } else {
+        head_end + content_length
+    };
     if buf.len() < total {
         return Parse::Partial;
     }
@@ -464,12 +468,7 @@ impl ChunkedDecoder {
                     match buf[i] {
                         b'\r' => self.state = ChunkState::DataLf,
                         b'\n' => self.state = ChunkState::Size,
-                        _ => {
-                            return Err(BadRequest::new(
-                                400,
-                                "chunk data not terminated by CRLF",
-                            ))
-                        }
+                        _ => return Err(BadRequest::new(400, "chunk data not terminated by CRLF")),
                     }
                     i += 1;
                 }
@@ -581,7 +580,7 @@ impl Response {
     /// A JSON error body `{"error": reason}` with the given status.
     pub fn error(status: u16, reason: &str) -> Self {
         let body = leakage_telemetry::json::object([
-            leakage_telemetry::json::key("error") + &leakage_telemetry::json::string(reason),
+            leakage_telemetry::json::key("error") + &leakage_telemetry::json::string(reason)
         ]);
         Response::json(status, body)
     }
@@ -763,7 +762,10 @@ impl ClientResponse {
 fn header_name_is(raw: &[u8], name: &str) -> bool {
     let start = raw.iter().position(|b| !b.is_ascii_whitespace());
     let Some(start) = start else { return false };
-    let end = raw.iter().rposition(|b| !b.is_ascii_whitespace()).map_or(0, |p| p + 1);
+    let end = raw
+        .iter()
+        .rposition(|b| !b.is_ascii_whitespace())
+        .map_or(0, |p| p + 1);
     raw[start..end].eq_ignore_ascii_case(name.as_bytes())
 }
 
@@ -1065,7 +1067,10 @@ mod tests {
         let req = Request {
             method: "GET".into(),
             path: "/v1/table/2".into(),
-            query: vec![("scale".into(), "test".into()), ("format".into(), "csv".into())],
+            query: vec![
+                ("scale".into(), "test".into()),
+                ("format".into(), "csv".into()),
+            ],
             body: Vec::new(),
             close: false,
             chunked: false,
@@ -1073,7 +1078,10 @@ mod tests {
         };
         assert_eq!(req.canonical_key(), "GET /v1/table/2?format=csv&scale=test");
         let flipped = Request {
-            query: vec![("format".into(), "csv".into()), ("scale".into(), "test".into())],
+            query: vec![
+                ("format".into(), "csv".into()),
+                ("scale".into(), "test".into()),
+            ],
             ..req.clone()
         };
         assert_eq!(req.canonical_key(), flipped.canonical_key());
@@ -1095,7 +1103,11 @@ mod tests {
         };
         assert_eq!(request.path, "/healthz");
         assert!(!request.close, "HTTP/1.1 defaults to keep-alive");
-        let Parse::Complete { request, used: used2 } = parse_request(&wire[used..]) else {
+        let Parse::Complete {
+            request,
+            used: used2,
+        } = parse_request(&wire[used..])
+        else {
             panic!("pipelined second request should parse");
         };
         assert_eq!(request.path, "/metrics");
@@ -1147,7 +1159,10 @@ mod tests {
         assert_eq!(request.body, b"abcd");
         assert_eq!(&wire[used..], b"GET");
         // Body bytes not yet arrived → Partial.
-        assert!(matches!(parse_request(&wire[..wire.len() - 7]), Parse::Partial));
+        assert!(matches!(
+            parse_request(&wire[..wire.len() - 7]),
+            Parse::Partial
+        ));
     }
 
     #[test]
@@ -1177,7 +1192,10 @@ mod tests {
             .into_wire();
         assert_eq!(wire.status(), 503);
         let keep = String::from_utf8(wire.to_bytes(true)).unwrap();
-        assert!(keep.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{keep}");
+        assert!(
+            keep.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{keep}"
+        );
         assert!(keep.contains("Retry-After: 1\r\n"));
         assert!(keep.contains("Connection: keep-alive\r\n"));
         let close = String::from_utf8(wire.to_bytes(false)).unwrap();
@@ -1193,7 +1211,10 @@ mod tests {
             .write_to(&mut out)
             .unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{text}");
+        assert!(
+            text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{text}"
+        );
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("{\"error\": \"queue full\"}"));

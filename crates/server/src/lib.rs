@@ -81,5 +81,5 @@ pub mod streaming;
 pub mod trace;
 
 pub use http::{fetch, Client, ClientResponse, Request, Response, WireResponse};
-pub use loadgen::{LoadgenConfig, LoadReport};
+pub use loadgen::{LoadReport, LoadgenConfig};
 pub use pool::{Server, ServerConfig};

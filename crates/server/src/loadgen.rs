@@ -98,7 +98,13 @@ pub struct LoadReport {
 /// Stage labels in the server's `Server-Timing` header, in the order
 /// the serving path runs them.
 pub const TIMING_STAGES: [&str; 7] = [
-    "parse", "queue", "permit", "handler", "store", "serialize", "write",
+    "parse",
+    "queue",
+    "permit",
+    "handler",
+    "store",
+    "serialize",
+    "write",
 ];
 
 /// One stage's latency summary across every response that reported it.
@@ -525,7 +531,10 @@ mod tests {
         };
         let doc = leakage_telemetry::json::parse(&report.to_json()).unwrap();
         assert_eq!(doc.get("requests").and_then(|v| v.as_f64()), Some(10.0));
-        assert_eq!(doc.get("throughput_rps").and_then(|v| v.as_f64()), Some(5.0));
+        assert_eq!(
+            doc.get("throughput_rps").and_then(|v| v.as_f64()),
+            Some(5.0)
+        );
         assert_eq!(doc.get("p99_us").and_then(|v| v.as_f64()), Some(300.0));
         assert_eq!(doc.get("max_us").and_then(|v| v.as_f64()), Some(350.0));
         assert_eq!(
@@ -555,7 +564,10 @@ mod tests {
         assert_eq!(stage_us[6], vec![125]);
         // Unknown stages and malformed entries are skipped, known ones
         // still accumulate.
-        parse_server_timing("db;dur=9.9, queue;dur=bogus, write;dur=0.001", &mut stage_us);
+        parse_server_timing(
+            "db;dur=9.9, queue;dur=bogus, write;dur=0.001",
+            &mut stage_us,
+        );
         assert_eq!(stage_us[1], vec![1500], "bogus duration ignored");
         assert_eq!(stage_us[6], vec![125, 1]);
     }

@@ -30,8 +30,7 @@ fn parse_config() -> ServerConfig {
             "--workers" => config.workers = value().parse().unwrap_or_else(|_| usage()),
             "--queue-depth" => config.queue_depth = value().parse().unwrap_or_else(|_| usage()),
             "--scale" => {
-                config.default_scale =
-                    Scale::parse_arg(&value()).unwrap_or_else(|| usage());
+                config.default_scale = Scale::parse_arg(&value()).unwrap_or_else(|| usage());
             }
             "--timeout-ms" => {
                 config.request_timeout =
@@ -51,8 +50,7 @@ fn parse_config() -> ServerConfig {
                     Duration::from_millis(value().parse().unwrap_or_else(|_| usage()));
             }
             "--max-requests-per-conn" => {
-                config.max_requests_per_connection =
-                    value().parse().unwrap_or_else(|_| usage());
+                config.max_requests_per_connection = value().parse().unwrap_or_else(|_| usage());
             }
             "--max-connections" => {
                 config.max_connections = value().parse().unwrap_or_else(|_| usage());

@@ -117,14 +117,7 @@ mod sys {
     pub fn epoll_pump(epfd: i32, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         // SAFETY: `events` is a valid, writable slice whose length
         // bounds `maxevents`.
-        let n = unsafe {
-            epoll_wait(
-                epfd,
-                events.as_mut_ptr(),
-                events.len() as i32,
-                timeout_ms,
-            )
-        };
+        let n = unsafe { epoll_wait(epfd, events.as_mut_ptr(), events.len() as i32, timeout_ms) };
         match check(n) {
             Ok(n) => Ok(n as usize),
             Err(err) if err.kind() == io::ErrorKind::Interrupted => Ok(0),
@@ -287,7 +280,13 @@ impl Reactor {
             wake: Arc::clone(&wake),
             inflight: AtomicUsize::new(0),
         });
-        sys::epoll_arm(epfd, listener.as_raw_fd(), LISTENER_TOKEN, sys::EPOLLIN, true)?;
+        sys::epoll_arm(
+            epfd,
+            listener.as_raw_fd(),
+            LISTENER_TOKEN,
+            sys::EPOLLIN,
+            true,
+        )?;
         sys::epoll_arm(epfd, wake.read_fd, WAKE_TOKEN, sys::EPOLLIN, true)?;
         Ok((
             Reactor {

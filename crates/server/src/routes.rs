@@ -59,8 +59,17 @@ pub const LATENCY_BOUNDS_US: [u64; 9] = [
 /// Every route label [`route_name`] can produce. The index of a label
 /// is its [`route_code`] — the u8 stored in flight-recorder records.
 pub const ROUTES: [&str; 11] = [
-    "healthz", "metrics", "version", "profile", "table", "figure", "sweep", "trace", "jobs",
-    "debug", "not_found",
+    "healthz",
+    "metrics",
+    "version",
+    "profile",
+    "table",
+    "figure",
+    "sweep",
+    "trace",
+    "jobs",
+    "debug",
+    "not_found",
 ];
 
 /// The recorder's compact route code for a label (index in
@@ -274,8 +283,7 @@ fn catalog_eligible(request: &Request, ctx: &RouteContext) -> bool {
             // Compare by cycles: `scale=test` and `scale=200000` are
             // the same artifact.
             "scale" => {
-                Scale::parse_arg(v).map(Scale::cycles)
-                    == Some(ctx.catalog.default_scale().cycles())
+                Scale::parse_arg(v).map(Scale::cycles) == Some(ctx.catalog.default_scale().cycles())
             }
             "format" => v == "json" || v == "csv",
             _ => false,
@@ -351,7 +359,11 @@ pub fn warm_catalog(ctx: &RouteContext) {
     let paths: Vec<String> = query::TABLE_IDS
         .iter()
         .map(|id| format!("/v1/table/{id}"))
-        .chain(query::FIGURE_IDS.iter().map(|id| format!("/v1/figure/{id}")))
+        .chain(
+            query::FIGURE_IDS
+                .iter()
+                .map(|id| format!("/v1/figure/{id}")),
+        )
         .collect();
     for path in &paths {
         for query in [
@@ -478,7 +490,9 @@ fn healthz(ctx: &RouteContext) -> Response {
             json::key("suite") + &json::array(SUITE_NAMES.iter().map(|n| json::string(n))),
             json::key("isa_suite")
                 + &json::array(
-                    leakage_workloads::ISA_SUITE_NAMES.iter().map(|n| json::string(n)),
+                    leakage_workloads::ISA_SUITE_NAMES
+                        .iter()
+                        .map(|n| json::string(n)),
                 ),
         ]),
     )
@@ -527,7 +541,9 @@ fn debug_route(request: &Request, ctx: &RouteContext) -> Response {
         "/debug/stats" => debug_stats(recorder),
         other => Response::error(
             404,
-            &format!("no such debug endpoint: {other} (try /debug/requests, /debug/slow, /debug/stats)"),
+            &format!(
+                "no such debug endpoint: {other} (try /debug/requests, /debug/slow, /debug/stats)"
+            ),
         ),
     }
 }
@@ -646,12 +662,10 @@ fn version() -> Response {
     Response::json(
         200,
         json::object([
-            json::key("generator_version")
-                + &leakage_workloads::GENERATOR_VERSION.to_string(),
+            json::key("generator_version") + &leakage_workloads::GENERATOR_VERSION.to_string(),
             json::key("isa_generator_version")
                 + &leakage_workloads::ISA_GENERATOR_VERSION.to_string(),
-            json::key("format_version")
-                + &leakage_experiments::codec::FORMAT_VERSION.to_string(),
+            json::key("format_version") + &leakage_experiments::codec::FORMAT_VERSION.to_string(),
             json::key("git") + &json::string(git_describe()),
         ]),
     )
@@ -697,7 +711,11 @@ fn side_json(profile: &CacheProfile) -> String {
         json::key("total_intervals") + &profile.dist.total_intervals().to_string(),
         json::key("interval_cycles") + &profile.dist.total_cycles().to_string(),
         json::key("covers_timeline")
-            + if profile.covers_timeline() { "true" } else { "false" },
+            + if profile.covers_timeline() {
+                "true"
+            } else {
+                "false"
+            },
         json::key("next_line_triggers") + &profile.prefetch.next_line_triggers.to_string(),
         json::key("stride_triggers") + &profile.prefetch.stride_triggers.to_string(),
     ])
@@ -909,8 +927,9 @@ fn jobs_result(request: &Request, ctx: &RouteContext, id: &str) -> Response {
             Response::error(409, &format!("job {id} is {state}, not done"))
         }
         Err(ResultError::BadRequest(msg)) => Response::error(400, &msg),
-        Err(ResultError::Corrupt(msg)) => Response::error(503, &msg)
-            .with_header("Retry-After", ctx.retry_after_secs.to_string()),
+        Err(ResultError::Corrupt(msg)) => {
+            Response::error(503, &msg).with_header("Retry-After", ctx.retry_after_secs.to_string())
+        }
     }
 }
 
@@ -1017,10 +1036,8 @@ mod tests {
     fn test_fabric() -> Arc<JobFabric> {
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "leakage-routes-jobs-{}-{seq}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("leakage-routes-jobs-{}-{seq}", std::process::id()));
         JobFabric::start(leakage_jobs::FabricConfig {
             jobs_dir: dir,
             workers: 1,
@@ -1176,7 +1193,10 @@ mod tests {
         let health = handle(&get("/healthz", &[]), &ctx);
         assert_eq!(health.status(), 200);
         let doc = json::parse(&body_text(&health)).unwrap();
-        assert_eq!(doc.get("recorder_capacity").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(
+            doc.get("recorder_capacity").and_then(Json::as_f64),
+            Some(0.0)
+        );
     }
 
     #[test]
@@ -1200,7 +1220,10 @@ mod tests {
         assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
         assert_eq!(doc.get("transport").and_then(Json::as_str), Some("test"));
         assert_eq!(doc.get("queue_depth").and_then(Json::as_f64), Some(7.0));
-        assert_eq!(doc.get("recorder_capacity").and_then(Json::as_f64), Some(64.0));
+        assert_eq!(
+            doc.get("recorder_capacity").and_then(Json::as_f64),
+            Some(64.0)
+        );
         let suite = doc.get("suite").and_then(Json::as_array).unwrap();
         assert_eq!(suite.len(), SUITE_NAMES.len());
     }
@@ -1287,7 +1310,10 @@ mod tests {
                 .and_then(|side| side.get("covers_timeline")),
             Some(&Json::Bool(true))
         );
-        assert!(!ctx.front.is_empty(), "profile went through the store front");
+        assert!(
+            !ctx.front.is_empty(),
+            "profile went through the store front"
+        );
         assert_eq!(handle(&get("/v1/profile/perlbmk", &[]), &ctx).status(), 404);
         assert_eq!(
             handle(&get("/v1/profile/gzip", &[("hierarchy", "mips")]), &ctx).status(),
@@ -1344,7 +1370,11 @@ mod tests {
         capped.body = format!(r#"{{"scale": "{}", "points": []}}"#, over_cap()).into_bytes();
         let refused = handle(&capped, &ctx);
         assert_eq!(refused.status(), 400);
-        assert!(body_text(&refused).contains("serving cap"), "{}", body_text(&refused));
+        assert!(
+            body_text(&refused).contains("serving cap"),
+            "{}",
+            body_text(&refused)
+        );
 
         // The point cap: MAX_SWEEP_POINTS evaluate, one more is 413.
         let point = r#"{"benchmark": "gzip", "side": "icache", "node": "70nm"}"#;
@@ -1357,7 +1387,10 @@ mod tests {
         let full = handle(&batch(MAX_SWEEP_POINTS), &ctx);
         assert_eq!(full.status(), 200, "{}", body_text(&full));
         let doc = json::parse(&body_text(&full)).unwrap();
-        let rows = doc.get("results").and_then(Json::as_array).map(<[Json]>::len);
+        let rows = doc
+            .get("results")
+            .and_then(Json::as_array)
+            .map(<[Json]>::len);
         assert_eq!(rows, Some(MAX_SWEEP_POINTS));
         assert_eq!(handle(&batch(MAX_SWEEP_POINTS + 1), &ctx).status(), 413);
     }
@@ -1493,7 +1526,11 @@ mod tests {
         capped.body = format!(r#"{{"name": "over-cap", "scale": "{}"}}"#, over_cap()).into_bytes();
         let refused = handle(&capped, &ctx);
         assert_eq!(refused.status(), 400);
-        assert!(body_text(&refused).contains("serving cap"), "{}", body_text(&refused));
+        assert!(
+            body_text(&refused).contains("serving cap"),
+            "{}",
+            body_text(&refused)
+        );
 
         // Canceling a finished job is a conflict.
         let mut delete = get(&format!("/v1/jobs/{id}"), &[]);

@@ -62,7 +62,11 @@ impl StoreFront {
     /// Store errors (unknown benchmark, simulation failure) — which
     /// are **not** negatively cached, so a transient failure retries
     /// the real path.
-    pub fn fetch(&self, benchmark: &str, scale: Scale) -> Result<Arc<BenchmarkProfile>, StoreError> {
+    pub fn fetch(
+        &self,
+        benchmark: &str,
+        scale: Scale,
+    ) -> Result<Arc<BenchmarkProfile>, StoreError> {
         let cycles = scale.cycles();
         let stripe = &self.stripes[stripe_of(benchmark, cycles, self.stripes.len())];
         {

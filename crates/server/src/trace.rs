@@ -82,7 +82,10 @@ pub fn parse_trace_id(value: &str) -> u64 {
     if let Ok(id) = value.parse::<u64>() {
         return id;
     }
-    if let Some(hex) = value.strip_prefix("0x").or_else(|| value.strip_prefix("0X")) {
+    if let Some(hex) = value
+        .strip_prefix("0x")
+        .or_else(|| value.strip_prefix("0X"))
+    {
         if let Ok(id) = u64::from_str_radix(hex, 16) {
             return id;
         }

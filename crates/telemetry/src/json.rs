@@ -127,7 +127,10 @@ impl std::error::Error for JsonError {}
 ///
 /// A [`JsonError`] locating the first offending byte.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -144,7 +147,10 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn err(&self, reason: &str) -> JsonError {
-        JsonError { at: self.pos, reason: reason.to_string() }
+        JsonError {
+            at: self.pos,
+            reason: reason.to_string(),
+        }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -281,8 +287,7 @@ impl<'a> Parser<'a> {
                     // Consume one UTF-8 scalar (input is &str, so the
                     // boundary math is safe).
                     let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    let text = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
                     let c = text.chars().next().expect("peeked non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
@@ -300,11 +305,12 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ASCII digits are UTF-8");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| JsonError { at: start, reason: format!("bad number {text:?}") })
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits are UTF-8");
+        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
+            at: start,
+            reason: format!("bad number {text:?}"),
+        })
     }
 }
 
@@ -358,7 +364,16 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"unterminated", "{'a':1}"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+            "{'a':1}",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
         let err = parse("[1, ?]").unwrap_err();

@@ -63,7 +63,9 @@ pub use prom::prometheus_text;
 pub use recorder::{
     FlightRecorder, RequestRecord, FLAG_CACHE_HIT, FLAG_CATALOG_HIT, FLAG_PANIC, FLAG_SHED,
 };
-pub use span::{current_path, span, span_under, span_report, span_tree, SpanGuard, SpanNode, SpanStat};
+pub use span::{
+    current_path, span, span_report, span_tree, span_under, SpanGuard, SpanNode, SpanStat,
+};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -114,7 +114,11 @@ impl RunManifest {
             key("schema") + &string(MANIFEST_SCHEMA),
             key("created_unix_s") + &created.to_string(),
             key("manifest")
-                + &object(self.info.iter().map(|(name, value)| key(name) + &string(value))),
+                + &object(
+                    self.info
+                        .iter()
+                        .map(|(name, value)| key(name) + &string(value)),
+                ),
             key("verdicts")
                 + &object(
                     self.verdicts

@@ -216,7 +216,11 @@ impl Histogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             bounds: self.bounds.clone(),
-            counts: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            counts: self
+                .buckets
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .collect(),
             sum: self.sum.load(Ordering::Relaxed),
             count: self.count.load(Ordering::Relaxed),
         }
@@ -296,7 +300,10 @@ impl Registry {
     /// Later callers get the existing histogram regardless of the
     /// bounds they pass (first creation wins).
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut map = self
+            .histograms
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         Arc::clone(
             map.entry(name.to_string())
                 .or_insert_with(|| Arc::new(Histogram::new(bounds))),

@@ -7,9 +7,7 @@ use std::fmt::Write as _;
 /// (`lat`, `route="table"`). Names without braces pass through.
 fn split_labels(name: &str) -> (&str, Option<&str>) {
     match name.find('{') {
-        Some(open) if name.ends_with('}') => {
-            (&name[..open], Some(&name[open + 1..name.len() - 1]))
-        }
+        Some(open) if name.ends_with('}') => (&name[..open], Some(&name[open + 1..name.len() - 1])),
         _ => (name, None),
     }
 }

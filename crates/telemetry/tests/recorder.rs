@@ -202,5 +202,8 @@ fn record_cost_smoke() {
         recorder.record(&rec);
     }
     let per = started.elapsed().as_nanos() / u128::from(n);
-    assert!(per < 20_000, "record() took {per}ns — far beyond a slot store");
+    assert!(
+        per < 20_000,
+        "record() took {per}ns — far beyond a slot store"
+    );
 }

@@ -17,7 +17,9 @@ fn concurrent_counter_increments_sum_exactly() {
         }
     });
     assert_eq!(
-        telemetry::registry().counter("registry_test_fanout_total").get(),
+        telemetry::registry()
+            .counter("registry_test_fanout_total")
+            .get(),
         TASKS as u64 * PER_TASK
     );
 }

@@ -179,7 +179,10 @@ mod tests {
         // bottom instead of panicking mid-simulation.
         assert_eq!(Address::new(u64::MAX).offset(1), Address::new(0));
         assert_eq!(Address::new(0).offset(-1), Address::new(u64::MAX));
-        assert_eq!(Address::new(u64::MAX).offset(i64::MAX).raw(), (i64::MAX as u64) - 1);
+        assert_eq!(
+            Address::new(u64::MAX).offset(i64::MAX).raw(),
+            (i64::MAX as u64) - 1
+        );
         assert_eq!(Address::new(0).offset(i64::MIN).raw(), 1u64 << 63);
     }
 

@@ -77,8 +77,16 @@ mod tests {
     fn splits_code_and_data() {
         let mut fp = FootprintTracker::new(6);
         fp.accept(MemoryAccess::fetch(Cycle::new(0), Pc::new(0)));
-        fp.accept(MemoryAccess::load(Cycle::new(1), Pc::new(4), Address::new(0)));
-        fp.accept(MemoryAccess::store(Cycle::new(2), Pc::new(8), Address::new(64)));
+        fp.accept(MemoryAccess::load(
+            Cycle::new(1),
+            Pc::new(4),
+            Address::new(0),
+        ));
+        fp.accept(MemoryAccess::store(
+            Cycle::new(2),
+            Pc::new(8),
+            Address::new(64),
+        ));
         assert_eq!(fp.code_lines(), 1);
         assert_eq!(fp.data_lines(), 2);
         assert_eq!(fp.data_bytes(), 128);
@@ -87,8 +95,16 @@ mod tests {
     #[test]
     fn line_granularity_respected() {
         let mut fp = FootprintTracker::new(5); // 32-byte lines
-        fp.accept(MemoryAccess::load(Cycle::new(0), Pc::new(0), Address::new(0)));
-        fp.accept(MemoryAccess::load(Cycle::new(1), Pc::new(0), Address::new(40)));
+        fp.accept(MemoryAccess::load(
+            Cycle::new(0),
+            Pc::new(0),
+            Address::new(0),
+        ));
+        fp.accept(MemoryAccess::load(
+            Cycle::new(1),
+            Pc::new(0),
+            Address::new(40),
+        ));
         assert_eq!(fp.data_lines(), 2, "40 crosses a 32-byte boundary");
         assert_eq!(fp.data_bytes(), 64);
     }

@@ -290,8 +290,7 @@ impl StreamDecoder {
         // Complete the straddling record, if any.
         if self.partial_len > 0 {
             let take = (RECORD_BYTES - self.partial_len).min(chunk.len());
-            self.partial[self.partial_len..self.partial_len + take]
-                .copy_from_slice(&chunk[..take]);
+            self.partial[self.partial_len..self.partial_len + take].copy_from_slice(&chunk[..take]);
             self.partial_len += take;
             chunk = &chunk[take..];
             if self.partial_len < RECORD_BYTES {
@@ -303,8 +302,9 @@ impl StreamDecoder {
         }
         // Whole records straight out of the chunk, no copy.
         while chunk.len() >= RECORD_BYTES {
-            let record: [u8; RECORD_BYTES] =
-                chunk[..RECORD_BYTES].try_into().expect("record-sized window");
+            let record: [u8; RECORD_BYTES] = chunk[..RECORD_BYTES]
+                .try_into()
+                .expect("record-sized window");
             self.emit(&record, sink)?;
             chunk = &chunk[RECORD_BYTES..];
         }
@@ -314,7 +314,11 @@ impl StreamDecoder {
         Ok(())
     }
 
-    fn emit(&mut self, record: &[u8; RECORD_BYTES], sink: &mut dyn TraceSink) -> Result<(), TraceError> {
+    fn emit(
+        &mut self,
+        record: &[u8; RECORD_BYTES],
+        sink: &mut dyn TraceSink,
+    ) -> Result<(), TraceError> {
         let kind = kind_from_byte(record[24])?;
         sink.accept(MemoryAccess::new(
             Cycle::new(le_u64(record, 0)),
@@ -505,10 +509,7 @@ mod tests {
         impl Write for Failing {
             fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
                 if self.budget == 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::Other,
-                        "sink died",
-                    ));
+                    return Err(std::io::Error::new(std::io::ErrorKind::Other, "sink died"));
                 }
                 let n = buf.len().min(self.budget);
                 self.budget -= n;
@@ -527,6 +528,9 @@ mod tests {
         }
         let err = writer.flush().unwrap_err();
         assert!(matches!(err, TraceError::Io(_)), "{err}");
-        assert!(writer.records() < 30_000, "records stop counting after the error");
+        assert!(
+            writer.records() < 30_000,
+            "records stop counting after the error"
+        );
     }
 }

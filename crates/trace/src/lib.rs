@@ -38,9 +38,9 @@ mod source;
 mod stats;
 
 pub use addr::{Address, LineAddr, Pc};
-pub use io::TraceError;
 pub use event::{AccessKind, MemoryAccess};
 pub use footprint::FootprintTracker;
+pub use io::TraceError;
 pub use source::{TraceSink, TraceSource, VecTrace};
 pub use stats::TraceStats;
 

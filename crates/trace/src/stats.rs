@@ -135,8 +135,16 @@ mod tests {
     fn observe_counts_and_span() {
         let mut stats = TraceStats::new();
         stats.observe(&MemoryAccess::fetch(Cycle::new(10), Pc::new(0)));
-        stats.observe(&MemoryAccess::load(Cycle::new(12), Pc::new(4), Address::new(8)));
-        stats.observe(&MemoryAccess::store(Cycle::new(19), Pc::new(8), Address::new(8)));
+        stats.observe(&MemoryAccess::load(
+            Cycle::new(12),
+            Pc::new(4),
+            Address::new(8),
+        ));
+        stats.observe(&MemoryAccess::store(
+            Cycle::new(19),
+            Pc::new(8),
+            Address::new(8),
+        ));
         assert_eq!(stats.total(), 3);
         assert_eq!(stats.data_accesses(), 2);
         assert_eq!(stats.span_cycles(), 10);
@@ -149,8 +157,16 @@ mod tests {
         let mut a = TraceStats::new();
         a.observe(&MemoryAccess::fetch(Cycle::new(5), Pc::new(0)));
         let mut b = TraceStats::new();
-        b.observe(&MemoryAccess::load(Cycle::new(2), Pc::new(0), Address::new(0)));
-        b.observe(&MemoryAccess::store(Cycle::new(9), Pc::new(0), Address::new(0)));
+        b.observe(&MemoryAccess::load(
+            Cycle::new(2),
+            Pc::new(0),
+            Address::new(0),
+        ));
+        b.observe(&MemoryAccess::store(
+            Cycle::new(9),
+            Pc::new(0),
+            Address::new(0),
+        ));
 
         a.merge(&b);
         assert_eq!(a.total(), 3);

@@ -26,7 +26,12 @@ fn arb_events() -> impl Strategy<Value = Vec<MemoryAccess>> {
         let mut events: Vec<MemoryAccess> = raw
             .into_iter()
             .map(|(cycle, pc, addr, kind)| {
-                MemoryAccess::new(Cycle::new(cycle), Pc::new(pc), Address::new(addr), KINDS[kind])
+                MemoryAccess::new(
+                    Cycle::new(cycle),
+                    Pc::new(pc),
+                    Address::new(addr),
+                    KINDS[kind],
+                )
             })
             .collect();
         let len = events.len();
@@ -123,7 +128,10 @@ fn replay(bytes: &[u8], sizes: &[usize], interrupt: usize, reach: usize) -> Outc
     };
     let mut sink = VecTrace::new();
     let result = replay_trace(&mut reader, &mut sink).map_err(|err| format!("{err:?}"));
-    assert!(reader.calls > interrupt_at, "the Interrupted read was never made");
+    assert!(
+        reader.calls > interrupt_at,
+        "the Interrupted read was never made"
+    );
     (sink.events().to_vec(), result)
 }
 

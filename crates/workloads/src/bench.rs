@@ -6,8 +6,8 @@
 //! aggregate interval statistics (see `EXPERIMENTS.md`); they are not
 //! meant to replicate instruction-level behaviour of the real programs.
 
-use crate::{CodeTier, Phase, Spec, StreamSpec};
 use crate::spec::SpecWorkload;
+use crate::{CodeTier, Phase, Spec, StreamSpec};
 use leakage_trace::{TraceSink, TraceSource};
 
 const KB: u64 = 1024;
@@ -23,8 +23,7 @@ const KB: u64 = 1024;
 pub const GENERATOR_VERSION: u32 = 1;
 
 /// Simulation length presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scale {
     /// ~200K cycles: unit-test sized.
     Test,
@@ -60,7 +59,6 @@ impl Scale {
         }
     }
 }
-
 
 /// A runnable benchmark analog.
 ///
@@ -124,7 +122,10 @@ impl Benchmark {
         match &self.inner {
             Inner::Spec(spec) => spec.spec(),
             Inner::Isa(isa) => {
-                panic!("{} is an executed program, not a declarative spec", isa.name())
+                panic!(
+                    "{} is an executed program, not a declarative spec",
+                    isa.name()
+                )
             }
         }
     }
@@ -176,8 +177,9 @@ pub fn by_name(name: &str, scale: Scale) -> Option<Benchmark> {
         "gzip" => Some(gzip(scale)),
         "mesa" => Some(mesa(scale)),
         "vortex" => Some(vortex(scale)),
-        _ => crate::isa::IsaWorkload::by_name(name, scale.cycles())
-            .map(|isa| Benchmark { inner: Inner::Isa(isa) }),
+        _ => crate::isa::IsaWorkload::by_name(name, scale.cycles()).map(|isa| Benchmark {
+            inner: Inner::Isa(isa),
+        }),
     }
 }
 
@@ -203,12 +205,36 @@ pub fn ammp(scale: Scale) -> Benchmark {
             Phase {
                 duration: 260_000,
                 code: vec![
-                    CodeTier { base: code(0), bytes: 3 * KB, every: 1 },
-                    CodeTier { base: code(1), bytes: 6 * KB, every: 10 },
-                    CodeTier { base: code(2), bytes: 10 * KB, every: 56 },
-                    CodeTier { base: code(3), bytes: 12 * KB, every: 160 },
-                    CodeTier { base: code(7), bytes: 10 * KB, every: 300 },
-                    CodeTier { base: code(8), bytes: 8 * KB, every: 260 },
+                    CodeTier {
+                        base: code(0),
+                        bytes: 3 * KB,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: code(1),
+                        bytes: 6 * KB,
+                        every: 10,
+                    },
+                    CodeTier {
+                        base: code(2),
+                        bytes: 10 * KB,
+                        every: 56,
+                    },
+                    CodeTier {
+                        base: code(3),
+                        bytes: 12 * KB,
+                        every: 160,
+                    },
+                    CodeTier {
+                        base: code(7),
+                        bytes: 10 * KB,
+                        every: 300,
+                    },
+                    CodeTier {
+                        base: code(8),
+                        bytes: 8 * KB,
+                        every: 260,
+                    },
                 ],
                 streams: vec![
                     (
@@ -247,9 +273,21 @@ pub fn ammp(scale: Scale) -> Benchmark {
             Phase {
                 duration: 340_000,
                 code: vec![
-                    CodeTier { base: code(4), bytes: 2 * KB, every: 1 },
-                    CodeTier { base: code(5), bytes: 4 * KB, every: 12 },
-                    CodeTier { base: code(6), bytes: 8 * KB, every: 80 },
+                    CodeTier {
+                        base: code(4),
+                        bytes: 2 * KB,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: code(5),
+                        bytes: 4 * KB,
+                        every: 12,
+                    },
+                    CodeTier {
+                        base: code(6),
+                        bytes: 8 * KB,
+                        every: 80,
+                    },
                 ],
                 streams: vec![(
                     StreamSpec::HotCold {
@@ -280,12 +318,36 @@ pub fn applu(scale: Scale) -> Benchmark {
             Phase {
                 duration: 250_000,
                 code: vec![
-                    CodeTier { base: code(0), bytes: 2 * KB, every: 1 },
-                    CodeTier { base: code(1), bytes: 5 * KB, every: 12 },
-                    CodeTier { base: code(2), bytes: 9 * KB, every: 64 },
-                    CodeTier { base: code(3), bytes: 10 * KB, every: 170 },
-                    CodeTier { base: code(7), bytes: 8 * KB, every: 320 },
-                    CodeTier { base: code(8), bytes: 8 * KB, every: 280 },
+                    CodeTier {
+                        base: code(0),
+                        bytes: 2 * KB,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: code(1),
+                        bytes: 5 * KB,
+                        every: 12,
+                    },
+                    CodeTier {
+                        base: code(2),
+                        bytes: 9 * KB,
+                        every: 64,
+                    },
+                    CodeTier {
+                        base: code(3),
+                        bytes: 10 * KB,
+                        every: 170,
+                    },
+                    CodeTier {
+                        base: code(7),
+                        bytes: 8 * KB,
+                        every: 320,
+                    },
+                    CodeTier {
+                        base: code(8),
+                        bytes: 8 * KB,
+                        every: 280,
+                    },
                 ],
                 streams: vec![
                     (
@@ -332,9 +394,21 @@ pub fn applu(scale: Scale) -> Benchmark {
             Phase {
                 duration: 360_000,
                 code: vec![
-                    CodeTier { base: code(4), bytes: 2 * KB + 512, every: 1 },
-                    CodeTier { base: code(5), bytes: 5 * KB, every: 16 },
-                    CodeTier { base: code(6), bytes: 8 * KB, every: 90 },
+                    CodeTier {
+                        base: code(4),
+                        bytes: 2 * KB + 512,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: code(5),
+                        bytes: 5 * KB,
+                        every: 16,
+                    },
+                    CodeTier {
+                        base: code(6),
+                        bytes: 8 * KB,
+                        every: 90,
+                    },
                 ],
                 streams: vec![(
                     StreamSpec::HotCold {
@@ -366,10 +440,26 @@ pub fn gcc(scale: Scale) -> Benchmark {
             Phase {
                 duration: 200_000,
                 code: vec![
-                    CodeTier { base: code(0), bytes: 4 * KB, every: 1 },
-                    CodeTier { base: code(1), bytes: 10 * KB, every: 8 },
-                    CodeTier { base: code(2), bytes: 12 * KB, every: 48 },
-                    CodeTier { base: code(3), bytes: 14 * KB, every: 200 },
+                    CodeTier {
+                        base: code(0),
+                        bytes: 4 * KB,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: code(1),
+                        bytes: 10 * KB,
+                        every: 8,
+                    },
+                    CodeTier {
+                        base: code(2),
+                        bytes: 12 * KB,
+                        every: 48,
+                    },
+                    CodeTier {
+                        base: code(3),
+                        bytes: 14 * KB,
+                        every: 200,
+                    },
                 ],
                 streams: vec![
                     (
@@ -408,9 +498,21 @@ pub fn gcc(scale: Scale) -> Benchmark {
             Phase {
                 duration: 210_000,
                 code: vec![
-                    CodeTier { base: code(4), bytes: 5 * KB, every: 1 },
-                    CodeTier { base: code(5), bytes: 12 * KB, every: 10 },
-                    CodeTier { base: code(6), bytes: 10 * KB, every: 360 },
+                    CodeTier {
+                        base: code(4),
+                        bytes: 5 * KB,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: code(5),
+                        bytes: 12 * KB,
+                        every: 10,
+                    },
+                    CodeTier {
+                        base: code(6),
+                        bytes: 10 * KB,
+                        every: 360,
+                    },
                 ],
                 streams: vec![
                     (
@@ -440,8 +542,16 @@ pub fn gcc(scale: Scale) -> Benchmark {
             Phase {
                 duration: 270_000,
                 code: vec![
-                    CodeTier { base: code(7), bytes: 3 * KB, every: 1 },
-                    CodeTier { base: code(8), bytes: 6 * KB, every: 14 },
+                    CodeTier {
+                        base: code(7),
+                        bytes: 3 * KB,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: code(8),
+                        bytes: 6 * KB,
+                        every: 14,
+                    },
                 ],
                 streams: vec![(
                     StreamSpec::HotCold {
@@ -472,12 +582,36 @@ pub fn gzip(scale: Scale) -> Benchmark {
             Phase {
                 duration: 280_000,
                 code: vec![
-                    CodeTier { base: code(0), bytes: 2 * KB, every: 1 },
-                    CodeTier { base: code(1), bytes: 5 * KB, every: 12 },
-                    CodeTier { base: code(2), bytes: 8 * KB, every: 70 },
-                    CodeTier { base: code(3), bytes: 10 * KB, every: 190 },
-                    CodeTier { base: code(7), bytes: 8 * KB, every: 340 },
-                    CodeTier { base: code(8), bytes: 10 * KB, every: 300 },
+                    CodeTier {
+                        base: code(0),
+                        bytes: 2 * KB,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: code(1),
+                        bytes: 5 * KB,
+                        every: 12,
+                    },
+                    CodeTier {
+                        base: code(2),
+                        bytes: 8 * KB,
+                        every: 70,
+                    },
+                    CodeTier {
+                        base: code(3),
+                        bytes: 10 * KB,
+                        every: 190,
+                    },
+                    CodeTier {
+                        base: code(7),
+                        bytes: 8 * KB,
+                        every: 340,
+                    },
+                    CodeTier {
+                        base: code(8),
+                        bytes: 10 * KB,
+                        every: 300,
+                    },
                 ],
                 streams: vec![
                     (
@@ -507,9 +641,21 @@ pub fn gzip(scale: Scale) -> Benchmark {
             Phase {
                 duration: 560_000,
                 code: vec![
-                    CodeTier { base: code(4), bytes: 2 * KB, every: 1 },
-                    CodeTier { base: code(5), bytes: 4 * KB, every: 10 },
-                    CodeTier { base: code(6), bytes: 6 * KB, every: 70 },
+                    CodeTier {
+                        base: code(4),
+                        bytes: 2 * KB,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: code(5),
+                        bytes: 4 * KB,
+                        every: 10,
+                    },
+                    CodeTier {
+                        base: code(6),
+                        bytes: 6 * KB,
+                        every: 70,
+                    },
                 ],
                 streams: vec![(
                     StreamSpec::HotCold {
@@ -539,12 +685,36 @@ pub fn mesa(scale: Scale) -> Benchmark {
             Phase {
                 duration: 300_000,
                 code: vec![
-                    CodeTier { base: code(0), bytes: 3 * KB, every: 1 },
-                    CodeTier { base: code(1), bytes: 6 * KB, every: 14 },
-                    CodeTier { base: code(2), bytes: 10 * KB, every: 72 },
-                    CodeTier { base: code(3), bytes: 12 * KB, every: 210 },
-                    CodeTier { base: code(7), bytes: 8 * KB, every: 330 },
-                    CodeTier { base: code(8), bytes: 8 * KB, every: 290 },
+                    CodeTier {
+                        base: code(0),
+                        bytes: 3 * KB,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: code(1),
+                        bytes: 6 * KB,
+                        every: 14,
+                    },
+                    CodeTier {
+                        base: code(2),
+                        bytes: 10 * KB,
+                        every: 72,
+                    },
+                    CodeTier {
+                        base: code(3),
+                        bytes: 12 * KB,
+                        every: 210,
+                    },
+                    CodeTier {
+                        base: code(7),
+                        bytes: 8 * KB,
+                        every: 330,
+                    },
+                    CodeTier {
+                        base: code(8),
+                        bytes: 8 * KB,
+                        every: 290,
+                    },
                 ],
                 streams: vec![
                     (
@@ -582,9 +752,21 @@ pub fn mesa(scale: Scale) -> Benchmark {
             Phase {
                 duration: 330_000,
                 code: vec![
-                    CodeTier { base: code(4), bytes: 2 * KB + 512, every: 1 },
-                    CodeTier { base: code(5), bytes: 5 * KB, every: 12 },
-                    CodeTier { base: code(6), bytes: 5 * KB, every: 85 },
+                    CodeTier {
+                        base: code(4),
+                        bytes: 2 * KB + 512,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: code(5),
+                        bytes: 5 * KB,
+                        every: 12,
+                    },
+                    CodeTier {
+                        base: code(6),
+                        bytes: 5 * KB,
+                        every: 85,
+                    },
                 ],
                 streams: vec![(
                     StreamSpec::HotCold {
@@ -615,11 +797,31 @@ pub fn vortex(scale: Scale) -> Benchmark {
             Phase {
                 duration: 220_000,
                 code: vec![
-                    CodeTier { base: code(0), bytes: 4 * KB, every: 1 },
-                    CodeTier { base: code(1), bytes: 9 * KB, every: 9 },
-                    CodeTier { base: code(2), bytes: 11 * KB, every: 56 },
-                    CodeTier { base: code(3), bytes: 12 * KB, every: 220 },
-                    CodeTier { base: code(7), bytes: 8 * KB, every: 320 },
+                    CodeTier {
+                        base: code(0),
+                        bytes: 4 * KB,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: code(1),
+                        bytes: 9 * KB,
+                        every: 9,
+                    },
+                    CodeTier {
+                        base: code(2),
+                        bytes: 11 * KB,
+                        every: 56,
+                    },
+                    CodeTier {
+                        base: code(3),
+                        bytes: 12 * KB,
+                        every: 220,
+                    },
+                    CodeTier {
+                        base: code(7),
+                        bytes: 8 * KB,
+                        every: 320,
+                    },
                 ],
                 streams: vec![
                     (
@@ -658,9 +860,21 @@ pub fn vortex(scale: Scale) -> Benchmark {
             Phase {
                 duration: 310_000,
                 code: vec![
-                    CodeTier { base: code(4), bytes: 4 * KB, every: 1 },
-                    CodeTier { base: code(5), bytes: 8 * KB, every: 11 },
-                    CodeTier { base: code(6), bytes: 6 * KB, every: 78 },
+                    CodeTier {
+                        base: code(4),
+                        bytes: 4 * KB,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: code(5),
+                        bytes: 8 * KB,
+                        every: 11,
+                    },
+                    CodeTier {
+                        base: code(6),
+                        bytes: 6 * KB,
+                        every: 78,
+                    },
                 ],
                 streams: vec![(
                     StreamSpec::HotCold {
@@ -712,7 +926,10 @@ mod tests {
     #[test]
     fn all_specs_validate() {
         for bench in suite(Scale::Test) {
-            bench.spec().validate().unwrap_or_else(|_| panic!("{}", bench.name()));
+            bench
+                .spec()
+                .validate()
+                .unwrap_or_else(|_| panic!("{}", bench.name()));
         }
     }
 

@@ -20,7 +20,9 @@ pub struct Engine<'a> {
 
 impl std::fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine").field("cycle", &self.cycle).finish()
+        f.debug_struct("Engine")
+            .field("cycle", &self.cycle)
+            .finish()
     }
 }
 

@@ -132,10 +132,7 @@ mod tests {
             by_name(name, Scale::Test).unwrap().run(&mut trace);
             trace
         };
-        assert_eq!(
-            collect("isa:chase").events(),
-            collect("isa:chase").events()
-        );
+        assert_eq!(collect("isa:chase").events(), collect("isa:chase").events());
         assert_ne!(
             collect("isa:memset").events(),
             collect("isa:memcpy").events()

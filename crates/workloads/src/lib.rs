@@ -58,8 +58,8 @@ pub use bench::{
     ammp, applu, by_name, gcc, gzip, isa_suite, mesa, suite, vortex, Benchmark, Scale,
     GENERATOR_VERSION, SUITE_NAMES,
 };
-pub use isa::{generator_version, is_known_benchmark, ISA_GENERATOR_VERSION, ISA_SUITE_NAMES};
 pub use engine::Engine;
+pub use isa::{generator_version, is_known_benchmark, ISA_GENERATOR_VERSION, ISA_SUITE_NAMES};
 pub use rng::SplitMix64;
 pub use spec::{CodeTier, Phase, Spec};
 pub use streams::{DataOp, DataStream, StreamSpec};

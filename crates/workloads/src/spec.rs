@@ -129,7 +129,8 @@ pub(crate) struct Executor {
 
 impl Executor {
     pub(crate) fn new(spec: Spec, target_cycles: u64) -> Self {
-        spec.validate().expect("workload spec is structurally valid");
+        spec.validate()
+            .expect("workload spec is structurally valid");
         Executor {
             spec,
             target_cycles,
@@ -262,7 +263,11 @@ fn run_segment(
 fn pick_stream(cumulative: &[f64], rng: &mut SplitMix64) -> Option<usize> {
     let total = *cumulative.last()?;
     let draw = rng.unit() * total;
-    Some(cumulative.partition_point(|&c| c < draw).min(cumulative.len() - 1))
+    Some(
+        cumulative
+            .partition_point(|&c| c < draw)
+            .min(cumulative.len() - 1),
+    )
 }
 
 /// A runnable benchmark analog: a [`Spec`] bound to a cycle budget.

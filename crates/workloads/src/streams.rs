@@ -132,7 +132,11 @@ impl DataStream {
                     store: rng.chance(store_frac),
                 }
             }
-            StreamSpec::Strided { base, bytes, stride } => {
+            StreamSpec::Strided {
+                base,
+                bytes,
+                stride,
+            } => {
                 let addr = base + self.pos;
                 self.pos += stride;
                 if self.pos >= bytes {

@@ -39,12 +39,12 @@ fn arb_stream() -> impl Strategy<Value = StreamSpec> {
 
 fn arb_phase() -> impl Strategy<Value = Phase> {
     (
-        5_000u64..60_000,                                 // duration
-        1u64..16,                                         // hot KB
+        5_000u64..60_000,                                  // duration
+        1u64..16,                                          // hot KB
         prop::collection::vec((1u64..32, 2u64..64), 0..3), // extra tiers
         prop::collection::vec((arb_stream(), 0.1f64..4.0), 1..4),
-        0.0f64..0.6,  // density
-        0.0f64..0.2,  // branchiness
+        0.0f64..0.6, // density
+        0.0f64..0.2, // branchiness
         prop::sample::select(vec![0u32, 8, 12, 16]),
     )
         .prop_map(

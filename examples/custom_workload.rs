@@ -32,9 +32,21 @@ fn kv_server_spec() -> Spec {
             Phase {
                 duration: 300_000,
                 code: vec![
-                    CodeTier { base: 0x0100_0000, bytes: 3 * KB, every: 1 },
-                    CodeTier { base: 0x0110_0000, bytes: 8 * KB, every: 12 },
-                    CodeTier { base: 0x0120_0000, bytes: 12 * KB, every: 150 },
+                    CodeTier {
+                        base: 0x0100_0000,
+                        bytes: 3 * KB,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: 0x0110_0000,
+                        bytes: 8 * KB,
+                        every: 12,
+                    },
+                    CodeTier {
+                        base: 0x0120_0000,
+                        bytes: 12 * KB,
+                        every: 150,
+                    },
                 ],
                 streams: vec![
                     (
@@ -73,8 +85,16 @@ fn kv_server_spec() -> Spec {
             Phase {
                 duration: 350_000,
                 code: vec![
-                    CodeTier { base: 0x0130_0000, bytes: 2 * KB, every: 1 },
-                    CodeTier { base: 0x0140_0000, bytes: 5 * KB, every: 10 },
+                    CodeTier {
+                        base: 0x0130_0000,
+                        bytes: 2 * KB,
+                        every: 1,
+                    },
+                    CodeTier {
+                        base: 0x0140_0000,
+                        bytes: 5 * KB,
+                        every: 10,
+                    },
                 ],
                 streams: vec![(
                     StreamSpec::HotCold {

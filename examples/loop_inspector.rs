@@ -55,7 +55,9 @@ fn main() {
         "{:>12}  {:>16}  {:>8}  {:>14}",
         "inner trips", "add interval (cy)", "mode", "energy (pJ)"
     );
-    for trips in [1u64, 4, 40, 400, 1_000, 1_056, 1_057, 4_000, 40_000, 400_000] {
+    for trips in [
+        1u64, 4, 40, 400, 1_000, 1_056, 1_057, 4_000, 40_000, 400_000,
+    ] {
         let interval = measured_add_interval(trips);
         let mode = optimal_mode(interval, &points);
         let energy = model

@@ -41,8 +41,7 @@ fn main() {
         // cover? (Cycle-weighted, interior intervals only.)
         let interior = |covered: bool| {
             side.dist.cycles_matching(|class| {
-                matches!(class.kind, IntervalKind::Interior { .. })
-                    && class.wake.any() == covered
+                matches!(class.kind, IntervalKind::Interior { .. }) && class.wake.any() == covered
             })
         };
         let covered = interior(true);

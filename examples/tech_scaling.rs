@@ -23,7 +23,10 @@ use cache_leakage_limits::workloads::{ammp, Scale};
 fn main() {
     let profile = profile_benchmark(&mut ammp(Scale::Small));
 
-    println!("{:>10}  {:>10}  {:>12}  {:>12}  {:>12}", "node", "b (cycles)", "OPT-Drowsy", "OPT-Sleep", "OPT-Hybrid");
+    println!(
+        "{:>10}  {:>10}  {:>12}  {:>12}  {:>12}",
+        "node", "b (cycles)", "OPT-Drowsy", "OPT-Sleep", "OPT-Hybrid"
+    );
 
     // The paper's four calibrated nodes...
     for node in TechnologyNode::ALL {
@@ -58,10 +61,7 @@ fn main() {
     let savings = model.optimal_savings(&profile.dcache.dist);
     println!(
         "{:>10}  {b:>10}  {:>11.1}%  {:>11.1}%  {:>11.1}%   <- extrapolated",
-        "45nm",
-        savings.opt_drowsy,
-        savings.opt_sleep,
-        savings.opt_hybrid
+        "45nm", savings.opt_drowsy, savings.opt_sleep, savings.opt_hybrid
     );
 
     println!(

@@ -4,9 +4,7 @@ use cache_leakage_limits::cachesim::Level1;
 use cache_leakage_limits::core::policy::{
     AlwaysActive, DecaySleep, OptDrowsy, OptHybrid, OptSleep, PrefetchGuided, PrefetchScheme,
 };
-use cache_leakage_limits::core::{
-    CircuitParams, EnergyContext, LeakagePolicy, RefetchAccounting,
-};
+use cache_leakage_limits::core::{CircuitParams, EnergyContext, LeakagePolicy, RefetchAccounting};
 use cache_leakage_limits::energy::TechnologyNode;
 use cache_leakage_limits::experiments::{profile_benchmark, profile_suite};
 use cache_leakage_limits::workloads::{suite, Scale};
@@ -80,8 +78,14 @@ fn policy_orderings_hold_everywhere() {
             }
             // Oracle sleep dominates implementable decay at the same
             // threshold; Prefetch-B dominates Prefetch-A.
-            assert!(get("OPT-Sleep(10K)") + 1e-9 >= get("Sleep(10K)"), "{name}/{side}");
-            assert!(get("Prefetch-B") + 1e-9 >= get("Prefetch-A"), "{name}/{side}");
+            assert!(
+                get("OPT-Sleep(10K)") + 1e-9 >= get("Sleep(10K)"),
+                "{name}/{side}"
+            );
+            assert!(
+                get("Prefetch-B") + 1e-9 >= get("Prefetch-A"),
+                "{name}/{side}"
+            );
         }
     }
 }
@@ -138,7 +142,12 @@ fn dead_aware_accounting_only_helps() {
             assert!(a + 1e-12 >= s, "{}/{side}", profile.name);
             // And per the paper, the refinement is small in the optimal
             // case (well under ten percentage points).
-            assert!(a - s < 0.10, "{}/{side}: dead refinement {}", profile.name, a - s);
+            assert!(
+                a - s < 0.10,
+                "{}/{side}: dead refinement {}",
+                profile.name,
+                a - s
+            );
         }
     }
 }

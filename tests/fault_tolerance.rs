@@ -11,7 +11,7 @@ use cache_leakage_limits::experiments::store::QUARANTINE_SUBDIR;
 use cache_leakage_limits::experiments::{
     cached_suite, fetch_partial, suite_partial_with, ProfileStore,
 };
-use cache_leakage_limits::faults::{panic_message, set_plane, Plane, PipelineError, StoreError};
+use cache_leakage_limits::faults::{panic_message, set_plane, PipelineError, Plane, StoreError};
 use cache_leakage_limits::workloads::{Scale, ISA_SUITE_NAMES, SUITE_NAMES};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -77,7 +77,11 @@ fn one_poisoned_benchmark_does_not_sink_the_suite() {
     );
     // The five survivors are the suite minus gzip, in order.
     let healthy: Vec<&str> = outcome.profiles.iter().map(|p| p.name.as_str()).collect();
-    let expected: Vec<&str> = SUITE_NAMES.iter().copied().filter(|n| *n != "gzip").collect();
+    let expected: Vec<&str> = SUITE_NAMES
+        .iter()
+        .copied()
+        .filter(|n| *n != "gzip")
+        .collect();
     assert_eq!(healthy, expected);
 
     // Fault cleared: the same store heals — the panicked key was never
@@ -208,7 +212,9 @@ fn enospc_degrades_to_memory_only() {
         .map(|d| d.map(|e| e.unwrap().path()).collect())
         .unwrap_or_default();
     assert!(
-        files.iter().all(|p| !p.extension().is_some_and(|e| e == "profile")),
+        files
+            .iter()
+            .all(|p| !p.extension().is_some_and(|e| e == "profile")),
         "{files:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -227,6 +233,9 @@ fn transient_read_errors_are_retried() {
     let store = ProfileStore::with_disk_dir(&dir);
     store.fetch("vortex", Scale::Test);
     let counters = store.counters();
-    assert_eq!(counters.disk_hits, 1, "retries must absorb the EINTRs: {counters:?}");
+    assert_eq!(
+        counters.disk_hits, 1,
+        "retries must absorb the EINTRs: {counters:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,7 +5,9 @@ use cache_leakage_limits::core::{
 };
 use cache_leakage_limits::energy::TechnologyNode;
 use cache_leakage_limits::experiments::profile_benchmark;
-use cache_leakage_limits::intervals::{CompactIntervalDist, IntervalClass, IntervalKind, WakeHints};
+use cache_leakage_limits::intervals::{
+    CompactIntervalDist, IntervalClass, IntervalKind, WakeHints,
+};
 use cache_leakage_limits::workloads::{mesa, Scale};
 
 fn class(length: u64) -> IntervalClass {
@@ -58,7 +60,10 @@ fn custom_technology_point_behaves_sanely() {
         .build();
     let model = GeneralizedModel::from_params(params);
     let b = model.inflection_points().drowsy_sleep;
-    assert!(b < 1057, "cheap refetch + heavy leakage pulls b below 70nm's");
+    assert!(
+        b < 1057,
+        "cheap refetch + heavy leakage pulls b below 70nm's"
+    );
 
     // With everything long-interval, sleep approaches 1 - sleep_ratio.
     let mut dist = CompactIntervalDist::new();
@@ -84,9 +89,7 @@ fn accounting_mode_is_selectable() {
     let strict = GeneralizedModel::with_accounting(params.clone(), RefetchAccounting::PaperStrict);
     let aware = GeneralizedModel::with_accounting(params, RefetchAccounting::DeadAware);
     // Dead intervals slept without refetch save strictly more.
-    assert!(
-        aware.optimal_savings(&dist).opt_sleep > strict.optimal_savings(&dist).opt_sleep
-    );
+    assert!(aware.optimal_savings(&dist).opt_sleep > strict.optimal_savings(&dist).opt_sleep);
 }
 
 #[test]

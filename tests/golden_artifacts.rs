@@ -37,7 +37,11 @@ fn artifacts_match_committed_goldens() {
     check(&mut failures, "table1", &table1::generate());
     check(&mut failures, "table2", &table2::generate(&profiles));
     check(&mut failures, "table3", &table3::generate());
-    check(&mut failures, "isa_suite", &isa_suite::generate(Scale::Test));
+    check(
+        &mut failures,
+        "isa_suite",
+        &isa_suite::generate(Scale::Test),
+    );
     for (name, (icache, dcache)) in [
         ("fig7", fig7::generate(&profiles)),
         ("fig8", fig8::generate(&profiles)),

@@ -50,10 +50,8 @@ fn jobs_server() -> Server {
     Server::start(ServerConfig {
         default_scale: Scale::Test,
         preserialize: false,
-        jobs_dir: std::env::temp_dir().join(format!(
-            "leakage-jobs-e2e-{}-{seq}",
-            std::process::id()
-        )),
+        jobs_dir: std::env::temp_dir()
+            .join(format!("leakage-jobs-e2e-{}-{seq}", std::process::id())),
         job_workers: 2,
         ..ServerConfig::default()
     })
@@ -64,7 +62,11 @@ fn get(addr: SocketAddr, target: &str) -> cache_leakage_limits::server::ClientRe
     fetch(addr, "GET", target, None, CLIENT_TIMEOUT).expect("GET succeeds")
 }
 
-fn post(addr: SocketAddr, target: &str, body: &str) -> cache_leakage_limits::server::ClientResponse {
+fn post(
+    addr: SocketAddr,
+    target: &str,
+    body: &str,
+) -> cache_leakage_limits::server::ClientResponse {
     fetch(addr, "POST", target, Some(body.as_bytes()), CLIENT_TIMEOUT).expect("POST succeeds")
 }
 
@@ -73,7 +75,11 @@ fn run_job(addr: SocketAddr, body: &str) -> String {
     let submit = post(addr, "/v1/jobs", body);
     assert_eq!(submit.status, 201, "{}", submit.text());
     let doc = json::parse(&submit.text()).expect("submit JSON");
-    let id = doc.get("id").and_then(Json::as_str).expect("id").to_string();
+    let id = doc
+        .get("id")
+        .and_then(Json::as_str)
+        .expect("id")
+        .to_string();
     let deadline = Instant::now() + JOB_DEADLINE;
     loop {
         let status = get(addr, &format!("/v1/jobs/{id}"));
@@ -174,7 +180,10 @@ fn sharded_job_rows_are_byte_identical_to_sweep_batch() {
                 && r.get("node").and_then(Json::as_str) == Some("100nm")
         })
         .expect("gzip/dcache/100nm row");
-    let served = row.get("opt_hybrid").and_then(Json::as_f64).expect("opt_hybrid");
+    let served = row
+        .get("opt_hybrid")
+        .and_then(Json::as_f64)
+        .expect("opt_hybrid");
     assert!(
         (served - oracle.opt_hybrid).abs() < 1e-12,
         "served {served} vs oracle {}",
@@ -207,7 +216,10 @@ fn result_pagination_boundaries() {
     // 16 points at 5 per page: pages of 5, 5, 5, then a partial 1.
     let mut all_rows = Vec::new();
     for (page, want) in [(0, 5), (1, 5), (2, 5), (3, 1)] {
-        let response = get(addr, &format!("/v1/jobs/{id}/result?page={page}&per_page=5"));
+        let response = get(
+            addr,
+            &format!("/v1/jobs/{id}/result?page={page}&per_page=5"),
+        );
         assert_eq!(response.status, 200, "{}", response.text());
         let doc = json::parse(&response.text()).expect("page JSON");
         assert_eq!(doc.get("total_points").and_then(Json::as_f64), Some(16.0));

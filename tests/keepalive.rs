@@ -68,7 +68,9 @@ fn pipelined_burst_answers_in_order_on_one_connection() {
 
     let mut bodies = Vec::new();
     for i in 0..8 {
-        let response = client.recv().unwrap_or_else(|e| panic!("response {i}: {e}"));
+        let response = client
+            .recv()
+            .unwrap_or_else(|e| panic!("response {i}: {e}"));
         assert_eq!(response.status, 200, "response {i}");
         assert_ne!(
             response.header("connection"),
@@ -95,8 +97,7 @@ fn pipelined_burst_answers_in_order_on_one_connection() {
 #[test]
 fn half_closed_peer_still_gets_its_response() {
     let server = start(ServerConfig::default());
-    let mut stream =
-        TcpStream::connect_timeout(&server.addr(), CLIENT_TIMEOUT).expect("connect");
+    let mut stream = TcpStream::connect_timeout(&server.addr(), CLIENT_TIMEOUT).expect("connect");
     stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
 
     stream
@@ -125,7 +126,9 @@ fn idle_connection_is_closed_after_timeout() {
     });
     let mut idle = Client::connect(server.addr(), CLIENT_TIMEOUT).expect("connect idle");
     // Prove the connection works, then go quiet.
-    let first = idle.roundtrip("GET", "/healthz", None).expect("first request");
+    let first = idle
+        .roundtrip("GET", "/healthz", None)
+        .expect("first request");
     assert_eq!(first.status, 200);
 
     let mut probe = [0u8; 1];
@@ -284,8 +287,7 @@ fn clients_that_never_read_do_not_pin_workers() {
 #[test]
 fn oversized_request_gets_431_and_server_survives() {
     let server = start(ServerConfig::default());
-    let mut stream =
-        TcpStream::connect_timeout(&server.addr(), CLIENT_TIMEOUT).expect("connect");
+    let mut stream = TcpStream::connect_timeout(&server.addr(), CLIENT_TIMEOUT).expect("connect");
     stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
 
     // 20 KiB of header bytes with no terminator: parseable prefix,
@@ -308,7 +310,9 @@ fn oversized_request_gets_431_and_server_survives() {
     // The connection loop survived the bad client: a fresh connection
     // serves normally.
     let mut next = Client::connect(server.addr(), CLIENT_TIMEOUT).expect("reconnect");
-    let response = next.roundtrip("GET", "/healthz", None).expect("healthy request");
+    let response = next
+        .roundtrip("GET", "/healthz", None)
+        .expect("healthy request");
     assert_eq!(response.status, 200);
     server.shutdown();
 }
@@ -321,8 +325,7 @@ fn oversized_request_gets_431_and_server_survives() {
 #[test]
 fn queued_answers_survive_a_close_over_unread_input() {
     let server = start(ServerConfig::default());
-    let mut stream =
-        TcpStream::connect_timeout(&server.addr(), CLIENT_TIMEOUT).expect("connect");
+    let mut stream = TcpStream::connect_timeout(&server.addr(), CLIENT_TIMEOUT).expect("connect");
     stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
 
     // ~1.5 MB of answers; the last request closes the connection and
@@ -330,7 +333,11 @@ fn queued_answers_survive_a_close_over_unread_input() {
     const REQUESTS: usize = 800;
     let mut request = Vec::new();
     for i in 0..REQUESTS {
-        let fate = if i + 1 == REQUESTS { "close" } else { "keep-alive" };
+        let fate = if i + 1 == REQUESTS {
+            "close"
+        } else {
+            "keep-alive"
+        };
         request.extend_from_slice(
             format!("GET /v1/figure/8 HTTP/1.1\r\nHost: t\r\nConnection: {fate}\r\n\r\n")
                 .as_bytes(),
@@ -359,12 +366,13 @@ fn queued_answers_survive_a_close_over_unread_input() {
 #[test]
 fn recoverable_bad_request_does_not_kill_the_connection() {
     let server = start(ServerConfig::default());
-    let mut stream =
-        TcpStream::connect_timeout(&server.addr(), CLIENT_TIMEOUT).expect("connect");
+    let mut stream = TcpStream::connect_timeout(&server.addr(), CLIENT_TIMEOUT).expect("connect");
     stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
 
     stream
-        .write_all(b"PATCH /healthz HTTP/1.1\r\nHost: t\r\n\r\nGET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .write_all(
+            b"PATCH /healthz HTTP/1.1\r\nHost: t\r\n\r\nGET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+        )
         .expect("send bad-then-good");
 
     let mut raw = Vec::new();
@@ -407,11 +415,15 @@ fn request_budget_closes_with_announcement() {
     });
     let mut client = Client::connect(server.addr(), CLIENT_TIMEOUT).expect("connect");
 
-    let first = client.roundtrip("GET", "/healthz", None).expect("request 1");
+    let first = client
+        .roundtrip("GET", "/healthz", None)
+        .expect("request 1");
     assert_eq!(first.status, 200);
     assert_ne!(first.header("connection"), Some("close"));
 
-    let second = client.roundtrip("GET", "/healthz", None).expect("request 2");
+    let second = client
+        .roundtrip("GET", "/healthz", None)
+        .expect("request 2");
     assert_eq!(second.status, 200);
     assert_eq!(
         second.header("connection"),
@@ -421,7 +433,9 @@ fn request_budget_closes_with_announcement() {
 
     let mut probe = [0u8; 1];
     let mut stream = client.stream().try_clone().expect("clone");
-    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
     assert_eq!(stream.read(&mut probe).unwrap_or(0), 0, "server closed");
     server.shutdown();
 }
@@ -431,8 +445,7 @@ fn request_budget_closes_with_announcement() {
 #[test]
 fn client_requested_close_is_honored() {
     let server = start(ServerConfig::default());
-    let mut stream =
-        TcpStream::connect_timeout(&server.addr(), CLIENT_TIMEOUT).expect("connect");
+    let mut stream = TcpStream::connect_timeout(&server.addr(), CLIENT_TIMEOUT).expect("connect");
     stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
     stream
         .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
@@ -464,7 +477,9 @@ fn handler_panic_leaves_the_connection_serving() {
         "panic is not a protocol failure; the connection survives"
     );
 
-    let next = client.roundtrip("GET", "/healthz", None).expect("same connection serves");
+    let next = client
+        .roundtrip("GET", "/healthz", None)
+        .expect("same connection serves");
     assert_eq!(next.status, 200);
     server.shutdown();
 }

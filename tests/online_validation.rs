@@ -80,7 +80,10 @@ fn idealization_error_is_bounded_and_hit_overshoots_cost() {
         let (real_i, real_d) = run(Controller::decay(theta));
         for (label, ideal, real) in [("icache", ideal_i, real_i), ("dcache", ideal_d, real_d)] {
             let gap = (real.saving_percent() - ideal.saving_percent()).abs();
-            assert!(gap < 3.0, "theta={theta} {label}: idealization error {gap} points");
+            assert!(
+                gap < 3.0,
+                "theta={theta} {label}: idealization error {gap} points"
+            );
             // The realistic variant can only see *more* induced misses
             // (it also destroys data on overshoot intervals).
             assert!(

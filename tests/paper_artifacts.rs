@@ -55,16 +55,31 @@ fn table2_trend_matches_paper() {
         .collect();
     for pair in all.windows(2) {
         // Savings fall (weakly) as feature size grows, for every column.
-        assert!(pair[0].icache.1 + 1e-6 >= pair[1].icache.1, "I$ sleep trend");
-        assert!(pair[0].icache.2 + 1e-6 >= pair[1].icache.2, "I$ hybrid trend");
-        assert!(pair[0].dcache.1 + 1e-6 >= pair[1].dcache.1, "D$ sleep trend");
-        assert!(pair[0].dcache.2 + 1e-6 >= pair[1].dcache.2, "D$ hybrid trend");
+        assert!(
+            pair[0].icache.1 + 1e-6 >= pair[1].icache.1,
+            "I$ sleep trend"
+        );
+        assert!(
+            pair[0].icache.2 + 1e-6 >= pair[1].icache.2,
+            "I$ hybrid trend"
+        );
+        assert!(
+            pair[0].dcache.1 + 1e-6 >= pair[1].dcache.1,
+            "D$ sleep trend"
+        );
+        assert!(
+            pair[0].dcache.2 + 1e-6 >= pair[1].dcache.2,
+            "D$ hybrid trend"
+        );
     }
     // At 180nm drowsy overtakes sleep on the instruction cache side in
     // the paper; at minimum the gap collapses dramatically.
     let gap_70 = all[0].icache.1 - all[0].icache.0;
     let gap_180 = all[3].icache.1 - all[3].icache.0;
-    assert!(gap_180 < gap_70 * 0.55, "sleep's lead must shrink: {gap_70} -> {gap_180}");
+    assert!(
+        gap_180 < gap_70 * 0.55,
+        "sleep's lead must shrink: {gap_70} -> {gap_180}"
+    );
 }
 
 #[test]
@@ -78,7 +93,11 @@ fn fig7_hybrid_advantage_grows_with_conservatism() {
         );
         // Near the inflection point the hybrid adds little (paper: "the
         // usefulness of applying the drowsy method decreases").
-        assert!(gaps[0] < 5.0, "{side}: gap at b should be small, got {}", gaps[0]);
+        assert!(
+            gaps[0] < 5.0,
+            "{side}: gap at b should be small, got {}",
+            gaps[0]
+        );
     }
 }
 
@@ -95,9 +114,15 @@ fn fig8_gaps_match_paper_shape() {
 
     // Paper: I$ hybrid beats OPT-Sleep(10K) by ~16 and Sleep(10K) by ~26.
     let i_gap_opt = icache["OPT-Hybrid"] - icache["OPT-Sleep(10K)"];
-    assert!((7.0..=25.0).contains(&i_gap_opt), "I$ hybrid-vs-optsleep gap {i_gap_opt}");
+    assert!(
+        (7.0..=25.0).contains(&i_gap_opt),
+        "I$ hybrid-vs-optsleep gap {i_gap_opt}"
+    );
     let i_gap_decay = icache["OPT-Hybrid"] - icache["Sleep(10K)"];
-    assert!((12.0..=32.0).contains(&i_gap_decay), "I$ hybrid-vs-decay gap {i_gap_decay}");
+    assert!(
+        (12.0..=32.0).contains(&i_gap_decay),
+        "I$ hybrid-vs-decay gap {i_gap_decay}"
+    );
 
     // Paper: the D$ gaps are smaller (12 and 15).
     let d_gap_decay = dcache["OPT-Hybrid"] - dcache["Sleep(10K)"];
@@ -125,7 +150,11 @@ fn fig9_prefetchability_bands() {
 
     let dcache = fig9::average(profiles(), Level1::Data);
     assert!(dcache.total_nl() > 5.0, "D$ P-NL {}", dcache.total_nl());
-    assert!(dcache.total_stride() > 0.0, "D$ P-stride {}", dcache.total_stride());
+    assert!(
+        dcache.total_stride() > 0.0,
+        "D$ P-stride {}",
+        dcache.total_stride()
+    );
     assert!(
         dcache.total_nl() > dcache.total_stride(),
         "next-line covers more than stride, as in the paper"

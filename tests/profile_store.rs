@@ -20,15 +20,28 @@ use std::path::{Path, PathBuf};
 /// one.
 #[test]
 fn all_profiling_paths_are_byte_identical() {
-    let cold: Vec<Vec<u8>> = profile_suite(Scale::Test).iter().map(encode_profile).collect();
-    let warm: Vec<Vec<u8>> = profile_suite(Scale::Test).iter().map(encode_profile).collect();
-    let serial: Vec<Vec<u8>> =
-        profile_suite_serial(Scale::Test).iter().map(encode_profile).collect();
-    let uncached: Vec<Vec<u8>> =
-        profile_suite_uncached(Scale::Test).iter().map(encode_profile).collect();
+    let cold: Vec<Vec<u8>> = profile_suite(Scale::Test)
+        .iter()
+        .map(encode_profile)
+        .collect();
+    let warm: Vec<Vec<u8>> = profile_suite(Scale::Test)
+        .iter()
+        .map(encode_profile)
+        .collect();
+    let serial: Vec<Vec<u8>> = profile_suite_serial(Scale::Test)
+        .iter()
+        .map(encode_profile)
+        .collect();
+    let uncached: Vec<Vec<u8>> = profile_suite_uncached(Scale::Test)
+        .iter()
+        .map(encode_profile)
+        .collect();
 
     assert_eq!(cold.len(), SUITE_NAMES.len());
-    assert_eq!(cold, warm, "memoized re-fetch must not change a single byte");
+    assert_eq!(
+        cold, warm,
+        "memoized re-fetch must not change a single byte"
+    );
     assert_eq!(cold, serial, "parallel and serial profiling must agree");
     assert_eq!(cold, uncached, "memoization must not change results");
 }
@@ -65,7 +78,10 @@ fn modules_share_one_simulation_per_pair() {
         "at most one simulation (or disk load) per pair, got {counters:?}"
     );
     // And the twelve fetches above were all served.
-    assert!(counters.total() >= 2 * SUITE_NAMES.len() as u64, "{counters:?}");
+    assert!(
+        counters.total() >= 2 * SUITE_NAMES.len() as u64,
+        "{counters:?}"
+    );
 }
 
 /// `cached_profile` hands out the same allocation, not merely equal
@@ -109,11 +125,18 @@ fn assert_quarantines(dir: &Path, path: &Path, mutate: impl FnOnce(&mut Vec<u8>)
     let healed = store.fetch("vortex", Scale::Test);
     let counters = store.counters();
     assert_eq!(counters.disk_hits, 0, "corrupt file must never be served");
-    assert_eq!(counters.misses, 1, "the fetch must degrade to a re-simulation");
+    assert_eq!(
+        counters.misses, 1,
+        "the fetch must degrade to a re-simulation"
+    );
     assert_eq!(counters.quarantined, 1, "{counters:?}");
     assert_eq!(healed.name, "vortex");
     let evidence = dir.join(QUARANTINE_SUBDIR).join(path.file_name().unwrap());
-    assert_eq!(std::fs::read(evidence).unwrap(), bytes, "evidence preserved verbatim");
+    assert_eq!(
+        std::fs::read(evidence).unwrap(),
+        bytes,
+        "evidence preserved verbatim"
+    );
 
     // The slot was rewritten with a clean copy: the next store disk-hits.
     let reread = ProfileStore::with_disk_dir(dir);
@@ -147,7 +170,9 @@ fn stale_format_version_is_quarantined() {
     let (dir, path) = seeded_dir("version");
     assert_quarantines(&dir, &path, |bytes| {
         // Layout: magic(4) | version u32 LE | body | durable seal.
-        let mut body = durable::unseal(bytes).expect("a fresh file is sealed").to_vec();
+        let mut body = durable::unseal(bytes)
+            .expect("a fresh file is sealed")
+            .to_vec();
         body[4..8].copy_from_slice(&2u32.to_le_bytes());
         // Re-seal so only the version — not the seal — can reject it.
         *bytes = durable::seal(body);
@@ -173,7 +198,10 @@ fn concurrent_writers_never_tear_the_file() {
     assert_eq!(counters.disk_hits, 1, "{counters:?}");
     assert_eq!(counters.quarantined, 0, "{counters:?}");
     assert_eq!(profile.name, "vortex");
-    assert!(!dir.join(QUARANTINE_SUBDIR).exists(), "no write was ever torn");
+    assert!(
+        !dir.join(QUARANTINE_SUBDIR).exists(),
+        "no write was ever torn"
+    );
     // No temp droppings left behind.
     let leftovers: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()

@@ -64,8 +64,15 @@ fn served_table2_is_byte_identical_to_batch_pipeline() {
         .expect("served Table 2 JSON");
     assert_eq!(json_response.status, 200);
     let served = Table::from_json(&json_response.text()).expect("served document parses");
-    assert_eq!(served, batch, "served cells must match the batch pipeline exactly");
-    assert_eq!(json_response.text(), batch.to_json(), "canonical JSON, byte for byte");
+    assert_eq!(
+        served, batch,
+        "served cells must match the batch pipeline exactly"
+    );
+    assert_eq!(
+        json_response.text(),
+        batch.to_json(),
+        "canonical JSON, byte for byte"
+    );
 
     let csv_response = fetch(
         addr,
@@ -76,7 +83,11 @@ fn served_table2_is_byte_identical_to_batch_pipeline() {
     )
     .expect("served Table 2 CSV");
     assert_eq!(csv_response.status, 200);
-    assert_eq!(csv_response.text(), batch.to_csv(), "CSV byte-identical too");
+    assert_eq!(
+        csv_response.text(),
+        batch.to_csv(),
+        "CSV byte-identical too"
+    );
 
     // Repeat query is served from the LRU cache with identical bytes.
     let again = fetch(addr, "GET", "/v1/table/2?scale=test", None, CLIENT_TIMEOUT).unwrap();
@@ -94,11 +105,20 @@ fn served_sweep_matches_query_api() {
         {"benchmark": "ammp", "side": "dcache", "node": "100nm"},
         {"benchmark": "vortex", "side": "icache", "node": "70nm"}
     ]}"#;
-    let response = fetch(server.addr(), "POST", "/v1/sweep", Some(body), CLIENT_TIMEOUT)
-        .expect("sweep response");
+    let response = fetch(
+        server.addr(),
+        "POST",
+        "/v1/sweep",
+        Some(body),
+        CLIENT_TIMEOUT,
+    )
+    .expect("sweep response");
     assert_eq!(response.status, 200, "{}", response.text());
     let doc = json::parse(&response.text()).expect("sweep JSON parses");
-    let results = doc.get("results").and_then(Json::as_array).expect("results array");
+    let results = doc
+        .get("results")
+        .and_then(Json::as_array)
+        .expect("results array");
     assert_eq!(results.len(), 2);
 
     let expected = query::sweep_point(
@@ -144,7 +164,13 @@ fn saturated_admission_queue_sheds_with_retry_after() {
     let clients: Vec<_> = (0..8)
         .map(|_| {
             std::thread::spawn(move || {
-                fetch(addr, "GET", "/v1/profile/gzip?scale=test", None, CLIENT_TIMEOUT)
+                fetch(
+                    addr,
+                    "GET",
+                    "/v1/profile/gzip?scale=test",
+                    None,
+                    CLIENT_TIMEOUT,
+                )
             })
         })
         .collect();
@@ -153,10 +179,17 @@ fn saturated_admission_queue_sheds_with_retry_after() {
     std::thread::sleep(Duration::from_millis(100));
     let health = fetch(addr, "GET", "/healthz", None, CLIENT_TIMEOUT)
         .expect("healthz answers during overload");
-    assert_eq!(health.status, 200, "observability plane is admission-exempt");
+    assert_eq!(
+        health.status, 200,
+        "observability plane is admission-exempt"
+    );
     let responses: Vec<_> = clients
         .into_iter()
-        .map(|c| c.join().expect("client thread").expect("response delivered"))
+        .map(|c| {
+            c.join()
+                .expect("client thread")
+                .expect("response delivered")
+        })
         .collect();
 
     let ok = responses.iter().filter(|r| r.status == 200).count();
@@ -178,7 +211,10 @@ fn saturated_admission_queue_sheds_with_retry_after() {
     let slow = fetch(addr, "GET", "/debug/slow", None, CLIENT_TIMEOUT).expect("/debug/slow");
     assert_eq!(slow.status, 200);
     let doc = json::parse(&slow.text()).expect("slow JSON parses");
-    let errors = doc.get("errors").and_then(Json::as_array).expect("errors array");
+    let errors = doc
+        .get("errors")
+        .and_then(Json::as_array)
+        .expect("errors array");
     assert!(
         errors.iter().any(|e| {
             e.get("shed") == Some(&Json::Bool(true))
@@ -231,8 +267,7 @@ fn graceful_shutdown_drains_inflight_request() {
     .expect("server starts");
     let addr = server.addr();
 
-    let inflight =
-        std::thread::spawn(move || fetch(addr, "GET", "/healthz", None, CLIENT_TIMEOUT));
+    let inflight = std::thread::spawn(move || fetch(addr, "GET", "/healthz", None, CLIENT_TIMEOUT));
     // Let the request reach the worker (it then sleeps 600ms in the
     // armed latency site) before initiating shutdown.
     std::thread::sleep(Duration::from_millis(200));
@@ -258,8 +293,14 @@ fn loadgen_smoke_reports_healthy_percentiles() {
     let server = Server::start(test_config()).expect("server starts");
     // Warm the memoized profile suite so the loop measures serving,
     // not first-touch simulation.
-    let warm = fetch(server.addr(), "GET", "/v1/table/2?scale=test", None, CLIENT_TIMEOUT)
-        .expect("warm-up fetch");
+    let warm = fetch(
+        server.addr(),
+        "GET",
+        "/v1/table/2?scale=test",
+        None,
+        CLIENT_TIMEOUT,
+    )
+    .expect("warm-up fetch");
     assert_eq!(warm.status, 200);
 
     let report = loadgen::run(&LoadgenConfig {
@@ -313,13 +354,19 @@ fn healthz_reports_server_facts() {
     assert_eq!(health.status, 200);
     let doc = json::parse(&health.text()).expect("healthz JSON parses");
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
-    let transport = doc.get("transport").and_then(Json::as_str).expect("transport");
+    let transport = doc
+        .get("transport")
+        .and_then(Json::as_str)
+        .expect("transport");
     assert_eq!(transport, "reactor", "the server's one transport");
     assert_eq!(doc.get("workers").and_then(Json::as_f64), Some(3.0));
     assert!(doc.get("uptime_s").and_then(Json::as_f64).is_some());
     assert!(doc.get("queue_depth").and_then(Json::as_f64).is_some());
     assert!(
-        doc.get("recorder_capacity").and_then(Json::as_f64).unwrap_or(0.0) > 0.0,
+        doc.get("recorder_capacity")
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0)
+            > 0.0,
         "recorder on by default"
     );
     server.shutdown();
@@ -369,7 +416,10 @@ fn request_trace_flows_to_flight_recorder() {
             .expect("/debug/requests");
         assert_eq!(debug.status, 200);
         let doc = json::parse(&debug.text()).expect("debug JSON parses");
-        let records = doc.get("records").and_then(Json::as_array).expect("records");
+        let records = doc
+            .get("records")
+            .and_then(Json::as_array)
+            .expect("records");
         if let Some(rec) = records
             .iter()
             .find(|r| r.get("trace_id").and_then(Json::as_str) == Some("424242"))
@@ -391,7 +441,12 @@ fn request_trace_flows_to_flight_recorder() {
     let total = field("total_us");
     assert!(total > 0.0, "non-zero total latency");
     let stages = [
-        "parse_us", "queue_us", "permit_us", "handler_us", "store_us", "serialize_us",
+        "parse_us",
+        "queue_us",
+        "permit_us",
+        "handler_us",
+        "store_us",
+        "serialize_us",
         "write_us",
     ];
     for stage in stages {
@@ -445,6 +500,9 @@ fn disabled_recorder_serves_without_tracing() {
     assert_eq!(ok.header("server-timing"), None, "no per-request tracing");
     assert_eq!(ok.header("x-request-id"), None);
     let debug = fetch(addr, "GET", "/debug/requests", None, CLIENT_TIMEOUT).unwrap();
-    assert_eq!(debug.status, 503, "debug plane reports the disabled recorder");
+    assert_eq!(
+        debug.status, 503,
+        "debug plane reports the disabled recorder"
+    );
     server.shutdown();
 }

@@ -17,13 +17,13 @@ use proptest::prelude::*;
 /// Random but physically sensible circuit parameters.
 fn arb_params() -> impl Strategy<Value = CircuitParams> {
     (
-        0.001f64..10.0,  // active power
-        0.05f64..0.9,    // drowsy ratio
-        0.0f64..0.04,    // sleep ratio
+        0.001f64..10.0,    // active power
+        0.05f64..0.9,      // drowsy ratio
+        0.0f64..0.04,      // sleep ratio
         1.0f64..100_000.0, // refetch energy in units of active power
-        2u64..50,        // s1
-        1u64..4,         // d ramps (d1 = d3; s3 = d3 ensures Lemma 1)
-        0u64..20,        // s4
+        2u64..50,          // s1
+        1u64..4,           // d ramps (d1 = d3; s3 = d3 ensures Lemma 1)
+        0u64..20,          // s4
     )
         .prop_map(|(active, dr, sr, refetch_units, s1_extra, d, s4)| {
             let powers = ModePowers::from_ratios(active, dr.max(sr + 0.01), sr);

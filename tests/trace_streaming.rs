@@ -143,7 +143,11 @@ fn served_isa_profiles_match_batch_pipeline() {
         for (side, profile) in [("icache", &batch.icache), ("dcache", &batch.dcache)] {
             let served = doc.get(side).expect("side object");
             let num = |key: &str| served.get(key).and_then(Json::as_f64).expect("field");
-            assert_eq!(num("accesses") as u64, profile.cache.accesses, "{name}/{side}");
+            assert_eq!(
+                num("accesses") as u64,
+                profile.cache.accesses,
+                "{name}/{side}"
+            );
             assert_eq!(num("hits") as u64, profile.cache.hits, "{name}/{side}");
             assert_eq!(num("misses") as u64, profile.cache.misses, "{name}/{side}");
             assert_eq!(
@@ -160,7 +164,10 @@ fn served_isa_profiles_match_batch_pipeline() {
 
         // Serving is deterministic: a second fetch is byte-identical.
         let again = fetch(addr, "GET", &path, None, CLIENT_TIMEOUT).expect("refetch");
-        assert_eq!(again.body, response.body, "{name}: served bytes must be stable");
+        assert_eq!(
+            again.body, response.body,
+            "{name}: served bytes must be stable"
+        );
     }
     server.shutdown();
 }
@@ -191,18 +198,16 @@ fn buffered_and_chunked_uploads_summarize_identically() {
         b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
     );
     let (status, chunked_body, rest) = split_response(&raw);
-    assert_eq!(
-        status,
-        200,
-        "{}",
-        String::from_utf8_lossy(&chunked_body)
-    );
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&chunked_body));
     assert_eq!(
         chunked_body, buffered.body,
         "chunked and buffered framings must summarize byte-identically"
     );
     let (tail_status, tail_body, _) = split_response(&rest);
-    assert_eq!(tail_status, 200, "pipelined request after the body is served");
+    assert_eq!(
+        tail_status, 200,
+        "pipelined request after the body is served"
+    );
     assert!(
         String::from_utf8_lossy(&tail_body).contains("\"status\": \"ok\""),
         "pipelined /healthz answered"
@@ -211,7 +216,10 @@ fn buffered_and_chunked_uploads_summarize_identically() {
     // And the summary is the streaming extractor's, exactly.
     let (events, lines, intervals) = expected_summary(&body, 6);
     let doc = json::parse(&buffered.text()).expect("summary parses");
-    assert_eq!(doc.get("events").and_then(Json::as_f64), Some(events as f64));
+    assert_eq!(
+        doc.get("events").and_then(Json::as_f64),
+        Some(events as f64)
+    );
     assert_eq!(doc.get("lines").and_then(Json::as_f64), Some(lines as f64));
     assert_eq!(
         doc.get("intervals").and_then(Json::as_f64),
@@ -238,7 +246,13 @@ fn chunked_upload_streams_past_the_buffered_body_cap() {
     // 413 from the header block alone and closes; a client mid-way
     // through the multi-megabyte write may see the reset instead of
     // the status, so both count as refusal.
-    match fetch(addr, "POST", "/v1/trace/intervals", Some(&body), CLIENT_TIMEOUT) {
+    match fetch(
+        addr,
+        "POST",
+        "/v1/trace/intervals",
+        Some(&body),
+        CLIENT_TIMEOUT,
+    ) {
         Ok(buffered) => assert_eq!(buffered.status, 413, "{}", buffered.text()),
         Err(_reset_mid_write) => {}
     }
@@ -249,7 +263,10 @@ fn chunked_upload_streams_past_the_buffered_body_cap() {
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&summary));
     let (events, lines, intervals) = expected_summary(&body, 6);
     let doc = json::parse(std::str::from_utf8(&summary).expect("UTF-8")).expect("parses");
-    assert_eq!(doc.get("events").and_then(Json::as_f64), Some(events as f64));
+    assert_eq!(
+        doc.get("events").and_then(Json::as_f64),
+        Some(events as f64)
+    );
     assert_eq!(doc.get("lines").and_then(Json::as_f64), Some(lines as f64));
     assert_eq!(
         doc.get("intervals").and_then(Json::as_f64),
@@ -300,7 +317,10 @@ fn chunked_bodies_are_refused_off_the_trace_route() {
     let addr = server.addr();
     let raw = chunked_post(addr, "/v1/sweep", b"{}", 64, b"");
     let (status, _, _) = split_response(&raw);
-    assert_eq!(status, 411, "chunked off the trace route asks for Content-Length");
+    assert_eq!(
+        status, 411,
+        "chunked off the trace route asks for Content-Length"
+    );
 
     // A body still streaming in when the 411 goes out.
     let request = chunked_request("/v1/sweep", "", &vec![0u8; 4 << 20], 64 * 1024);
@@ -356,7 +376,10 @@ fn assert_refused_cleanly(addr: SocketAddr, request: &[u8], status: u16) {
         );
         let (answered, _, rest) = split_response(&raw);
         assert_eq!(answered, status, "round {round}");
-        assert!(rest.is_empty(), "round {round}: nothing may follow the {status}");
+        assert!(
+            rest.is_empty(),
+            "round {round}: nothing may follow the {status}"
+        );
     }
 }
 
@@ -447,5 +470,8 @@ fn streaming_extractor_stays_line_bounded_on_a_million_event_chase() {
         "chase never retires a line, so peak is the final footprint"
     );
     let dist = extractor.finish();
-    assert!(dist.total_intervals() >= events, "every event closes an interval");
+    assert!(
+        dist.total_intervals() >= events,
+        "every event closes an interval"
+    );
 }
