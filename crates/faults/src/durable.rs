@@ -55,7 +55,9 @@ pub const DEFAULT_BUDGET_BYTES: u64 = 64 * 1024 * 1024;
 /// Bytes of the seal trailer: `fnv1a=`, 16 hex digits, `\n`.
 const SEAL_BYTES: usize = 23;
 
-const SEAL_PREFIX: &[u8] = b"fnv1a=";
+/// What the seal trailer starts with: a line beginning with it ends a
+/// sealed buffer.
+pub const SEAL_PREFIX: &str = "fnv1a=";
 
 /// Why [`unseal`] refused a buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,7 +92,7 @@ impl std::error::Error for SealError {}
 /// being FNV-1a over every byte of `body`, in 16 lowercase hex digits.
 pub fn seal(mut body: Vec<u8>) -> Vec<u8> {
     let digest = fnv1a(&body);
-    body.extend_from_slice(format!("fnv1a={digest:016x}\n").as_bytes());
+    body.extend_from_slice(format!("{SEAL_PREFIX}{digest:016x}\n").as_bytes());
     body
 }
 
@@ -111,7 +113,7 @@ pub fn unseal(bytes: &[u8]) -> Result<&[u8], SealError> {
         .ok_or(SealError::BadTrailer)?;
     let (body, trailer) = bytes.split_at(body_len);
     let claimed = trailer
-        .strip_prefix(SEAL_PREFIX)
+        .strip_prefix(SEAL_PREFIX.as_bytes())
         .and_then(|rest| rest.strip_suffix(b"\n"))
         .filter(|hex| hex.iter().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
         .and_then(|hex| u64::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok())

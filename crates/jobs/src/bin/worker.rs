@@ -1,7 +1,8 @@
 //! `leakage-job-worker`: one sweep-fabric worker process.
 //!
-//! Reads the job hello and chunk assignments on stdin, writes result
-//! frames on stdout (see `leakage_jobs::protocol`), and exits 0 on EOF.
+//! Reads the job hello and chunk assignments on stdin, answers each
+//! chunk on stdout with its sealed checkpoint bytes or a `chunk_err`
+//! frame (see `leakage_jobs::protocol`), and exits 0 on EOF.
 //! The coordinator spawns these as local children; the binary takes no
 //! arguments.
 //!

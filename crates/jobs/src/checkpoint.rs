@@ -251,9 +251,24 @@ pub fn read_job_chunk(
     path: &Path,
     job_id: &str,
     chunk: u64,
+    range: (u64, u64),
+) -> Result<ChunkFile, CkptError> {
+    check_header(read_chunk(path)?, job_id, chunk, range)
+}
+
+/// Passes a decoded chunk through if its header names chunk `chunk` of
+/// job `job_id`, covering points `start..end`. Shared by
+/// [`read_job_chunk`] and the coordinator's check of a worker's answer.
+///
+/// # Errors
+///
+/// [`CkptError::Corrupt`] when any of the four disagrees.
+pub fn check_header(
+    file: ChunkFile,
+    job_id: &str,
+    chunk: u64,
     (start, end): (u64, u64),
 ) -> Result<ChunkFile, CkptError> {
-    let file = read_chunk(path)?;
     if file.job_id != job_id || file.chunk != chunk || file.start != start || file.end != end {
         return Err(corrupt("checkpoint header disagrees with job spec"));
     }

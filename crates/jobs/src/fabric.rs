@@ -21,25 +21,20 @@
 //! functions of `(spec, chunk ordinal)`, which is why a resumed run is
 //! byte-identical to an uninterrupted one.
 //!
-//! The runner speaks the [`crate::protocol`] to locally-spawned
-//! worker children over their stdin/stdout pipes. A worker that exits,
-//! panics (armed `jobs/chunk` fault), or stalls past the deadline is
-//! killed and its in-flight chunk goes back on the pending queue; a
-//! bounded respawn budget and a per-chunk attempt cap turn
-//! pathological loops into a `failed` job instead of a hung one.
-//!
-//! Because every worker is a child, its death is always observable
-//! (EOF on its stdout), and a stalled worker is killed *before* its
-//! chunk is requeued. No stale writer can therefore outlive its
-//! assignment, and the commit rule is simply: a chunk answer counts
-//! when it comes from the worker the chunk is assigned to and the chunk
-//! is not yet done; the first durable checkpoint wins.
+//! Each runner is an I/O shell around a pure schedule
+//! (`schedule.rs`): it speaks the [`crate::protocol`] to
+//! locally-spawned worker children over their stdin/stdout pipes,
+//! turns what it reads into schedule inputs, and carries out the
+//! spawns, assignments, kills and commits the schedule decides. Every worker is a child, so its death is
+//! always observable (EOF on its stdout) and is reaped before the
+//! schedule requeues its chunk: no stale writer outlives its
+//! assignment, and the first durable checkpoint wins.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -50,10 +45,12 @@ use leakage_telemetry::json;
 use leakage_telemetry::{counter, debug, warn};
 
 use crate::checkpoint::{
-    chunk_file_name, parse_chunk_file_name, quarantine, read_job_chunk, write_chunk, ChunkFile,
-    CkptError,
+    check_header, chunk_file_name, parse_chunk_file_name, quarantine, read_job_chunk, write_chunk,
+    ChunkFile, CkptError, CHUNK_MAGIC,
 };
-use crate::protocol::{rows_checksum, Assign, Hello, WorkerFrame};
+use crate::protocol::{read_answer, Assign, Hello, WorkerFrame};
+pub use crate::schedule::MAX_CHUNK_ATTEMPTS;
+use crate::schedule::{Action, Input, Outcome, Schedule, WorkerId};
 use crate::spec::{JobSpec, SpecError};
 
 /// Environment override for the worker executable path.
@@ -64,10 +61,6 @@ const CANCEL_MARKER: &str = "canceled";
 
 /// Upper bound on `per_page` for result reads.
 pub const MAX_PER_PAGE: u64 = 10_000;
-
-/// How many times one chunk may fail (worker death, `chunk_err`,
-/// checksum mismatch) before the whole job is declared failed.
-pub const MAX_CHUNK_ATTEMPTS: u32 = 5;
 
 /// Fabric-wide knobs, fixed at construction.
 #[derive(Debug, Clone)]
@@ -111,9 +104,10 @@ impl Default for FabricConfig {
 }
 
 /// Lifecycle of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum JobState {
     /// Accepted and durable, runner not yet fanned out.
+    #[default]
     Queued,
     /// Workers are evaluating chunks.
     Running,
@@ -147,7 +141,7 @@ struct WorkerView {
 }
 
 /// The mutable, observable side of a job.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StatusState {
     state: JobState,
     chunks_done: u64,
@@ -162,22 +156,6 @@ struct StatusState {
     workers: Vec<WorkerView>,
 }
 
-impl StatusState {
-    fn fresh(state: JobState) -> StatusState {
-        StatusState {
-            state,
-            chunks_done: 0,
-            points_done: 0,
-            resumed_chunks: 0,
-            reassigned_chunks: 0,
-            worker_restarts: 0,
-            quarantined: 0,
-            error: None,
-            workers: Vec::new(),
-        }
-    }
-}
-
 /// One registered job: spec + directory + observable status + runner.
 struct JobHandle {
     id: String,
@@ -187,6 +165,40 @@ struct JobHandle {
     cancel: AtomicBool,
     stop: AtomicBool,
     runner: Mutex<Option<thread::JoinHandle<()>>>,
+}
+
+impl JobHandle {
+    /// A registered job, queued or `canceled`, with no runner yet.
+    fn new(spec: JobSpec, dir: PathBuf, canceled: bool) -> Arc<JobHandle> {
+        let state = if canceled {
+            JobState::Canceled
+        } else {
+            JobState::Queued
+        };
+        Arc::new(JobHandle {
+            id: spec.id(),
+            spec,
+            dir,
+            status: Mutex::new(StatusState {
+                state,
+                ..StatusState::default()
+            }),
+            cancel: AtomicBool::new(canceled),
+            stop: AtomicBool::new(false),
+            runner: Mutex::new(None),
+        })
+    }
+
+    /// Checks that a worker's verified answer names this job and the
+    /// point range of the chunk it names.
+    fn check_answer(&self, file: ChunkFile) -> Result<ChunkFile, String> {
+        if file.chunk >= self.spec.chunk_count() {
+            return Err(format!("chunk {} is outside this job", file.chunk));
+        }
+        let chunk = file.chunk;
+        let range = self.spec.chunk_range(chunk);
+        check_header(file, &self.id, chunk, range).map_err(|err| err.to_string())
+    }
 }
 
 /// Joins the runner threads of completed jobs. An exited thread that
@@ -330,19 +342,7 @@ impl JobFabric {
             return;
         }
         let canceled = job_dir.join(CANCEL_MARKER).exists();
-        let handle = Arc::new(JobHandle {
-            id: id.clone(),
-            spec,
-            dir: job_dir.to_path_buf(),
-            status: Mutex::new(StatusState::fresh(if canceled {
-                JobState::Canceled
-            } else {
-                JobState::Queued
-            })),
-            cancel: AtomicBool::new(canceled),
-            stop: AtomicBool::new(false),
-            runner: Mutex::new(None),
-        });
+        let handle = JobHandle::new(spec, job_dir.to_path_buf(), canceled);
         self.jobs.lock().unwrap().insert(id, Arc::clone(&handle));
         if !canceled {
             self.spawn_runner(handle);
@@ -397,15 +397,7 @@ impl JobFabric {
             fs::create_dir_all(&dir).map_err(SubmitError::Io)?;
             durable::write_atomically(&dir.join("job.json"), spec.to_json().as_bytes())
                 .map_err(SubmitError::Io)?;
-            let handle = Arc::new(JobHandle {
-                id: id.clone(),
-                spec,
-                dir,
-                status: Mutex::new(StatusState::fresh(JobState::Queued)),
-                cancel: AtomicBool::new(false),
-                stop: AtomicBool::new(false),
-                runner: Mutex::new(None),
-            });
+            let handle = JobHandle::new(spec, dir, false);
             jobs.insert(id.clone(), Arc::clone(&handle));
             handle
         };
@@ -506,9 +498,9 @@ impl JobFabric {
         let mut index = start;
         while index < end {
             let chunk = index / u64::from(spec.chunk_points);
-            let (chunk_start, chunk_end) = spec.chunk_range(chunk);
+            let (first, past) = spec.chunk_range(chunk);
             let path = handle.dir.join(chunk_file_name(chunk));
-            let file = match read_job_chunk(&path, &handle.id, chunk, (chunk_start, chunk_end)) {
+            let file = match read_job_chunk(&path, &handle.id, chunk, (first, past)) {
                 Ok(file) => file,
                 Err(err) => {
                     self.heal_chunk(&handle, &path, &err.to_string());
@@ -517,10 +509,8 @@ impl JobFabric {
                     )));
                 }
             };
-            let upto = end.min(chunk_end);
-            for i in index..upto {
-                rows.push(file.rows[(i - chunk_start) as usize].clone());
-            }
+            let upto = end.min(past);
+            rows.extend_from_slice(&file.rows[(index - first) as usize..(upto - first) as usize]);
             index = upto;
         }
         Ok(json::object([
@@ -626,14 +616,11 @@ impl JobFabric {
                 .name(name)
                 .spawn(move || {
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        Runner::new(fabric, Arc::clone(&job)).run()
+                        run_job(fabric, Arc::clone(&job));
                     }));
                     if let Err(payload) = outcome {
                         let msg = format!("runner panicked: {}", panic_message(&payload));
-                        warn!("jobs: {} {msg}", job.id);
-                        let mut status = job.status.lock().unwrap();
-                        status.state = JobState::Failed;
-                        status.error = Some(msg);
+                        record_end(&job, Outcome::Failed(msg));
                     }
                 })
                 .expect("spawn job runner thread"),
@@ -677,230 +664,262 @@ fn resolve_worker_bin(config: &FabricConfig) -> PathBuf {
     PathBuf::from("leakage-job-worker")
 }
 
-/// Events the per-worker reader threads feed the runner loop.
-enum Event {
-    Ready(usize),
-    ChunkDone {
-        worker: usize,
-        chunk: u64,
-        rows: Vec<String>,
-    },
-    ChunkErr {
-        worker: usize,
-        chunk: u64,
-        error: String,
-    },
-    /// The worker's stream closed or spoke garbage; `reason` is for
-    /// logs. Sent at most once per worker.
-    Gone {
-        worker: usize,
-        reason: String,
-    },
-}
+/// How long the runner waits for an event before it looks at the
+/// cancel and stop flags and the stall deadlines again.
+const TICK: Duration = Duration::from_millis(100);
 
-/// One worker child. Its stdout belongs to the slot's reader thread,
-/// which sees EOF once the child exits or is killed.
+/// What a reader thread feeds the runner: a schedule input, and the
+/// verified checkpoint an `Answer` carries. `Gone` is a reader's last.
+type Event = (Input, Option<ChunkFile>);
+
+/// One worker child. Its stdout belongs to a detached reader thread,
+/// which sees EOF once the child exits or is killed, sends `Gone` and
+/// ends.
 struct WorkerSlot {
     child: Child,
     /// The worker's input; `None` once retired (EOF → the worker exits
     /// 0).
     stdin: Option<ChildStdin>,
-    pid: u32,
-    assigned: Option<Assign>,
-    assigned_at: Instant,
-    /// We closed the worker's input on purpose; the coming `Gone` is
-    /// expected.
-    retired: bool,
-    reader: Option<thread::JoinHandle<()>>,
 }
 
 impl WorkerSlot {
     /// Writes one newline-terminated protocol line and flushes; any
     /// failure means the worker is dead or dying.
     fn send_line(&mut self, line: &str) -> io::Result<()> {
-        let Some(stdin) = self.stdin.as_mut() else {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "worker stdin already retired",
-            ));
-        };
-        stdin.write_all(line.as_bytes())?;
-        stdin.write_all(b"\n")?;
+        let stdin = self.stdin.as_mut().ok_or(io::ErrorKind::BrokenPipe)?;
+        stdin.write_all(format!("{line}\n").as_bytes())?;
         stdin.flush()
-    }
-
-    /// Graceful retirement: the worker observes end-of-input and exits.
-    fn retire(&mut self) {
-        self.retired = true;
-        self.stdin = None;
     }
 }
 
+/// The I/O shell around one job's [`Schedule`]: it turns worker events
+/// into schedule inputs and carries out the actions that come back.
 struct Runner {
     fabric: Arc<JobFabric>,
     job: Arc<JobHandle>,
-    pending: VecDeque<u64>,
-    attempts: HashMap<u64, u32>,
-    done: Vec<bool>,
-    slots: Vec<Option<WorkerSlot>>,
+    schedule: Schedule,
+    slots: HashMap<WorkerId, WorkerSlot>,
     events_tx: mpsc::Sender<Event>,
-    events_rx: mpsc::Receiver<Event>,
-    spawns_left: u64,
+    /// Time zero of the schedule's clock.
+    epoch: Instant,
+    /// `reassigned_chunks` and `worker_restarts` as earlier runners of
+    /// this job left them.
+    carried: (u64, u64),
+}
+
+/// The runner thread's body: recovers the job's checkpoints, then runs
+/// its schedule until the job ends, is canceled or is stopped.
+fn run_job(fabric: Arc<JobFabric>, job: Arc<JobHandle>) {
+    let done = match recover_checkpoints(&job) {
+        Ok(done) => done,
+        Err(err) => {
+            record_end(
+                &job,
+                Outcome::Failed(format!("scanning checkpoints: {err}")),
+            );
+            return;
+        }
+    };
+    let carried = {
+        let mut status = job.status.lock().unwrap();
+        status.state = JobState::Running;
+        (status.reassigned_chunks, status.worker_restarts)
+    };
+    let stall_ms = u64::try_from(fabric.config.stall_deadline.as_millis()).unwrap_or(u64::MAX);
+    let (events_tx, events) = mpsc::channel();
+    let mut runner = Runner {
+        schedule: Schedule::new(done, fabric.config.workers, stall_ms),
+        fabric,
+        job,
+        slots: HashMap::new(),
+        events_tx,
+        epoch: Instant::now(),
+        carried,
+    };
+    let mut actions = runner.schedule.start();
+    let mut answer = None;
+    while runner.execute(actions, answer.take()) {
+        let canceled = runner.job.cancel.load(Ordering::SeqCst);
+        if canceled || runner.job.stop.load(Ordering::SeqCst) {
+            runner.teardown();
+            if canceled {
+                write_cancel_marker(&runner.job.dir);
+            }
+            let mut status = runner.job.status.lock().unwrap();
+            status.state = if canceled {
+                JobState::Canceled
+            } else {
+                JobState::Queued
+            };
+            status.workers.clear();
+            return;
+        }
+        // The runner holds a sender, so the channel never disconnects:
+        // an error is the timeout.
+        let (input, file) = events.recv_timeout(TICK).unwrap_or((Input::Tick, None));
+        if let Input::Gone(worker) = input {
+            runner.reap(worker);
+        }
+        answer = file;
+        let now = u64::try_from(runner.epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
+        actions = runner.schedule.step(input, now);
+    }
+}
+
+/// Scans the job directory for durable chunks: valid ones count as
+/// done, corrupt ones are quarantined and recomputed, and temp files a
+/// crashed writer left behind are deleted. Returns which chunks are
+/// done.
+fn recover_checkpoints(job: &JobHandle) -> io::Result<Vec<bool>> {
+    let spec = &job.spec;
+    let mut done = vec![false; spec.chunk_count() as usize];
+    let mut quarantined = 0u64;
+    for entry in fs::read_dir(&job.dir)? {
+        let path = entry?.path();
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            continue;
+        };
+        let Some(chunk) = parse_chunk_file_name(name) else {
+            if durable::is_temp_name(name) {
+                let _ = fs::remove_file(&path);
+            }
+            continue;
+        };
+        if chunk >= spec.chunk_count() {
+            quarantine(&path, "chunk ordinal outside this job");
+            quarantined += 1;
+            continue;
+        }
+        match read_job_chunk(&path, &job.id, chunk, spec.chunk_range(chunk)) {
+            Ok(_) => done[chunk as usize] = true,
+            Err(CkptError::Corrupt { reason }) => {
+                quarantine(&path, &reason);
+                quarantined += 1;
+            }
+            Err(CkptError::Io(err)) => return Err(err),
+        }
+    }
+    let ranges = (0..spec.chunk_count()).filter(|&c| done[c as usize]);
+    let ranges: Vec<(u64, u64)> = ranges.map(|c| spec.chunk_range(c)).collect();
+    let mut status = job.status.lock().unwrap();
+    status.chunks_done = ranges.len() as u64;
+    status.points_done = ranges.iter().map(|(start, end)| end - start).sum();
+    status.resumed_chunks = status.chunks_done;
+    status.quarantined += quarantined;
+    Ok(done)
+}
+
+fn record_end(job: &JobHandle, outcome: Outcome) {
+    let mut status = job.status.lock().unwrap();
+    status.workers.clear();
+    match outcome {
+        Outcome::Done => {
+            status.state = JobState::Done;
+            counter!("jobs_completed_total").inc();
+            debug!("jobs: {} done", job.id);
+        }
+        Outcome::Failed(error) => {
+            warn!("jobs: {} failed: {error}", job.id);
+            status.state = JobState::Failed;
+            status.error = Some(error);
+            counter!("jobs_failed_total").inc();
+        }
+    }
 }
 
 impl Runner {
-    fn new(fabric: Arc<JobFabric>, job: Arc<JobHandle>) -> Runner {
-        let (events_tx, events_rx) = mpsc::channel();
-        let chunks = job.spec.chunk_count();
-        Runner {
-            fabric,
-            job,
-            pending: VecDeque::new(),
-            attempts: HashMap::new(),
-            done: vec![false; chunks as usize],
-            slots: Vec::new(),
-            events_tx,
-            events_rx,
-            spawns_left: chunks.max(16),
-        }
-    }
-
-    fn run(&mut self) {
-        if let Err(err) = self.recover_checkpoints() {
-            self.fail(format!("scanning checkpoints: {err}"));
-            return;
-        }
-        if self.finish_if_complete() {
-            return;
-        }
-        {
-            let mut status = self.job.status.lock().unwrap();
-            status.state = JobState::Running;
-        }
-        let want = self
-            .fabric
-            .config
-            .workers
-            .max(1)
-            .min(self.pending.len().max(1));
-        for _ in 0..want {
-            if let Err(err) = self.spawn_worker() {
-                self.fail(format!("spawning worker: {err}"));
-                self.teardown(false);
-                return;
-            }
-        }
-        loop {
-            if self.job.cancel.load(Ordering::SeqCst) {
-                self.teardown(false);
-                write_cancel_marker(&self.job.dir);
-                let mut status = self.job.status.lock().unwrap();
-                status.state = JobState::Canceled;
-                return;
-            }
-            if self.job.stop.load(Ordering::SeqCst) {
-                self.teardown(false);
-                let mut status = self.job.status.lock().unwrap();
-                status.state = JobState::Queued;
-                status.workers.clear();
-                return;
-            }
-            match self.events_rx.recv_timeout(Duration::from_millis(100)) {
-                Ok(event) => {
-                    if !self.handle_event(event) {
-                        return; // job reached a terminal state
+    /// Carries out `actions` in order; `answer` is the checkpoint a
+    /// `Commit` among them writes. Returns `false` once the job has
+    /// ended.
+    fn execute(&mut self, actions: Vec<Action>, mut answer: Option<ChunkFile>) -> bool {
+        for action in actions {
+            match action {
+                Action::Spawn { worker, respawn } => {
+                    if respawn {
+                        counter!("jobs_worker_restarts_total").inc();
+                    }
+                    if let Err(err) = self.spawn_worker(worker) {
+                        return self.end(Outcome::Failed(format!("spawning worker: {err}")));
                     }
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => self.check_deadlines(),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    self.fail("all worker channels closed unexpectedly".to_string());
-                    self.teardown(false);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Scans the job directory for durable chunks; valid ones count as
-    /// done, corrupt ones are quarantined and recomputed, and temp
-    /// files a crashed writer left behind are deleted.
-    fn recover_checkpoints(&mut self) -> io::Result<()> {
-        let spec = &self.job.spec;
-        let mut recovered = 0u64;
-        let mut points = 0u64;
-        let mut quarantined = 0u64;
-        for entry in fs::read_dir(&self.job.dir)? {
-            let path = entry?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            let Some(chunk) = parse_chunk_file_name(name) else {
-                if durable::is_temp_name(name) {
-                    let _ = fs::remove_file(&path);
-                }
-                continue;
-            };
-            if chunk >= spec.chunk_count() {
-                quarantine(&path, "chunk ordinal outside this job");
-                quarantined += 1;
-                continue;
-            }
-            let (start, end) = spec.chunk_range(chunk);
-            match read_job_chunk(&path, &self.job.id, chunk, (start, end)) {
-                Ok(_) => {
-                    if !self.done[chunk as usize] {
-                        self.done[chunk as usize] = true;
-                        recovered += 1;
-                        points += end - start;
+                Action::Assign { worker, chunk } => {
+                    let (start, end) = self.job.spec.chunk_range(chunk);
+                    let line = Assign { chunk, start, end }.encode();
+                    let sent = self
+                        .slots
+                        .get_mut(&worker)
+                        .is_some_and(|slot| slot.send_line(&line).is_ok());
+                    if !sent {
+                        // Broken pipe: the worker is dead or dying, and
+                        // its `Gone` requeues the chunk.
+                        self.kill(worker, "assignment write failed");
                     }
                 }
-                Err(CkptError::Corrupt { reason }) => {
-                    quarantine(&path, &reason);
-                    quarantined += 1;
+                Action::Retire(worker) => {
+                    if let Some(slot) = self.slots.get_mut(&worker) {
+                        slot.stdin = None;
+                    }
                 }
-                Err(CkptError::Io(err)) => return Err(err),
+                Action::Kill { worker, stalled } => {
+                    if stalled {
+                        counter!("jobs_workers_stalled_total").inc();
+                        self.kill(worker, "stall deadline exceeded");
+                    } else {
+                        self.kill(worker, "answered a chunk it was not assigned");
+                    }
+                }
+                Action::Commit { chunk } => {
+                    let file = answer
+                        .take()
+                        .expect("a commit follows the answer it writes");
+                    if let Err(err) = write_chunk(&self.job.dir, &file) {
+                        let error = format!("checkpointing chunk {chunk}: {err}");
+                        return self.end(Outcome::Failed(error));
+                    }
+                    let mut status = self.job.status.lock().unwrap();
+                    status.chunks_done += 1;
+                    status.points_done += file.end - file.start;
+                    drop(status);
+                    counter!("jobs_chunks_completed_total").inc();
+                }
+                Action::Finish(outcome) => return self.end(outcome),
             }
         }
-        for chunk in 0..spec.chunk_count() {
-            if !self.done[chunk as usize] {
-                self.pending.push_back(chunk);
-            }
-        }
-        let mut status = self.job.status.lock().unwrap();
-        status.chunks_done = recovered;
-        status.points_done = points;
-        status.resumed_chunks = recovered;
-        status.quarantined += quarantined;
-        Ok(())
+        self.publish();
+        true
     }
 
-    fn finish_if_complete(&mut self) -> bool {
-        if self.pending.is_empty() && self.inflight_count() == 0 {
-            self.teardown(true);
-            let mut status = self.job.status.lock().unwrap();
-            status.state = JobState::Done;
-            status.workers.clear();
-            drop(status);
-            counter!("jobs_completed_total").inc();
-            debug!("jobs: {} done", self.job.id);
-            return true;
-        }
+    /// Tears the workers down and records how the job ended.
+    fn end(&mut self, outcome: Outcome) -> bool {
+        self.teardown();
+        self.publish();
+        record_end(&self.job, outcome);
         false
     }
 
-    fn inflight_count(&self) -> usize {
-        self.slots
+    /// Copies the schedule's worker roster and counters into the job
+    /// status.
+    fn publish(&self) {
+        let workers = self
+            .schedule
+            .workers()
             .iter()
-            .flatten()
-            .filter(|s| s.assigned.is_some())
-            .count()
+            .filter_map(|worker| {
+                Some(WorkerView {
+                    pid: self.slots.get(&worker.id)?.child.id(),
+                    chunk: worker.chunk,
+                    alive: !worker.retired,
+                })
+            })
+            .collect();
+        let mut status = self.job.status.lock().unwrap();
+        status.workers = workers;
+        let (reassigned, restarts) = self.schedule.losses();
+        status.reassigned_chunks = self.carried.0 + reassigned;
+        status.worker_restarts = self.carried.1 + restarts;
     }
 
-    fn spawn_worker(&mut self) -> io::Result<()> {
-        if self.spawns_left == 0 {
-            return Err(io::Error::other("worker respawn budget exhausted"));
-        }
-        self.spawns_left -= 1;
+    fn spawn_worker(&mut self, worker: WorkerId) -> io::Result<()> {
         let bin = resolve_worker_bin(&self.fabric.config);
         let mut child = retry(Backoff::DISK, |_| {
             io_point("jobs/spawn")?;
@@ -915,23 +934,17 @@ impl Runner {
             }
             command.spawn()
         })?;
-        // Wire the child into a slot: send the job hello, start the
-        // reader thread, publish the roster.
+        // Wire the child into a slot: send the job hello, then start
+        // the reader thread.
         let stdout = child
             .stdout
             .take()
             .expect("worker spawned with piped stdout");
         let mut slot = WorkerSlot {
             stdin: child.stdin.take(),
-            pid: child.id(),
             child,
-            assigned: None,
-            assigned_at: Instant::now(),
-            retired: false,
-            reader: None,
         };
         let hello = Hello {
-            job_id: self.job.id.clone(),
             spec: self.job.spec.clone(),
         };
         if let Err(err) = slot.send_line(&hello.encode()) {
@@ -939,370 +952,90 @@ impl Runner {
             let _ = slot.child.wait();
             return Err(err);
         }
-        let worker = self.slots.len();
         let tx = self.events_tx.clone();
-        slot.reader = Some(
-            thread::Builder::new()
-                .name(format!("job-worker-read-{worker}"))
-                .spawn(move || read_worker(worker, stdout, &tx))
-                .expect("spawn worker reader thread"),
-        );
-        self.slots.push(Some(slot));
-        self.publish_workers();
+        let job = Arc::clone(&self.job);
+        thread::Builder::new()
+            .name(format!("job-worker-read-{worker}"))
+            .spawn(move || read_worker(worker, stdout, &job, &tx))
+            .expect("spawn worker reader thread");
+        self.slots.insert(worker, slot);
         Ok(())
     }
 
-    fn publish_workers(&self) {
-        let views: Vec<WorkerView> = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|slot| WorkerView {
-                pid: slot.pid,
-                chunk: slot.assigned.map(|a| a.chunk),
-                alive: !slot.retired,
-            })
-            .collect();
-        self.job.status.lock().unwrap().workers = views;
-    }
-
-    /// Feeds the next pending chunk to `worker`, or retires it (closes
-    /// its input) when nothing is left.
-    fn assign_next(&mut self, worker: usize) {
-        match self.slots[worker].as_ref() {
-            Some(slot) if slot.assigned.is_none() => {}
-            _ => return,
-        }
-        let Some(chunk) = self.pending.pop_front() else {
-            if let Some(slot) = self.slots[worker].as_mut() {
-                slot.retire();
-            }
-            self.publish_workers();
-            return;
-        };
-        let (start, end) = self.job.spec.chunk_range(chunk);
-        let assign = Assign { chunk, start, end };
-        let write = self.slots[worker]
-            .as_mut()
-            .map(|slot| slot.send_line(&assign.encode()));
-        match write {
-            Some(Ok(())) => {
-                if let Some(slot) = self.slots[worker].as_mut() {
-                    slot.assigned = Some(assign);
-                    slot.assigned_at = Instant::now();
-                }
-                self.publish_workers();
-            }
-            _ => {
-                // Broken pipe: the worker is dead or dying; requeue
-                // and let its `Gone` event drive the respawn.
-                self.pending.push_front(chunk);
-                self.kill_worker(worker, "assignment write failed");
-            }
-        }
-    }
-
-    /// Returns `false` when the job reached a terminal state.
-    fn handle_event(&mut self, event: Event) -> bool {
-        match event {
-            Event::Ready(worker) => {
-                self.assign_next(worker);
-                true
-            }
-            Event::ChunkDone {
-                worker,
-                chunk,
-                rows,
-            } => {
-                let owns = self.slots[worker]
-                    .as_ref()
-                    .and_then(|s| s.assigned)
-                    .is_some_and(|a| a.chunk == chunk)
-                    && !self.done[chunk as usize];
-                if !owns {
-                    // A local worker only ever answers the chunk it
-                    // holds: anything else is a protocol violation.
-                    self.kill_worker(worker, "answered a chunk it was not assigned");
-                    return self.ensure_progress();
-                }
-                let (start, end) = self.job.spec.chunk_range(chunk);
-                if rows.len() as u64 != end - start {
-                    self.requeue(chunk, "row count disagrees with chunk range");
-                    self.kill_worker(worker, "bad row count");
-                    return self.ensure_progress();
-                }
-                let file = ChunkFile {
-                    job_id: self.job.id.clone(),
-                    chunk,
-                    start,
-                    end,
-                    rows,
-                };
-                match write_chunk(&self.job.dir, &file) {
-                    Ok(_) => {
-                        self.done[chunk as usize] = true;
-                        if let Some(slot) = self.slots[worker].as_mut() {
-                            slot.assigned = None;
-                        }
-                        let mut status = self.job.status.lock().unwrap();
-                        status.chunks_done += 1;
-                        status.points_done += end - start;
-                        drop(status);
-                        counter!("jobs_chunks_completed_total").inc();
-                        if self.finish_if_complete() {
-                            return false;
-                        }
-                        self.assign_next(worker);
-                    }
-                    Err(err) => {
-                        self.fail(format!("checkpointing chunk {chunk}: {err}"));
-                        self.teardown(false);
-                        return false;
-                    }
-                }
-                true
-            }
-            Event::ChunkErr {
-                worker,
-                chunk,
-                error,
-            } => {
-                let matched = self.slots[worker]
-                    .as_ref()
-                    .is_some_and(|s| s.assigned.map(|a| a.chunk) == Some(chunk));
-                if matched {
-                    if let Some(slot) = self.slots[worker].as_mut() {
-                        slot.assigned = None;
-                    }
-                    self.requeue(chunk, &error);
-                    if self.job_failed() {
-                        self.teardown(false);
-                        return false;
-                    }
-                }
-                self.assign_next(worker);
-                true
-            }
-            Event::Gone { worker, reason } => {
-                let (retired, assigned) = match self.slots[worker].as_ref() {
-                    Some(slot) => (slot.retired, slot.assigned),
-                    None => (true, None),
-                };
-                if retired {
-                    self.reap(worker);
-                    return true;
-                }
-                self.reap(worker);
-                if let Some(assign) = assigned {
-                    self.requeue(assign.chunk, &reason);
-                    let mut status = self.job.status.lock().unwrap();
-                    status.reassigned_chunks += 1;
-                    drop(status);
-                }
-                if self.job_failed() {
-                    self.teardown(false);
-                    return false;
-                }
-                if !self.pending.is_empty() {
-                    {
-                        let mut status = self.job.status.lock().unwrap();
-                        status.worker_restarts += 1;
-                    }
-                    counter!("jobs_worker_restarts_total").inc();
-                    warn!(
-                        "jobs: {} worker {worker} lost ({reason}); respawning",
-                        self.job.id
-                    );
-                    if let Err(err) = self.spawn_worker() {
-                        self.fail(format!("respawning worker: {err}"));
-                        self.teardown(false);
-                        return false;
-                    }
-                }
-                self.ensure_progress()
-            }
-        }
-    }
-
-    /// After losing a worker, the job may already be complete.
-    fn ensure_progress(&mut self) -> bool {
-        !self.finish_if_complete()
-    }
-
-    fn requeue(&mut self, chunk: u64, reason: &str) {
-        let tries = self.attempts.entry(chunk).or_insert(0);
-        *tries += 1;
-        debug!(
-            "jobs: {} chunk {chunk} back on queue (attempt {}, {reason})",
-            self.job.id, *tries
-        );
-        self.pending.push_back(chunk);
-    }
-
-    /// Whether some chunk blew its attempt budget; fails the job if so.
-    fn job_failed(&mut self) -> bool {
-        let Some((&chunk, &tries)) = self
-            .attempts
-            .iter()
-            .find(|(_, &tries)| tries >= MAX_CHUNK_ATTEMPTS)
-        else {
-            return false;
-        };
-        self.fail(format!("chunk {chunk} failed {tries} times; giving up"));
-        true
-    }
-
-    fn fail(&mut self, error: String) {
-        warn!("jobs: {} failed: {error}", self.job.id);
-        let mut status = self.job.status.lock().unwrap();
-        status.state = JobState::Failed;
-        status.error = Some(error);
-        status.workers.clear();
-        drop(status);
-        counter!("jobs_failed_total").inc();
-    }
-
-    /// Timeout-tick sweep: a worker holding one chunk past the stall
-    /// deadline is killed; its `Gone` event then requeues the chunk.
-    fn check_deadlines(&mut self) {
-        let stall = self.fabric.config.stall_deadline;
-        let stalled: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let slot = slot.as_ref()?;
-                (slot.assigned.is_some() && !slot.retired && slot.assigned_at.elapsed() > stall)
-                    .then_some(i)
-            })
-            .collect();
-        for worker in stalled {
-            counter!("jobs_workers_stalled_total").inc();
-            self.kill_worker(worker, "stall deadline exceeded");
-        }
-    }
-
     /// Kills a worker; its reader thread will observe EOF and deliver
-    /// the `Gone` event that requeues + respawns.
-    fn kill_worker(&mut self, worker: usize, reason: &str) {
-        if let Some(slot) = self.slots[worker].as_mut() {
+    /// the `Gone` event.
+    fn kill(&mut self, worker: WorkerId, reason: &str) {
+        if let Some(slot) = self.slots.get_mut(&worker) {
             warn!(
                 "jobs: {} killing worker {} ({reason})",
-                self.job.id, slot.pid
+                self.job.id,
+                slot.child.id()
             );
             let _ = slot.child.kill();
         }
     }
 
-    /// Reaps a finished worker: kills and waits for the child, joins
-    /// the reader.
-    fn reap(&mut self, worker: usize) {
-        if let Some(mut slot) = self.slots[worker].take() {
+    /// Reaps a worker whose stream ended: kills and waits for the
+    /// child, so the process is gone before the schedule hears of it.
+    fn reap(&mut self, worker: WorkerId) {
+        if let Some(mut slot) = self.slots.remove(&worker) {
+            if slot.stdin.is_some() {
+                let pid = slot.child.id();
+                warn!("jobs: {} worker {pid} lost", self.job.id);
+            }
             let _ = slot.child.kill();
             let _ = slot.child.wait();
-            if let Some(reader) = slot.reader.take() {
-                let _ = reader.join();
-            }
         }
-        self.publish_workers();
     }
 
-    /// Disconnects every worker. With `graceful`, lets retirees finish
-    /// first (their input is already closed) — used on completion;
-    /// otherwise hard-kills — used for cancel/stop/fail.
-    fn teardown(&mut self, graceful: bool) {
-        for worker in 0..self.slots.len() {
-            if graceful {
-                if let Some(slot) = self.slots[worker].as_mut() {
-                    slot.retire();
-                }
-            }
-            self.reap(worker);
+    /// Kills and reaps every worker.
+    fn teardown(&mut self) {
+        for (_, mut slot) in self.slots.drain() {
+            let _ = slot.child.kill();
+            let _ = slot.child.wait();
         }
     }
 }
 
-/// Reader-thread body: turns a worker's stdout into [`Event`]s.
-/// Stateful framing — after a `ChunkStart` header the next `points`
-/// lines are verbatim rows — and the `chunk_end` checksum is verified
-/// *here*, so a corrupted pipe never reaches a checkpoint. `points` is
-/// capped at parse time, so the row buffer is too.
-fn read_worker(worker: usize, stream: ChildStdout, tx: &mpsc::Sender<Event>) {
-    let gone = |reason: String| Event::Gone { worker, reason };
+/// Reader-thread body: turns a worker's stdout into [`Event`]s. A chunk
+/// answer is read up to its seal and verified here, header included, so
+/// a corrupted pipe never reaches a checkpoint; a bad answer or frame
+/// ends the stream like EOF does.
+fn read_worker(worker: WorkerId, stream: impl Read, job: &JobHandle, tx: &mpsc::Sender<Event>) {
     let mut lines = BufReader::new(stream).lines();
-    let outcome = loop {
-        let Some(line) = lines.next() else {
-            break gone("stream closed".to_string());
-        };
-        let line = match line {
-            Ok(line) => line,
-            Err(err) => break gone(format!("stream read: {err}")),
-        };
-        match WorkerFrame::parse(&line) {
-            Ok(WorkerFrame::Ready(_)) => {
-                if tx.send(Event::Ready(worker)).is_err() {
-                    return;
-                }
-            }
-            Ok(WorkerFrame::ChunkStart { chunk, points }) => {
-                let mut rows = Vec::with_capacity(points as usize);
-                for _ in 0..points {
-                    match lines.next() {
-                        Some(Ok(row)) => rows.push(row),
-                        Some(Err(_)) | None => break,
-                    }
-                }
-                if rows.len() as u64 != points {
-                    break gone(format!(
-                        "stream ended mid-chunk {chunk}: {}/{points} rows",
-                        rows.len()
-                    ));
-                }
-                let seal = match lines.next() {
-                    Some(Ok(line)) => line,
-                    _ => break gone(format!("no chunk_end after chunk {chunk}")),
-                };
-                match WorkerFrame::parse(&seal) {
-                    Ok(WorkerFrame::ChunkEnd {
-                        chunk: sealed,
-                        fnv1a,
-                    }) if sealed == chunk => {
-                        if fnv1a != rows_checksum(&rows) {
-                            break gone(format!("chunk {chunk} row checksum mismatch"));
-                        }
-                        if tx
-                            .send(Event::ChunkDone {
-                                worker,
-                                chunk,
-                                rows,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    }
-                    _ => break gone(format!("bad seal after chunk {chunk}: {seal:?}")),
-                }
-            }
-            Ok(WorkerFrame::ChunkErr { chunk, error }) => {
-                if tx
-                    .send(Event::ChunkErr {
+    while let Some(Ok(line)) = lines.next() {
+        let event = if line == CHUNK_MAGIC {
+            match read_answer(&mut lines).and_then(|file| job.check_answer(file)) {
+                Ok(file) => (
+                    Input::Answer {
                         worker,
-                        chunk,
-                        error,
-                    })
-                    .is_err()
-                {
-                    return;
+                        chunk: file.chunk,
+                    },
+                    Some(file),
+                ),
+                Err(why) => {
+                    warn!("jobs: {} worker {worker} sent a bad answer: {why}", job.id);
+                    break;
                 }
             }
-            Ok(WorkerFrame::ChunkEnd { chunk, .. }) => {
-                break gone(format!("chunk_end {chunk} without chunk header"));
+        } else {
+            match WorkerFrame::parse(&line) {
+                Ok(WorkerFrame::Ready(_)) => (Input::Ready(worker), None),
+                Ok(WorkerFrame::ChunkErr { chunk, error }) => {
+                    debug!("jobs: {} chunk {chunk} failed: {error}", job.id);
+                    (Input::ChunkErr { worker, chunk }, None)
+                }
+                Err(err) => {
+                    warn!("jobs: {} worker {worker}: {err}", job.id);
+                    break;
+                }
             }
-            Err(err) => break gone(err.to_string()),
+        };
+        if tx.send(event).is_err() {
+            return;
         }
-    };
-    let _ = tx.send(outcome);
+    }
+    let _ = tx.send((Input::Gone(worker), None));
 }
 
 #[cfg(test)]
@@ -1321,15 +1054,11 @@ mod tests {
     #[test]
     fn only_finished_runners_of_done_jobs_are_reaped() {
         let job = |state: JobState, runner: thread::JoinHandle<()>| {
-            Arc::new(JobHandle {
-                id: "jreap".to_string(),
-                spec: JobSpec::default_axes("reap", leakage_workloads::Scale::Test),
-                dir: PathBuf::new(),
-                status: Mutex::new(StatusState::fresh(state)),
-                cancel: AtomicBool::new(false),
-                stop: AtomicBool::new(false),
-                runner: Mutex::new(Some(runner)),
-            })
+            let spec = JobSpec::default_axes("reap", leakage_workloads::Scale::Test);
+            let handle = JobHandle::new(spec, PathBuf::new(), false);
+            handle.status.lock().unwrap().state = state;
+            *handle.runner.lock().unwrap() = Some(runner);
+            handle
         };
         let finished = || {
             let runner = thread::spawn(|| {});

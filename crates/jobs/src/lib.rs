@@ -15,20 +15,25 @@
 //! * [`checkpoint`] — completed chunks persist as FNV-1a-sealed files
 //!   written temp-file + fsync + rename, read back and verified before
 //!   they count; corrupt files are quarantined, never served.
-//! * [`protocol`] — coordinator↔worker frames as line-delimited JSON
-//!   over a worker child's stdin/stdout, plus the worker main loop
-//!   itself (the `leakage-job-worker` binary is a thin shell around
-//!   it).
-//! * [`fabric`] — the coordinator: submission, local worker fan-out,
-//!   stall-driven reassignment, crash recovery (a restart resumes from
-//!   checkpoints and produces byte-identical results), and paginated
-//!   result reads.
+//! * [`protocol`] — the coordinator↔worker wire over a worker child's
+//!   stdin/stdout: one-line JSON frames down (`{"job":…}`,
+//!   `{"assign":…}`), and up `{"ready":…}`, `{"chunk_err":…}` or a
+//!   chunk answer that *is* the checkpoint file's sealed bytes; plus
+//!   the worker main loop itself (the `leakage-job-worker` binary is a
+//!   thin shell around it).
+//! * `schedule` — the runner's decisions (assign, commit, requeue,
+//!   stall kill, respawn budget, attempt cap) as a pure state machine,
+//!   model-checked over every interleaving at small scope.
+//! * [`fabric`] — the coordinator: submission, a runner thread per job
+//!   that is the I/O shell around its schedule, crash recovery (a
+//!   restart resumes from checkpoints and produces byte-identical
+//!   results), and paginated result reads.
 //!
 //! Workers are local child processes only. A dead worker shows up as
-//! EOF on its stdout pipe and a stalled one is killed before its chunk
-//! is requeued, so no stale writer can outlive its assignment: a chunk
-//! commits when the worker it is assigned to answers it first, and the
-//! first durable checkpoint wins.
+//! EOF on its stdout pipe and is reaped before its chunk is requeued,
+//! and a stalled one is killed first, so no stale writer can outlive
+//! its assignment: a chunk commits when the worker it is assigned to
+//! answers it first, and the first durable checkpoint wins.
 //!
 //! Failure injection rides the workspace-wide `LEAKAGE_FAULTS` plane:
 //! `jobs/spawn` (worker creation), `jobs/chunk` (per-chunk boundary
@@ -43,6 +48,7 @@
 pub mod checkpoint;
 pub mod fabric;
 pub mod protocol;
+mod schedule;
 pub mod spec;
 
 pub use fabric::{

@@ -1,28 +1,29 @@
 //! The coordinator↔worker wire protocol and the worker's main loop.
 //!
-//! Workers are local child processes talking line-delimited JSON over
+//! Workers are local child processes talking line-delimited text over
 //! their stdin/stdout. The conversation per worker:
 //!
 //! ```text
-//! coordinator → worker   {"job":{...canonical spec...},"id":"j…"}      (once)
+//! coordinator → worker   {"job":{...canonical spec...}}                 (once)
 //! worker → coordinator   {"ready":<pid>}
 //! coordinator → worker   {"assign":{"chunk":N,"start":S,"end":E}}      (repeated)
-//! worker → coordinator   {"chunk":N,"points":K}
+//! worker → coordinator   leakage-job-chunk v1
+//!                        job=<id> chunk=N start=S end=E points=K
 //!                        <row>                                          × K
-//!                        {"chunk_end":N,"fnv1a":"<16 hex>"}
+//!                        fnv1a=<16 hex>
 //!            — or —      {"chunk_err":N,"error":"…"}
 //! coordinator closes stdin → worker exits 0
 //! ```
 //!
-//! Rows travel verbatim (they are already canonical JSON) and are not
-//! re-parsed in flight; the `chunk_end` footer carries FNV-1a over the
-//! newline-terminated row bytes so a corrupted pipe or a buggy worker
-//! is caught before anything reaches a checkpoint. Framing is
-//! stateful: after a `{"chunk":N,"points":K}` header the next `K`
-//! lines are rows, so row content can never be mistaken for a frame.
-//! A header announcing more than [`MAX_CHUNK_POINTS`] rows is refused
-//! at parse time ([`FrameError::ChunkTooLarge`]), so no frame field can
-//! size an allocation beyond what a valid chunk needs.
+//! A chunk answer is the checkpoint file itself: the bytes of
+//! [`encode_chunk`], sealed by `durable`'s `fnv1a=` trailer over every
+//! byte before it. The coordinator collects the lines from the magic to
+//! the seal ([`read_answer`], at most [`MAX_CHUNK_POINTS`] rows, so no
+//! worker can make it buffer more than a valid chunk) and verifies them
+//! with [`decode_chunk`], the one verifier checkpoints on disk go
+//! through too. A corrupted pipe or a buggy worker is therefore caught
+//! before anything reaches a checkpoint, and rows, which are canonical
+//! JSON objects, can never be mistaken for the seal.
 //!
 //! The `jobs/chunk` fault site is visited at every chunk boundary
 //! *outside* any unwinding guard: an armed `panic` arm kills the
@@ -35,18 +36,17 @@ use std::io::{self, BufRead, Write};
 
 use leakage_core::GeneralizedModel;
 use leakage_experiments::ProfileStore;
-use leakage_faults::checksum::Fnv64;
-use leakage_faults::{panic_message, panic_point};
+use leakage_faults::{durable, panic_message, panic_point};
 use leakage_telemetry::json::{self, Json};
 
+use crate::checkpoint::{decode_chunk, encode_chunk, ChunkFile, CHUNK_MAGIC};
 use crate::spec::{JobPoint, JobSpec, MAX_CHUNK_POINTS};
 
 /// The one-time first frame: which job this worker will evaluate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hello {
-    /// The job id the coordinator derived from the spec.
-    pub job_id: String,
-    /// The full job spec (the worker re-derives everything else).
+    /// The full job spec (the worker re-derives everything else, the
+    /// job id included).
     pub spec: JobSpec,
 }
 
@@ -64,10 +64,7 @@ pub struct Assign {
 impl Hello {
     /// Encodes the hello frame (no trailing newline).
     pub fn encode(&self) -> String {
-        json::object([
-            json::key("job") + &self.spec.to_json(),
-            json::key("id") + &json::string(&self.job_id),
-        ])
+        json::object([json::key("job") + &self.spec.to_json()])
     }
 
     /// Parses a hello frame.
@@ -83,12 +80,7 @@ impl Hello {
             .ok_or_else(|| bad_frame(line, "no \"job\" field"))?;
         let spec = JobSpec::from_json(spec_doc)
             .map_err(|err| bad_frame(line, &format!("bad spec: {err}")))?;
-        let job_id = doc
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad_frame(line, "no \"id\" field"))?
-            .to_string();
-        Ok(Hello { job_id, spec })
+        Ok(Hello { spec })
     }
 }
 
@@ -114,11 +106,7 @@ impl Assign {
             .get("assign")
             .ok_or_else(|| bad_frame(line, "no \"assign\" field"))?;
         let field = |name: &str| -> io::Result<u64> {
-            body.get(name)
-                .and_then(Json::as_f64)
-                .filter(|v| v.fract() == 0.0 && *v >= 0.0)
-                .map(|v| v as u64)
-                .ok_or_else(|| bad_frame(line, &format!("bad \"{name}\"")))
+            uint(body.get(name)).ok_or_else(|| bad_frame(line, &format!("bad \"{name}\"")))
         };
         Ok(Assign {
             chunk: field("chunk")?,
@@ -128,26 +116,12 @@ impl Assign {
     }
 }
 
-/// A frame the worker sends upward. Row lines are *not* frames — the
-/// coordinator's reader counts them off after each `ChunkStart`.
+/// A one-line frame the worker sends upward. A chunk answer is not a
+/// frame: it is a checkpoint, read by [`read_answer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkerFrame {
     /// Worker is alive and parsed the hello; carries its pid.
     Ready(u32),
-    /// A chunk's rows follow: exactly `points` verbatim lines.
-    ChunkStart {
-        /// Chunk ordinal being answered.
-        chunk: u64,
-        /// Number of row lines that follow.
-        points: u64,
-    },
-    /// All rows for `chunk` were sent; `fnv1a` seals them.
-    ChunkEnd {
-        /// Chunk ordinal being sealed.
-        chunk: u64,
-        /// FNV-1a over the newline-terminated row bytes.
-        fnv1a: u64,
-    },
     /// The chunk could not be evaluated (worker stays alive).
     ChunkErr {
         /// Chunk ordinal that failed.
@@ -157,49 +131,11 @@ pub enum WorkerFrame {
     },
 }
 
-/// Why a worker frame line was refused. Either way the coordinator
-/// treats the worker as gone; the variants keep the reason precise.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameError {
-    /// Not JSON, not one of the four frames, or a frame with a bad
-    /// field.
-    Malformed(String),
-    /// A chunk header announcing more rows than any valid chunk holds.
-    ChunkTooLarge {
-        /// The chunk ordinal the header named.
-        chunk: u64,
-        /// The announced row count.
-        points: u64,
-    },
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Malformed(why) => write!(f, "{why}"),
-            FrameError::ChunkTooLarge { chunk, points } => write!(
-                f,
-                "chunk {chunk} header announces {points} rows, above the {MAX_CHUNK_POINTS}-point chunk cap"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
 impl WorkerFrame {
     /// Encodes the frame (no trailing newline).
     pub fn encode(&self) -> String {
         match self {
             WorkerFrame::Ready(pid) => json::object([json::key("ready") + &pid.to_string()]),
-            WorkerFrame::ChunkStart { chunk, points } => json::object([
-                json::key("chunk") + &chunk.to_string(),
-                json::key("points") + &points.to_string(),
-            ]),
-            WorkerFrame::ChunkEnd { chunk, fnv1a } => json::object([
-                json::key("chunk_end") + &chunk.to_string(),
-                json::key("fnv1a") + &json::string(&format!("{fnv1a:016x}")),
-            ]),
             WorkerFrame::ChunkErr { chunk, error } => json::object([
                 json::key("chunk_err") + &chunk.to_string(),
                 json::key("error") + &json::string(error),
@@ -211,31 +147,13 @@ impl WorkerFrame {
     ///
     /// # Errors
     ///
-    /// [`FrameError::Malformed`] for anything that is not one of the
-    /// four frames; [`FrameError::ChunkTooLarge`] for a chunk header
-    /// above [`MAX_CHUNK_POINTS`] rows.
-    pub fn parse(line: &str) -> Result<WorkerFrame, FrameError> {
-        let malformed = |err: io::Error| FrameError::Malformed(err.to_string());
-        let doc = parse_frame(line).map_err(malformed)?;
-        let int = |field: &Json| -> Option<u64> {
-            field
-                .as_f64()
-                .filter(|v| v.fract() == 0.0 && *v >= 0.0)
-                .map(|v| v as u64)
-        };
-        if let Some(pid) = doc.get("ready").and_then(|f| int(f)) {
+    /// `InvalidData` for anything that is not one of the two frames.
+    pub fn parse(line: &str) -> io::Result<WorkerFrame> {
+        let doc = parse_frame(line)?;
+        if let Some(pid) = uint(doc.get("ready")) {
             return Ok(WorkerFrame::Ready(pid as u32));
         }
-        if let Some(chunk) = doc.get("chunk_end").and_then(|f| int(f)) {
-            let fnv1a = doc
-                .get("fnv1a")
-                .and_then(Json::as_str)
-                .filter(|hex| hex.len() == 16)
-                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-                .ok_or_else(|| malformed(bad_frame(line, "bad \"fnv1a\"")))?;
-            return Ok(WorkerFrame::ChunkEnd { chunk, fnv1a });
-        }
-        if let Some(chunk) = doc.get("chunk_err").and_then(|f| int(f)) {
+        if let Some(chunk) = uint(doc.get("chunk_err")) {
             let error = doc
                 .get("error")
                 .and_then(Json::as_str)
@@ -243,30 +161,48 @@ impl WorkerFrame {
                 .to_string();
             return Ok(WorkerFrame::ChunkErr { chunk, error });
         }
-        if let Some(chunk) = doc.get("chunk").and_then(|f| int(f)) {
-            let points = doc
-                .get("points")
-                .and_then(|f| int(f))
-                .ok_or_else(|| malformed(bad_frame(line, "bad \"points\"")))?;
-            if points > u64::from(MAX_CHUNK_POINTS) {
-                return Err(FrameError::ChunkTooLarge { chunk, points });
-            }
-            return Ok(WorkerFrame::ChunkStart { chunk, points });
-        }
-        Err(malformed(bad_frame(line, "unrecognized frame")))
+        Err(bad_frame(line, "unrecognized frame"))
     }
 }
 
-/// FNV-1a over rows exactly as they travel: each row's bytes plus the
-/// `\n` terminator. Shared by the worker (sealing) and the coordinator
-/// (verifying).
-pub fn rows_checksum(rows: &[String]) -> u64 {
-    let mut hash = Fnv64::new();
-    for row in rows {
-        hash.update(row.as_bytes());
-        hash.update(b"\n");
+/// Reads the rest of one chunk answer whose [`CHUNK_MAGIC`] line the
+/// caller has just consumed: the header, the rows and the seal, then
+/// verifies them with [`decode_chunk`]. At most [`MAX_CHUNK_POINTS`]
+/// rows are read.
+///
+/// # Errors
+///
+/// Why the answer cannot be trusted: the stream failed or ended before
+/// the seal, the rows ran past the cap, or the bytes do not decode.
+pub fn read_answer(
+    lines: &mut impl Iterator<Item = io::Result<String>>,
+) -> Result<ChunkFile, String> {
+    let mut bytes = format!("{CHUNK_MAGIC}\n").into_bytes();
+    // The header, every row, and the seal.
+    for _ in 0..u64::from(MAX_CHUNK_POINTS) + 2 {
+        let line = match lines.next() {
+            Some(Ok(line)) => line,
+            Some(Err(err)) => return Err(format!("stream read mid-chunk: {err}")),
+            None => return Err("stream ended mid-chunk".to_string()),
+        };
+        let sealed = line.starts_with(durable::SEAL_PREFIX);
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+        if sealed {
+            return decode_chunk(&bytes).map_err(|err| err.to_string());
+        }
     }
-    hash.finish()
+    Err(format!(
+        "chunk answer runs past {MAX_CHUNK_POINTS} rows without a seal"
+    ))
+}
+
+/// A non-negative integer field.
+fn uint(field: Option<&Json>) -> Option<u64> {
+    field?
+        .as_f64()
+        .filter(|v| v.fract() == 0.0 && *v >= 0.0)
+        .map(|v| v as u64)
 }
 
 fn parse_frame(line: &str) -> io::Result<Json> {
@@ -281,87 +217,76 @@ fn bad_frame(line: &str, why: &str) -> io::Error {
     )
 }
 
-/// Evaluates one assignment and renders the complete wire response —
-/// the `{"chunk":…}` header, the verbatim rows, and the sealing
-/// `chunk_end` (or a single `chunk_err` line), every line
-/// newline-terminated. The worker writes this text unmodified.
+/// Evaluates one assignment and renders the complete wire response:
+/// the chunk's checkpoint bytes ([`encode_chunk`], sealed) or a single
+/// `chunk_err` line, every line newline-terminated. The worker writes
+/// this text unmodified.
 pub fn chunk_response(spec: &JobSpec, store: &ProfileStore, assign: &Assign) -> String {
-    if assign.end < assign.start || assign.end > spec.point_count() {
-        let frame = WorkerFrame::ChunkErr {
-            chunk: assign.chunk,
-            error: format!(
-                "assignment {}..{} outside job space of {} points",
-                assign.start,
-                assign.end,
-                spec.point_count()
-            ),
-        };
-        return frame.encode() + "\n";
-    }
     let with_permille = spec.has_refetch_axis();
-    let evaluated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<Vec<String>, String> {
-            let mut rows = Vec::with_capacity((assign.end - assign.start) as usize);
-            let mut points = (assign.start..assign.end)
-                .map(|index| spec.point(index))
-                .peekable();
-            while let Some(head) = points.next() {
-                // Consecutive points sharing (benchmark, side, node)
-                // differ only in C_D: one distribution walk serves the
-                // whole run.
-                let mut run = vec![head];
-                while let Some(next) = points.next_if(|p| {
-                    p.benchmark == run[0].benchmark
-                        && p.side == run[0].side
-                        && p.node == run[0].node
-                }) {
-                    run.push(next);
-                }
-                let profile = store
-                    .try_fetch(&run[0].benchmark, spec.scale)
-                    .map_err(|err| format!("profile {}: {err}", run[0].benchmark))?;
-                let models: Vec<GeneralizedModel> = run.iter().map(JobPoint::model).collect();
-                let dist = &profile.side(run[0].side).dist;
-                let savings = GeneralizedModel::optimal_savings_batch(&models, dist);
-                for (point, savings) in run.iter().zip(&savings) {
-                    rows.push(crate::spec::render_job_row(point, savings, with_permille));
-                }
-            }
-            Ok(rows)
-        },
-    ))
-    .unwrap_or_else(|payload| Err(format!("panic: {}", panic_message(&payload))));
+    let evaluated = if assign.end < assign.start || assign.end > spec.point_count() {
+        Err(format!(
+            "assignment {}..{} outside job space of {} points",
+            assign.start,
+            assign.end,
+            spec.point_count()
+        ))
+    } else {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            evaluate_rows(spec, store, assign, with_permille)
+        }))
+        .unwrap_or_else(|payload| Err(format!("panic: {}", panic_message(&payload))))
+    };
     match evaluated {
         Ok(rows) => {
-            let mut response = WorkerFrame::ChunkStart {
+            let file = ChunkFile {
+                job_id: spec.id(),
                 chunk: assign.chunk,
-                points: rows.len() as u64,
-            }
-            .encode();
-            response.push('\n');
-            for row in &rows {
-                response.push_str(row);
-                response.push('\n');
-            }
-            response.push_str(
-                &WorkerFrame::ChunkEnd {
-                    chunk: assign.chunk,
-                    fnv1a: rows_checksum(&rows),
-                }
-                .encode(),
-            );
-            response.push('\n');
-            response
+                start: assign.start,
+                end: assign.end,
+                rows,
+            };
+            String::from_utf8(encode_chunk(&file)).expect("rendered rows are UTF-8")
         }
         Err(error) => {
-            WorkerFrame::ChunkErr {
-                chunk: assign.chunk,
-                error,
-            }
-            .encode()
-                + "\n"
+            let chunk = assign.chunk;
+            WorkerFrame::ChunkErr { chunk, error }.encode() + "\n"
         }
     }
+}
+
+/// The rows of an in-range assignment, or the profile that could not
+/// be fetched.
+fn evaluate_rows(
+    spec: &JobSpec,
+    store: &ProfileStore,
+    assign: &Assign,
+    with_permille: bool,
+) -> Result<Vec<String>, String> {
+    let mut rows = Vec::with_capacity((assign.end - assign.start) as usize);
+    let mut points = (assign.start..assign.end)
+        .map(|index| spec.point(index))
+        .peekable();
+    while let Some(head) = points.next() {
+        // Consecutive points sharing (benchmark, side, node)
+        // differ only in C_D: one distribution walk serves the
+        // whole run.
+        let mut run = vec![head];
+        while let Some(next) = points.next_if(|p| {
+            p.benchmark == run[0].benchmark && p.side == run[0].side && p.node == run[0].node
+        }) {
+            run.push(next);
+        }
+        let profile = store
+            .try_fetch(&run[0].benchmark, spec.scale)
+            .map_err(|err| format!("profile {}: {err}", run[0].benchmark))?;
+        let models: Vec<GeneralizedModel> = run.iter().map(JobPoint::model).collect();
+        let dist = &profile.side(run[0].side).dist;
+        let savings = GeneralizedModel::optimal_savings_batch(&models, dist);
+        for (point, savings) in run.iter().zip(&savings) {
+            rows.push(crate::spec::render_job_row(point, savings, with_permille));
+        }
+    }
+    Ok(rows)
 }
 
 /// The worker main loop: reads the hello, answers `ready`, then
@@ -404,10 +329,8 @@ mod tests {
 
     #[test]
     fn frames_round_trip() {
-        let spec = JobSpec::default_axes("proto", Scale::Test);
         let hello = Hello {
-            job_id: spec.id(),
-            spec,
+            spec: JobSpec::default_axes("proto", Scale::Test),
         };
         assert_eq!(Hello::parse(&hello.encode()).unwrap(), hello);
 
@@ -420,14 +343,6 @@ mod tests {
 
         for frame in [
             WorkerFrame::Ready(4242),
-            WorkerFrame::ChunkStart {
-                chunk: 9,
-                points: 512,
-            },
-            WorkerFrame::ChunkEnd {
-                chunk: 9,
-                fnv1a: 0x0123_4567_89ab_cdef,
-            },
             WorkerFrame::ChunkErr {
                 chunk: 9,
                 error: "profile gzip: missing".into(),
@@ -444,48 +359,67 @@ mod tests {
             "not json",
             "{}",
             r#"{"assign":{"chunk":1}}"#,
-            r#"{"chunk_end":1,"fnv1a":"xyz"}"#,
-            r#"{"chunk":1}"#,
+            r#"{"chunk":1,"points":4}"#,
+            r#"{"chunk_err":-1}"#,
         ] {
             assert!(WorkerFrame::parse(line).is_err() || Assign::parse(line).is_err());
         }
         assert!(Hello::parse(r#"{"id":"j1"}"#).is_err());
-        assert!(Hello::parse(r#"{"job":{"name":"x","nodes":["5nm"]},"id":"j1"}"#).is_err());
+        assert!(Hello::parse(r#"{"job":{"name":"x","nodes":["5nm"]}}"#).is_err());
     }
 
-    /// A chunk header's row count sizes the reader's row buffer, so an
-    /// absurd one is refused by type before anything is allocated.
-    #[test]
-    fn oversized_chunk_headers_are_refused() {
-        let cap = u64::from(MAX_CHUNK_POINTS);
-        assert_eq!(
-            WorkerFrame::parse(r#"{"chunk":3,"points":65536}"#).unwrap(),
-            WorkerFrame::ChunkStart {
-                chunk: 3,
-                points: cap
-            }
-        );
-        for points in [cap + 1, u64::MAX] {
-            let line = WorkerFrame::ChunkStart { chunk: 3, points }.encode();
-            assert_eq!(
-                WorkerFrame::parse(&line),
-                Err(FrameError::ChunkTooLarge { chunk: 3, points }),
-                "{line}"
-            );
+    fn sample() -> ChunkFile {
+        ChunkFile {
+            job_id: "j0123456789abcdef".into(),
+            chunk: 2,
+            start: 32,
+            end: 34,
+            rows: vec![r#"{"a":1}"#.into(), r#"{"b":2}"#.into()],
         }
-        assert!(matches!(
-            WorkerFrame::parse("not json"),
-            Err(FrameError::Malformed(_))
-        ));
+    }
+
+    /// The lines after the magic, as the coordinator's reader sees them.
+    fn answer_lines(bytes: &[u8]) -> Vec<io::Result<String>> {
+        let text = String::from_utf8(bytes.to_vec()).unwrap();
+        let mut lines = text.lines().map(|line| Ok(line.to_string()));
+        assert_eq!(lines.next().unwrap().unwrap(), CHUNK_MAGIC);
+        lines.collect()
     }
 
     #[test]
-    fn rows_checksum_matches_manual_fnv() {
-        let rows = vec!["{\"a\":1}".to_string(), "{\"b\":2}".to_string()];
-        let mut hash = Fnv64::new();
-        hash.update(b"{\"a\":1}\n{\"b\":2}\n");
-        assert_eq!(rows_checksum(&rows), hash.finish());
-        assert_ne!(rows_checksum(&rows), rows_checksum(&rows[..1].to_vec()));
+    fn answers_are_read_up_to_the_seal_and_verified() {
+        let file = sample();
+        let bytes = encode_chunk(&file);
+        let mut lines = answer_lines(&bytes).into_iter().chain([Ok("next".into())]);
+        assert_eq!(read_answer(&mut lines).unwrap(), file);
+        assert_eq!(lines.next().unwrap().unwrap(), "next", "stops at the seal");
+
+        // Torn: the stream ends before the seal.
+        let whole = answer_lines(&bytes);
+        let mut torn = whole.into_iter().take(2);
+        assert!(read_answer(&mut torn).unwrap_err().contains("ended"));
+
+        // Any flipped byte fails the seal or the structure.
+        let mut flipped = bytes.clone();
+        flipped[CHUNK_MAGIC.len() + 8] ^= 0x01;
+        assert!(read_answer(&mut answer_lines(&flipped).into_iter()).is_err());
+    }
+
+    /// A worker that never seals cannot make the reader buffer more
+    /// rows than a valid chunk holds.
+    #[test]
+    fn answers_past_the_row_cap_are_refused() {
+        let cap = u64::from(MAX_CHUNK_POINTS);
+        let mut lines =
+            std::iter::once(Ok(format!("job=j1 chunk=0 start=0 end={cap} points={cap}")))
+                .chain((0..).map(|i| Ok(format!("{{\"row\":{i}}}"))));
+        let err = read_answer(&mut lines).unwrap_err();
+        assert!(err.contains("without a seal"), "{err}");
+        assert_eq!(
+            lines.next().unwrap().unwrap(),
+            format!("{{\"row\":{}}}", cap + 1),
+            "the header and cap + 1 rows are read, no more"
+        );
     }
 
     #[test]
@@ -505,10 +439,7 @@ mod tests {
         )
         .unwrap();
         spec.chunk_points = crate::spec::MIN_CHUNK_POINTS;
-        let hello = Hello {
-            job_id: spec.id(),
-            spec: spec.clone(),
-        };
+        let hello = Hello { spec: spec.clone() };
         let script = format!(
             "{}\n{}\n",
             hello.encode(),
@@ -522,28 +453,21 @@ mod tests {
         let mut out = Vec::new();
         run_worker(script.as_bytes(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
+        let (ready, answer) = text.split_once('\n').unwrap();
         assert!(matches!(
-            WorkerFrame::parse(lines[0]).unwrap(),
+            WorkerFrame::parse(ready).unwrap(),
             WorkerFrame::Ready(_)
         ));
+        let file = decode_chunk(answer.as_bytes()).expect("the answer is a sealed checkpoint");
         assert_eq!(
-            WorkerFrame::parse(lines[1]).unwrap(),
-            WorkerFrame::ChunkStart {
-                chunk: 0,
-                points: 4
-            }
+            (file.job_id.as_str(), file.chunk, file.start, file.end),
+            (spec.id().as_str(), 0, 0, 4)
         );
-        let rows: Vec<String> = lines[2..6].iter().map(|l| l.to_string()).collect();
-        assert!(rows.iter().all(|r| r.contains("\"benchmark\": \"gzip\"")));
-        assert!(rows[0].contains("\"refetch_permille\": 1000"));
-        assert_eq!(
-            WorkerFrame::parse(lines[6]).unwrap(),
-            WorkerFrame::ChunkEnd {
-                chunk: 0,
-                fnv1a: rows_checksum(&rows)
-            }
-        );
+        assert!(file
+            .rows
+            .iter()
+            .all(|r| r.contains("\"benchmark\": \"gzip\"")));
+        assert!(file.rows[0].contains("\"refetch_permille\": 1000"));
     }
 
     /// Grouped chunk evaluation is row-for-row the per-point path,
@@ -591,27 +515,15 @@ mod tests {
                 end,
             };
             let response = chunk_response(&spec, store, &assign);
-            let lines: Vec<&str> = response.lines().collect();
-            assert_eq!(lines.len(), expected.len() + 2, "{case}");
-            assert_eq!(&lines[1..lines.len() - 1], &expected[..], "{case}");
-            assert_eq!(
-                WorkerFrame::parse(lines[lines.len() - 1]).unwrap(),
-                WorkerFrame::ChunkEnd {
-                    chunk: 0,
-                    fnv1a: rows_checksum(&expected)
-                },
-                "{case}"
-            );
+            let file = decode_chunk(response.as_bytes()).expect(case);
+            assert_eq!(file.rows, expected, "{case}");
         }
     }
 
     #[test]
     fn out_of_range_assignment_reports_chunk_err() {
         let spec = JobSpec::default_axes("range", Scale::Test);
-        let hello = Hello {
-            job_id: spec.id(),
-            spec: spec.clone(),
-        };
+        let hello = Hello { spec: spec.clone() };
         let script = format!(
             "{}\n{}\n",
             hello.encode(),

@@ -1,9 +1,17 @@
 //! The crash matrix: one golden (fault-free) run of a sharded job,
-//! then the same job replayed under every failure mode the fabric
-//! claims to survive — worker panics at chunk boundaries, stalled
-//! workers, torn checkpoint writes, a coordinator restart, and
+//! then the same job replayed under the failures only real processes
+//! and a real disk can show — a worker process dying at a chunk
+//! boundary, a torn checkpoint write, a coordinator restart, and
 //! checkpoint corruption discovered at read time. Every scenario must
 //! complete and serve result pages byte-identical to the golden run.
+//! One more scenario kills stalled workers at a short deadline, which
+//! pins the runner's kill → EOF → `Gone` wiring on real processes.
+//!
+//! The runner's decisions themselves (which chunk goes where, when an
+//! answer commits, when a chunk is requeued, when a stalled worker is
+//! killed, when the job gives up) are a pure state machine whose every
+//! interleaving is checked in `schedule::tests`; this file checks only
+//! the I/O around it.
 //!
 //! Scenarios run sequentially inside one `#[test]` because the torn-
 //! write scenario arms the process-global fault plane; parallel
@@ -176,23 +184,6 @@ fn crash_matrix_runs_are_byte_identical_to_golden() {
     assert_eq!(all_pages(&crash_fabric, &id, "crash"), golden);
     crash_fabric.stop();
 
-    // Stall: workers hang (armed latency far beyond the stall
-    // deadline) at their second chunk instead of dying; the
-    // coordinator must detect the stall, kill, reassign, respawn. A
-    // healthy chunk takes well under a second, so a 3s deadline only
-    // ever fires on the armed 60s hang.
-    let stall_fabric = fabric_with_deadline(
-        scenario_dir("stall"),
-        2,
-        &[("LEAKAGE_FAULTS", "jobs/chunk=latency:60000#2")],
-        Duration::from_secs(3),
-    );
-    let id = submit(&stall_fabric, &spec);
-    let doc = wait_done(&stall_fabric, &id, "stall");
-    assert!(field(&doc, "reassigned_chunks") > 0, "{doc:?}");
-    assert_eq!(all_pages(&stall_fabric, &id, "stall"), golden);
-    stall_fabric.stop();
-
     // Torn checkpoint write (coordinator side): the first checkpoint
     // buffer is truncated mid-write. Read-back verification must catch
     // it, quarantine the torn file, and rewrite cleanly. Each write
@@ -264,4 +255,54 @@ fn crash_matrix_runs_are_byte_identical_to_golden() {
     assert!(field(&doc, "quarantined") > 0, "{doc:?}");
     assert_eq!(all_pages(&second, &id, "heal"), golden);
     second.stop();
+
+    // Stall: every worker hangs on its first chunk (an armed latency
+    // far beyond a short deadline). The runner must kill each one at
+    // the deadline, see its pipe close, requeue the chunk and respawn,
+    // until the chunk's attempt cap fails the job. The hang is armed
+    // before any evaluation, so the deadline can be short.
+    let stall_spec = JobSpec::build(
+        "crash-matrix-stall",
+        Scale::Test,
+        vec!["gzip".to_string()],
+        vec![Level1::Data],
+        vec![TechnologyNode::N70],
+        PermilleAxis {
+            from: 1000,
+            to: 1000,
+            step: 10,
+        },
+        16,
+    )
+    .expect("stall spec is valid");
+    assert_eq!(stall_spec.chunk_count(), 1);
+    let stall_dir = scenario_dir("stall");
+    let stall_fabric = fabric_with_deadline(
+        stall_dir.clone(),
+        1,
+        &[("LEAKAGE_FAULTS", "jobs/chunk=latency:60000#1")],
+        Duration::from_millis(200),
+    );
+    let id = submit(&stall_fabric, &stall_spec);
+    let deadline = Instant::now() + DEADLINE;
+    let doc = loop {
+        let doc = status(&stall_fabric, &id);
+        match doc.get("state").and_then(Json::as_str) {
+            Some("failed") => break doc,
+            Some("queued" | "running") if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            other => panic!("stall: job ended {other:?}: {doc:?}"),
+        }
+    };
+    let error = doc.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("chunk 0 failed 5 times"), "{doc:?}");
+    assert_eq!(field(&doc, "reassigned_chunks"), 5, "{doc:?}");
+    assert_eq!(field(&doc, "worker_restarts"), 4, "{doc:?}");
+    assert!(
+        !stall_dir.join(&id).join("chunk-000000.ckpt").exists(),
+        "a killed worker commits nothing"
+    );
+    stall_fabric.stop();
+    let _ = std::fs::remove_dir_all(stall_dir.parent().expect("scenario root"));
 }

@@ -1537,6 +1537,15 @@ mod tests {
         delete.method = "DELETE".into();
         assert_eq!(handle(&delete, &ctx).status(), 409);
         ctx.jobs.stop();
+
+        // A stopped fabric admits nothing: 503 with `Retry-After`.
+        let mut late = request.clone();
+        late.body = br#"{"name": "after-stop", "benchmarks": []}"#.to_vec();
+        let shed = handle(&late, &ctx);
+        assert_eq!(shed.status(), 503);
+        assert!(body_text(&shed).contains("job fabric at capacity"));
+        let wire = String::from_utf8(shed.to_bytes(false)).unwrap();
+        assert!(wire.contains("Retry-After: 1\r\n"), "{wire}");
     }
 
     #[test]

@@ -229,6 +229,9 @@ pub struct StreamDecoder {
     partial_len: usize,
     /// Records decoded so far.
     records: u64,
+    /// The structural error that stopped decoding, returned again by
+    /// every later call.
+    failed: Option<TraceError>,
 }
 
 impl Default for StreamDecoder {
@@ -246,6 +249,7 @@ impl StreamDecoder {
             partial: [0u8; RECORD_BYTES],
             partial_len: 0,
             records: 0,
+            failed: None,
         }
     }
 
@@ -262,9 +266,21 @@ impl StreamDecoder {
     ///
     /// Structural errors ([`TraceError::BadMagic`],
     /// [`TraceError::UnsupportedVersion`], [`TraceError::InvalidKind`])
-    /// are sticky: the decoder stays failed and further feeding returns
-    /// the same class of error.
-    pub fn feed(&mut self, mut chunk: &[u8], sink: &mut dyn TraceSink) -> Result<(), TraceError> {
+    /// are sticky: the decoder stays failed, decodes nothing more, and
+    /// every later `feed` or [`finish`](Self::finish) returns the same
+    /// error.
+    pub fn feed(&mut self, chunk: &[u8], sink: &mut dyn TraceSink) -> Result<(), TraceError> {
+        if let Some(err) = &self.failed {
+            return Err(again(err));
+        }
+        let fed = self.decode(chunk, sink);
+        if let Err(err) = &fed {
+            self.failed = Some(again(err));
+        }
+        fed
+    }
+
+    fn decode(&mut self, mut chunk: &[u8], sink: &mut dyn TraceSink) -> Result<(), TraceError> {
         // Header first: gather 8 bytes, then validate once.
         while self.header_missing > 0 && !chunk.is_empty() {
             let take = self.header_missing.min(chunk.len());
@@ -334,13 +350,29 @@ impl StreamDecoder {
     ///
     /// # Errors
     ///
+    /// The sticky error of an earlier `feed`, else
     /// [`TraceError::TornRecord`] when the stream ended mid-header or
     /// mid-record.
     pub fn finish(&self) -> Result<(), TraceError> {
+        if let Some(err) = &self.failed {
+            return Err(again(err));
+        }
         if self.header_missing > 0 || self.partial_len > 0 {
             return Err(TraceError::TornRecord);
         }
         Ok(())
+    }
+}
+
+/// A copy of a decoding error, for the sticky state. `TraceError` is
+/// not `Clone` (its `Io` variant holds an `io::Error`), but decoding
+/// raises only the structural errors, which carry plain data.
+fn again(err: &TraceError) -> TraceError {
+    match *err {
+        TraceError::BadMagic => TraceError::BadMagic,
+        TraceError::UnsupportedVersion { found } => TraceError::UnsupportedVersion { found },
+        TraceError::InvalidKind(byte) => TraceError::InvalidKind(byte),
+        _ => unreachable!("decoding raises only structural errors"),
     }
 }
 

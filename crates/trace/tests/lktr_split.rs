@@ -59,15 +59,34 @@ fn encode(events: &[MemoryAccess]) -> Vec<u8> {
 type Outcome = (Vec<MemoryAccess>, Result<u64, String>);
 
 /// Feeds `chunks` in order, stopping at the first error, then finishes.
+/// A structural error must be sticky: feeding the remaining chunks, and
+/// then every chunk again from the start, returns the same error and
+/// decodes nothing more, and so does `finish`.
 fn decode<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> Outcome {
+    let chunks: Vec<&[u8]> = chunks.into_iter().collect();
     let mut decoder = StreamDecoder::new();
     let mut sink = VecTrace::new();
-    let result = chunks
-        .into_iter()
-        .try_for_each(|chunk| decoder.feed(chunk, &mut sink))
-        .and_then(|()| decoder.finish())
-        .map(|()| decoder.records())
-        .map_err(|err| format!("{err:?}"));
+    let debug = |err: TraceError| format!("{err:?}");
+    let mut failed = None;
+    for (at, chunk) in chunks.iter().enumerate() {
+        if let Err(err) = decoder.feed(chunk, &mut sink) {
+            failed = Some((at, debug(err)));
+            break;
+        }
+    }
+    let result = match failed {
+        None => decoder.finish().map(|()| decoder.records()).map_err(debug),
+        Some((at, err)) => {
+            let delivered = sink.len();
+            for chunk in chunks[at + 1..].iter().chain(&chunks) {
+                let again = decoder.feed(chunk, &mut sink).map_err(debug);
+                assert_eq!(again, Err(err.clone()), "a feed after {err}");
+            }
+            assert_eq!(sink.len(), delivered, "events decoded after {err}");
+            assert_eq!(decoder.finish().map_err(debug), Err(err.clone()));
+            Err(err)
+        }
+    };
     (sink.events().to_vec(), result)
 }
 

@@ -11,7 +11,7 @@
 use cache_leakage_limits::experiments::query;
 use cache_leakage_limits::experiments::{ProfileStore, Table};
 use cache_leakage_limits::faults::{set_plane, Plane};
-use cache_leakage_limits::server::{fetch, loadgen, LoadgenConfig, Server, ServerConfig};
+use cache_leakage_limits::server::{fetch, loadgen, Client, LoadgenConfig, Server, ServerConfig};
 use cache_leakage_limits::telemetry::json::{self, Json};
 use cache_leakage_limits::workloads::Scale;
 use std::net::TcpStream;
@@ -222,6 +222,45 @@ fn saturated_admission_queue_sheds_with_retry_after() {
         }),
         "shed requests appear in the error reservoir: {}",
         slow.text()
+    );
+    server.shutdown();
+}
+
+/// `max_connections` is a hard bound: a connection past it is answered
+/// 503 with `Retry-After` and closed, while the connection already
+/// admitted keeps being served.
+#[test]
+fn connection_limit_sheds_with_retry_after() {
+    let server = Server::start(ServerConfig {
+        max_connections: 1,
+        retry_after_secs: 3,
+        ..test_config()
+    })
+    .expect("server starts");
+    let addr = server.addr();
+
+    let mut admitted = Client::connect(addr, CLIENT_TIMEOUT).expect("connect");
+    admitted.send("GET", "/healthz", None).expect("send");
+    assert_eq!(admitted.recv().expect("answer").status, 200);
+
+    // The admitted connection is idle but open, so it fills the limit.
+    let shed = fetch(addr, "GET", "/healthz", None, CLIENT_TIMEOUT)
+        .expect("a connection past the limit is answered, not reset");
+    assert_eq!(shed.status, 503);
+    assert!(
+        shed.text().contains("connection limit reached"),
+        "{}",
+        shed.text()
+    );
+    assert_eq!(shed.header("retry-after"), Some("3"));
+
+    admitted.send("GET", "/healthz", None).expect("send again");
+    assert_eq!(
+        admitted
+            .recv()
+            .expect("the admitted connection still answers")
+            .status,
+        200
     );
     server.shutdown();
 }
