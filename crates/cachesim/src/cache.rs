@@ -92,6 +92,10 @@ pub struct Cache {
     /// Ways `[0, enabled_ways)` participate in lookups and fills; the
     /// rest are gated off (DRI-style cache resizing).
     enabled_ways: u32,
+    /// The line of the most recent access and the frame it left that
+    /// line in (resident and most recent in its set), until an
+    /// invalidation or a resize may have moved it.
+    last: Option<(LineAddr, FrameId)>,
 }
 
 impl Cache {
@@ -127,6 +131,7 @@ impl Cache {
             recency,
             stats: CacheStats::default(),
             enabled_ways: config.ways(),
+            last: None,
             config,
         }
     }
@@ -160,6 +165,7 @@ impl Cache {
             }
         }
         self.enabled_ways = ways;
+        self.last = None;
         invalidated
     }
 
@@ -241,6 +247,27 @@ impl Cache {
         self.access_with(line, false)
     }
 
+    /// Reads `line` again if it is the line of the most recent access:
+    /// counts the hit and returns its frame. Otherwise returns `None`
+    /// and changes nothing.
+    ///
+    /// When it returns a frame it is exactly [`access`](Cache::access):
+    /// the line is still resident and already most recent in its set,
+    /// so the LRU update is a no-op and a read leaves the dirty bit as
+    /// it was. An [`invalidate`](Cache::invalidate) or
+    /// [`set_enabled_ways`](Cache::set_enabled_ways) since that access
+    /// forgets the line, so a hit is never counted that did not happen.
+    #[inline]
+    pub fn repeat_hit(&mut self, line: LineAddr) -> Option<FrameId> {
+        let (last, frame) = self.last?;
+        if last != line {
+            return None;
+        }
+        self.stats.accesses += 1;
+        self.stats.hits += 1;
+        Some(frame)
+    }
+
     /// Accesses a line: a hit refreshes LRU order; a miss fills the LRU
     /// way (possibly evicting) and makes it most recent. A `store`
     /// marks the line dirty (write-back, write-allocate); displacing a
@@ -256,9 +283,11 @@ impl Cache {
             entry.dirty |= store;
             self.stats.hits += 1;
             self.touch(base, way as u8);
+            let frame = FrameId::new((base + way) as u32);
+            self.last = Some((line, frame));
             return AccessResult {
                 hit: true,
-                frame: FrameId::new((base + way) as u32),
+                frame,
                 evicted: None,
                 was_dirty,
                 writeback: false,
@@ -285,9 +314,11 @@ impl Cache {
             dirty: store,
         };
         self.touch(base, victim_way);
+        let frame = FrameId::new(slot as u32);
+        self.last = Some((line, frame));
         AccessResult {
             hit: false,
-            frame: FrameId::new(slot as u32),
+            frame,
             evicted,
             was_dirty,
             writeback: was_dirty,
@@ -303,6 +334,7 @@ impl Cache {
         let way = &mut self.ways[frame.index() as usize];
         way.valid = false;
         way.dirty = false;
+        self.last = None;
         Some(frame)
     }
 

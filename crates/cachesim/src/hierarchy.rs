@@ -192,6 +192,23 @@ impl Hierarchy {
         }
     }
 
+    /// Routes an instruction fetch of the L1I line fetched last, if
+    /// `access` is one: counts the L1I hit and returns its frame, as
+    /// [`access`](Hierarchy::access) would report it. Returns `None`
+    /// and changes nothing for any other access.
+    ///
+    /// Only fetches reach the L1I, so its most recent line
+    /// ([`Cache::repeat_hit`]) is the previous fetch's line; the L2 is
+    /// touched only on L1 misses.
+    #[inline]
+    pub fn repeat_fetch(&mut self, access: &MemoryAccess) -> Option<FrameId> {
+        if access.kind != AccessKind::InstFetch {
+            return None;
+        }
+        let line = access.addr.line(self.l1i.config().line_bits());
+        self.l1i.repeat_hit(line)
+    }
+
     /// Routes one access through the hierarchy.
     #[inline]
     pub fn access(&mut self, access: &MemoryAccess) -> HierarchyOutcome {

@@ -136,6 +136,61 @@ proptest! {
     }
 
     #[test]
+    fn repeat_hit_is_an_access_of_the_last_line(
+        (ways, sets) in geometry(),
+        ops in prop::collection::vec((0u8..8, 0u64..48), 1..400),
+    ) {
+        // `fast` reads through `repeat_hit` first, `plain` always
+        // accesses; gating and invalidations hit both in lockstep.
+        let line_bytes = 64u64;
+        let size = u64::from(ways) * u64::from(sets) * line_bytes;
+        let config = CacheConfig::new("pt", size, ways, line_bytes as u32, 1).unwrap();
+        let mut fast = Cache::new(config.clone());
+        let mut plain = Cache::new(config);
+        let mut last = LineAddr::new(0);
+        for &(op, raw) in &ops {
+            match op {
+                // Repeats of the line accessed last, the common case.
+                0..=2 => {
+                    let frame = fast
+                        .repeat_hit(last)
+                        .unwrap_or_else(|| fast.access(last).frame);
+                    prop_assert_eq!(frame, plain.access(last).frame);
+                }
+                // A repeat of any other line must not pass as a hit.
+                3 => {
+                    let line = LineAddr::new(raw);
+                    let frame = fast
+                        .repeat_hit(line)
+                        .unwrap_or_else(|| fast.access(line).frame);
+                    prop_assert_eq!(frame, plain.access(line).frame);
+                    last = line;
+                }
+                4 | 5 => {
+                    let line = LineAddr::new(raw);
+                    let store = op == 5;
+                    prop_assert_eq!(fast.access_with(line, store), plain.access_with(line, store));
+                    last = line;
+                }
+                6 => {
+                    let line = if raw % 2 == 0 { last } else { LineAddr::new(raw) };
+                    prop_assert_eq!(fast.invalidate(line), plain.invalidate(line));
+                }
+                _ => {
+                    let enabled = 1 + (raw as u32) % ways;
+                    prop_assert_eq!(fast.set_enabled_ways(enabled), plain.set_enabled_ways(enabled));
+                }
+            }
+            prop_assert_eq!(fast.stats(), plain.stats());
+        }
+        for raw in 0u64..48 {
+            let line = LineAddr::new(raw);
+            prop_assert_eq!(fast.probe(line), plain.probe(line), "residency of {}", raw);
+            prop_assert_eq!(fast.fill_target(line), plain.fill_target(line), "LRU of {}", raw);
+        }
+    }
+
+    #[test]
     fn frame_ids_stay_in_range(
         accesses in prop::collection::vec(0u64..1_000_000, 1..300),
     ) {

@@ -113,6 +113,16 @@ impl PredictionTable {
 /// The streaming sink: routes each access through the hierarchy, then
 /// feeds the touched L1's interval extractor, then lets that side's
 /// prefetchers fire wake triggers at resident lines.
+///
+/// A fetch of the line fetched last (most fetches: several fetch
+/// blocks share a line) takes a fast path that counts the L1I hit and
+/// closes the frame's interval, nothing else. Skipping the rest is
+/// exact: only fetches touch the L1I, so the line is still resident and
+/// most recent in its set; L1I frames are never dirty; the next-line
+/// prefetcher fires only on a line change and the I-side analyzer has
+/// no stride table, so it emits nothing and counts nothing; and the L2
+/// sees only L1 misses. The cache, not the sink, keeps the record of
+/// its last line ([`Hierarchy::repeat_fetch`]).
 struct PipelineSink {
     hierarchy: Hierarchy,
     icache: SideState,
@@ -143,10 +153,67 @@ impl PipelineSink {
             end: Cycle::ZERO,
         }
     }
+
+    /// Extends the trace's end past an access at `cycle`.
+    #[inline]
+    fn advance_end(&mut self, cycle: Cycle) {
+        if cycle >= self.end {
+            self.end = cycle.advanced(1);
+        }
+    }
+
+    /// Closes every open interval at the trace's end and assembles the
+    /// profile of both L1s.
+    fn into_profile(self, name: &str, config: &HierarchyConfig) -> BenchmarkProfile {
+        let end = self.end;
+        let PipelineSink {
+            hierarchy,
+            mut icache,
+            mut dcache,
+            ..
+        } = self;
+        let (idist, ddist) = {
+            let _span = leakage_telemetry::span("extract");
+            icache.extractor.finish(end, &mut icache.tally);
+            dcache.extractor.finish(end, &mut dcache.tally);
+            (icache.tally.into_dist(), dcache.tally.into_dist())
+        };
+        hierarchy.flush_telemetry();
+        // Peak interval-set cardinality across every profiled cache — the
+        // memory high-water mark of the sufficient statistic.
+        let gauge = leakage_telemetry::gauge!("intervals_peak_classes");
+        gauge.set_max(idist.num_classes() as u64);
+        gauge.set_max(ddist.num_classes() as u64);
+
+        BenchmarkProfile {
+            name: name.to_string(),
+            icache: CacheProfile {
+                dist: idist,
+                num_frames: config.l1i.num_frames(),
+                total_cycles: end.raw(),
+                prefetch: icache.analyzer.stats(),
+                cache: *hierarchy.l1i().stats(),
+            },
+            dcache: CacheProfile {
+                dist: ddist,
+                num_frames: config.l1d.num_frames(),
+                total_cycles: end.raw(),
+                prefetch: dcache.analyzer.stats(),
+                cache: *hierarchy.l1d().stats(),
+            },
+        }
+    }
 }
 
 impl TraceSink for PipelineSink {
     fn accept(&mut self, access: MemoryAccess) {
+        if let Some(frame) = self.hierarchy.repeat_fetch(&access) {
+            let side = &mut self.icache;
+            side.extractor
+                .on_access_full(frame, access.cycle, true, false, &mut side.tally);
+            self.advance_end(access.cycle);
+            return;
+        }
         let outcome = self.hierarchy.access(&access);
         let event = outcome.l1;
         let side = match event.cache {
@@ -197,9 +264,7 @@ impl TraceSink for PipelineSink {
                     .insert(trigger.line, access.cycle, trigger.hints);
             }
         }
-        if access.cycle >= self.end {
-            self.end = access.cycle.advanced(1);
-        }
+        self.advance_end(access.cycle);
     }
 }
 
@@ -226,44 +291,7 @@ pub fn profile_benchmark_with(bench: &mut Benchmark, config: HierarchyConfig) ->
     let _span = leakage_telemetry::span("simulate");
     let mut sink = PipelineSink::new(config.clone());
     bench.run(&mut sink);
-
-    let end = sink.end;
-    let PipelineSink {
-        hierarchy,
-        mut icache,
-        mut dcache,
-        ..
-    } = sink;
-    let (idist, ddist) = {
-        let _span = leakage_telemetry::span("extract");
-        icache.extractor.finish(end, &mut icache.tally);
-        dcache.extractor.finish(end, &mut dcache.tally);
-        (icache.tally.into_dist(), dcache.tally.into_dist())
-    };
-    hierarchy.flush_telemetry();
-    // Peak interval-set cardinality across every profiled cache — the
-    // memory high-water mark of the sufficient statistic.
-    let gauge = leakage_telemetry::gauge!("intervals_peak_classes");
-    gauge.set_max(idist.num_classes() as u64);
-    gauge.set_max(ddist.num_classes() as u64);
-
-    BenchmarkProfile {
-        name: bench.name().to_string(),
-        icache: CacheProfile {
-            dist: idist,
-            num_frames: config.l1i.num_frames(),
-            total_cycles: end.raw(),
-            prefetch: icache.analyzer.stats(),
-            cache: *hierarchy.l1i().stats(),
-        },
-        dcache: CacheProfile {
-            dist: ddist,
-            num_frames: config.l1d.num_frames(),
-            total_cycles: end.raw(),
-            prefetch: dcache.analyzer.stats(),
-            cache: *hierarchy.l1d().stats(),
-        },
-    }
+    sink.into_profile(bench.name(), &config)
 }
 
 /// Profiles the unified L2's intervals for one benchmark.
@@ -540,7 +568,209 @@ pub fn profile_suite_serial(scale: Scale) -> Vec<BenchmarkProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leakage_cachesim::CacheConfig;
     use leakage_intervals::IntervalKind;
+    use leakage_trace::{Address, Pc};
+    use leakage_workloads::{by_name, ISA_SUITE_NAMES};
+    use proptest::prelude::*;
+
+    /// The reference sink: every access through the full path, the
+    /// pipeline's accept body before its same-line fetch fast path.
+    struct FullPathSink(PipelineSink);
+
+    impl TraceSink for FullPathSink {
+        fn accept(&mut self, access: MemoryAccess) {
+            let sink = &mut self.0;
+            let outcome = sink.hierarchy.access(&access);
+            let event = outcome.l1;
+            let side = match event.cache {
+                Level1::Instruction => &mut sink.icache,
+                Level1::Data => &mut sink.dcache,
+            };
+            if !event.hit {
+                if let Some((when, hints)) = side.predictions.take(event.line) {
+                    let in_interval = side
+                        .extractor
+                        .last_access(event.frame)
+                        .is_none_or(|start| when >= start);
+                    if in_interval {
+                        side.extractor.mark_wake(event.frame, hints);
+                    }
+                }
+            }
+            let now_dirty = sink.hierarchy.l1(event.cache).frame_dirty(event.frame);
+            side.extractor.on_access_full(
+                event.frame,
+                event.cycle,
+                event.hit,
+                now_dirty,
+                &mut side.tally,
+            );
+            side.analyzer.observe_into(&access, &mut sink.triggers);
+            let cache = sink.hierarchy.l1(event.cache);
+            for trigger in &sink.triggers {
+                if let Some(frame) = cache.probe(trigger.line) {
+                    match event.cache {
+                        Level1::Instruction => {
+                            sink.icache.extractor.mark_wake(frame, trigger.hints)
+                        }
+                        Level1::Data => sink.dcache.extractor.mark_wake(frame, trigger.hints),
+                    }
+                } else {
+                    let side = match event.cache {
+                        Level1::Instruction => &mut sink.icache,
+                        Level1::Data => &mut sink.dcache,
+                    };
+                    side.predictions
+                        .insert(trigger.line, access.cycle, trigger.hints);
+                }
+            }
+            if access.cycle >= sink.end {
+                sink.end = access.cycle.advanced(1);
+            }
+        }
+    }
+
+    /// Profiles what `run` feeds its sink on the full path only.
+    fn reference_profile(
+        name: &str,
+        config: &HierarchyConfig,
+        run: impl FnOnce(&mut dyn TraceSink),
+    ) -> BenchmarkProfile {
+        let mut sink = FullPathSink(PipelineSink::new(config.clone()));
+        run(&mut sink);
+        sink.0.into_profile(name, config)
+    }
+
+    /// Every field the fast path could disturb, the dists in their
+    /// iteration order too (tables walk them in that order).
+    fn assert_same_profile(actual: &BenchmarkProfile, expected: &BenchmarkProfile) {
+        for side in [Level1::Instruction, Level1::Data] {
+            let (a, e) = (actual.side(side), expected.side(side));
+            let name = &expected.name;
+            assert_eq!(a.cache, e.cache, "{name} {side}: cache stats");
+            assert_eq!(a.prefetch, e.prefetch, "{name} {side}: prefetch stats");
+            assert_eq!(a.total_cycles, e.total_cycles, "{name} {side}: end");
+            assert!(
+                a.dist.iter().eq(e.dist.iter()),
+                "{name} {side}: dist or its iteration order"
+            );
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_full_path_on_every_benchmark() {
+        let config = HierarchyConfig::alpha_like();
+        for name in SUITE_NAMES.iter().chain(&ISA_SUITE_NAMES) {
+            let bench = by_name(name, Scale::Test).expect("suite benchmark resolves");
+            let actual = profile_benchmark(&mut bench.clone());
+            let expected = reference_profile(name, &config, |sink| bench.clone().run(sink));
+            assert!(
+                actual.icache.cache.hits > 0,
+                "{name}: no I-side hits to fast-path"
+            );
+            assert_same_profile(&actual, &expected);
+        }
+    }
+
+    /// A small hierarchy, so that short traces evict, refill and
+    /// resolve predictions on both sides.
+    fn tiny_hierarchy() -> HierarchyConfig {
+        HierarchyConfig {
+            l1i: CacheConfig::new("L1I", 512, 2, 64, 1).unwrap(),
+            l1d: CacheConfig::new("L1D", 512, 2, 64, 3).unwrap(),
+            l2: CacheConfig::new("L2", 4096, 1, 64, 7).unwrap(),
+            memory_latency: 100,
+        }
+    }
+
+    /// One step of a generated trace.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// `len` fetches marching `stride` bytes from `line`'s start:
+        /// a run of same-line fetches, crossing lines when it is long.
+        Fetches { line: u64, len: u8, stride: u8 },
+        /// A load (or store) at byte `addr`.
+        Data { addr: u64, store: bool },
+        /// Idle cycles.
+        Gap(u32),
+    }
+
+    /// Fetch runs four times in eight, data accesses three, gaps one.
+    fn step() -> impl Strategy<Value = Step> {
+        (
+            0u8..8,
+            0u64..40 * 64,
+            1u8..12,
+            prop::sample::select(vec![4u8, 16, 32]),
+            0u8..3,
+            1u32..5_000,
+        )
+            .prop_map(|(kind, addr, len, stride, store, idle)| match kind {
+                0..=3 => Step::Fetches {
+                    line: addr / 64,
+                    len,
+                    stride,
+                },
+                4..=6 => Step::Data {
+                    addr,
+                    store: store == 0,
+                },
+                _ => Step::Gap(idle),
+            })
+    }
+
+    /// Lays the steps out in time: a few cycles apart, the code in low
+    /// memory and the data above it (both map onto the same sets).
+    fn trace_of(steps: &[Step]) -> Vec<MemoryAccess> {
+        const DATA: u64 = 1 << 20;
+        let mut cycle = 0u64;
+        let mut trace = Vec::new();
+        for step in steps {
+            match *step {
+                Step::Fetches { line, len, stride } => {
+                    for i in 0..u64::from(len) {
+                        cycle += 1 + i % 2;
+                        let pc = line * 64 + i * u64::from(stride);
+                        trace.push(MemoryAccess::fetch(Cycle::new(cycle), Pc::new(pc)));
+                    }
+                }
+                Step::Data { addr, store } => {
+                    cycle += 1;
+                    let (pc, addr) = (Pc::new(addr % 256), Address::new(DATA + addr));
+                    trace.push(if store {
+                        MemoryAccess::store(Cycle::new(cycle), pc, addr)
+                    } else {
+                        MemoryAccess::load(Cycle::new(cycle), pc, addr)
+                    });
+                }
+                Step::Gap(idle) => cycle += u64::from(idle),
+            }
+        }
+        trace
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fast_path_matches_full_path_on_generated_traces(
+            steps in prop::collection::vec(step(), 1..120),
+            tiny in 0u8..2,
+        ) {
+            let config = if tiny == 1 { tiny_hierarchy() } else { HierarchyConfig::alpha_like() };
+            let trace = trace_of(&steps);
+            let mut sink = PipelineSink::new(config.clone());
+            for &access in &trace {
+                sink.accept(access);
+            }
+            let actual = sink.into_profile("generated", &config);
+            let expected = reference_profile("generated", &config, |sink| {
+                trace.iter().for_each(|&access| sink.accept(access))
+            });
+            assert_same_profile(&actual, &expected);
+        }
+    }
 
     #[test]
     fn coverage_invariant_holds() {

@@ -165,4 +165,5 @@ fn cancel_beats_inflight_checkpoints_and_survives_restart() {
     assert_eq!(resubmit.id, id);
     assert!(!resubmit.created, "cancel wins over resubmission");
     second.stop();
+    let _ = std::fs::remove_dir_all(&jobs_dir);
 }

@@ -11,6 +11,7 @@ use cache_leakage_limits::server::{fetch, Server, ServerConfig};
 use cache_leakage_limits::telemetry::json::{self, Json};
 use cache_leakage_limits::workloads::{Scale, SUITE_NAMES};
 use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -42,20 +43,23 @@ fn ensure_worker_bin() {
 }
 
 /// A server with its own throwaway jobs directory, so parallel tests
-/// never share durable state.
-fn jobs_server() -> Server {
+/// never share durable state. The caller removes the directory (the
+/// second value) once the server has shut down.
+fn jobs_server() -> (Server, PathBuf) {
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     ensure_worker_bin();
-    Server::start(ServerConfig {
+    let jobs_dir =
+        std::env::temp_dir().join(format!("leakage-jobs-e2e-{}-{seq}", std::process::id()));
+    let server = Server::start(ServerConfig {
         default_scale: Scale::Test,
         preserialize: false,
-        jobs_dir: std::env::temp_dir()
-            .join(format!("leakage-jobs-e2e-{}-{seq}", std::process::id())),
+        jobs_dir: jobs_dir.clone(),
         job_workers: 2,
         ..ServerConfig::default()
     })
-    .expect("server starts")
+    .expect("server starts");
+    (server, jobs_dir)
 }
 
 fn get(addr: SocketAddr, target: &str) -> cache_leakage_limits::server::ClientResponse {
@@ -112,7 +116,7 @@ fn array_bytes<'a>(text: &'a str, key: &str) -> &'a str {
 /// agree with the in-process query oracle.
 #[test]
 fn sharded_job_rows_are_byte_identical_to_sweep_batch() {
-    let server = jobs_server();
+    let (server, jobs_dir) = jobs_server();
     let addr = server.addr();
 
     let sides = ["icache", "dcache"];
@@ -191,13 +195,14 @@ fn sharded_job_rows_are_byte_identical_to_sweep_batch() {
     );
 
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&jobs_dir);
 }
 
 /// The pagination contract: per_page bounds, pages past the end,
 /// partial last pages, and stable bytes across repeated reads.
 #[test]
 fn result_pagination_boundaries() {
-    let server = jobs_server();
+    let (server, jobs_dir) = jobs_server();
     let addr = server.addr();
 
     // 2 benchmarks × 2 sides × 4 nodes = 16 points in one chunk.
@@ -259,4 +264,5 @@ fn result_pagination_boundaries() {
     );
 
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&jobs_dir);
 }
