@@ -308,14 +308,32 @@ fn enforce_budget(pen: &Path, budget: u64) -> Evicted {
 mod tests {
     use super::*;
 
-    fn pen(name: &str) -> PathBuf {
+    /// A fresh directory under the temp dir, removed when the test
+    /// ends (passing or not).
+    struct Pen(PathBuf);
+
+    impl std::ops::Deref for Pen {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for Pen {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn pen(name: &str) -> Pen {
         let dir = std::env::temp_dir().join(format!(
             "leakage-quarantine-budget-{}-{name}",
             std::process::id()
         ));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        dir
+        Pen(dir)
     }
 
     fn drop_file(dir: &Path, name: &str, bytes: usize, age_secs: u64) {

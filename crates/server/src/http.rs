@@ -1,15 +1,15 @@
-//! A minimal HTTP/1.1 protocol layer — incremental request parsing
-//! over byte buffers (shared by the epoll reactor, the workers, and
-//! the tests), pre-serializable responses, and a small
-//! blocking client with keep-alive support (used by the load
-//! generator and the integration tests).
+//! A minimal HTTP/1.1 protocol layer — the stateless request grammar
+//! ([`parse_request`], which the connection core in [`crate::conn`]
+//! applies to each connection's buffered bytes), pre-serializable
+//! responses, and a small blocking client with keep-alive support (used
+//! by the load generator and the integration tests).
 //!
 //! Scope is deliberately narrow: `Content-Length` bodies, plus
 //! `Transfer-Encoding: chunked` on routes that opt into streaming
 //! consumption (a chunked request parses [`Parse::Complete`] at the
 //! end of its header block with [`Request::chunked`] set and an empty
-//! `body`; the connection layer then drives a [`ChunkedDecoder`] over
-//! the wire bytes instead of buffering the body). ASCII request
+//! `body`; the connection core then deframes the body from the wire
+//! bytes instead of buffering it). ASCII request
 //! targets with percent-escapes. Persistent connections are the
 //! default (HTTP/1.1 keep-alive); `Connection: close` and HTTP/1.0
 //! are honored. That subset is everything the analysis service needs,
@@ -44,9 +44,8 @@ pub struct Request {
     /// wire).
     pub body: Vec<u8>,
     /// The request declared `Transfer-Encoding: chunked`: its body
-    /// was **not** buffered into `body` and must be consumed from the
-    /// connection through a [`ChunkedDecoder`] before the next
-    /// request can be framed.
+    /// was **not** buffered into `body`; the connection core deframes
+    /// it from the wire before the next request can be framed.
     pub chunked: bool,
     /// Whether the client asked for the connection to close after
     /// this exchange (`Connection: close`, or HTTP/1.0 without
@@ -101,7 +100,7 @@ pub struct BadRequest {
 }
 
 impl BadRequest {
-    fn new(status: u16, reason: impl Into<String>) -> Self {
+    pub(crate) fn new(status: u16, reason: impl Into<String>) -> Self {
         BadRequest {
             status,
             reason: reason.into(),
@@ -174,9 +173,9 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
 
 /// Incrementally parses one request from the front of `buf`.
 ///
-/// This is the server's single parser: the reactor calls it after
-/// each readiness-driven read, and workers call it to peel pipelined
-/// successors off an already-filled buffer.
+/// This is the server's single parser. It is a pure function of the
+/// bytes, header and body caps included; the connection core
+/// ([`crate::conn::Core`]) is its one caller on a live connection.
 pub fn parse_request(buf: &[u8]) -> Parse {
     let Some(head_end) = find_header_end(buf) else {
         if buf.len() > MAX_HEADER_BYTES {
@@ -270,8 +269,8 @@ pub fn parse_request(buf: &[u8]) -> Parse {
     }
     // A chunked request completes at the header block: the body is
     // wire-framed by the chunk grammar (RFC 9112 overrides any
-    // Content-Length) and is consumed by the connection layer through
-    // a `ChunkedDecoder`, never buffered here.
+    // Content-Length) and is deframed by the connection core, never
+    // buffered here.
     let total = if chunked {
         head_end
     } else {
@@ -349,187 +348,11 @@ pub fn percent_decode(s: &str) -> Option<String> {
     String::from_utf8(out).ok()
 }
 
-/// Progress of a [`ChunkedDecoder`] feed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChunkState {
-    /// Reading the hex size line of the next chunk.
-    Size,
-    /// Inside a chunk's data, this many bytes still to come.
-    Data(u64),
-    /// Expecting the `\r\n` (or bare `\n`) terminating a chunk's data.
-    DataEnd,
-    /// Saw the `\r` of the data terminator; `\n` must follow.
-    DataLf,
-    /// After the zero-size chunk: trailer lines until a blank line.
-    Trailer,
-    /// The terminating blank line arrived; the body is complete.
-    Done,
-}
-
-/// Longest accepted chunk-size or trailer line (a size line is ~16
-/// hex digits plus extensions; anything longer is an attack or a bug).
-const MAX_CHUNK_LINE: usize = 1024;
-
-/// An incremental `Transfer-Encoding: chunked` body decoder.
-///
-/// Feed it raw wire bytes as they arrive; it appends the deframed
-/// data bytes to the caller's output buffer and reports how many
-/// input bytes it consumed, stopping at the end of the body so
-/// pipelined successors stay in the caller's buffer. State is a few
-/// words plus one partial line — memory never scales with body size,
-/// which is what lets the trace route ingest arbitrarily long
-/// uploads.
-///
-/// # Examples
-///
-/// ```
-/// use leakage_server::http::ChunkedDecoder;
-///
-/// let mut decoder = ChunkedDecoder::new();
-/// let mut data = Vec::new();
-/// let used = decoder.feed(b"5\r\nhello\r\n0\r\n\r\nGET /", &mut data).unwrap();
-/// assert!(decoder.is_done());
-/// assert_eq!(data, b"hello");
-/// assert_eq!(used, 15); // "GET /" belongs to the next request
-/// ```
-#[derive(Debug)]
-pub struct ChunkedDecoder {
-    state: ChunkState,
-    /// Partial size/trailer line straddling feeds.
-    line: Vec<u8>,
-    decoded: u64,
-}
-
-impl Default for ChunkedDecoder {
-    fn default() -> Self {
-        ChunkedDecoder::new()
+impl From<BadRequest> for Response {
+    /// The JSON error answer to a malformed request.
+    fn from(bad: BadRequest) -> Self {
+        Response::error(bad.status, &bad.reason)
     }
-}
-
-impl ChunkedDecoder {
-    /// A decoder positioned before the first chunk-size line.
-    pub fn new() -> Self {
-        ChunkedDecoder {
-            state: ChunkState::Size,
-            line: Vec::new(),
-            decoded: 0,
-        }
-    }
-
-    /// Whether the terminating zero-size chunk (and its trailer) has
-    /// been consumed.
-    pub fn is_done(&self) -> bool {
-        self.state == ChunkState::Done
-    }
-
-    /// Total data bytes deframed so far (the caller's streaming cap).
-    pub fn decoded_bytes(&self) -> u64 {
-        self.decoded
-    }
-
-    /// Consumes wire bytes from the front of `buf`, appending
-    /// deframed data to `out`. Returns how many bytes of `buf` were
-    /// consumed — all of them unless the body completed mid-buffer.
-    ///
-    /// # Errors
-    ///
-    /// Malformed chunk framing (bad hex size, missing terminator,
-    /// oversized size/trailer line). Framing is lost: the connection
-    /// must close after answering.
-    pub fn feed(&mut self, buf: &[u8], out: &mut Vec<u8>) -> Result<usize, BadRequest> {
-        let mut i = 0;
-        while i < buf.len() {
-            match self.state {
-                ChunkState::Done => break,
-                ChunkState::Size => match self.take_line(buf, &mut i)? {
-                    None => {}
-                    Some(line) => {
-                        let size = parse_chunk_size(&line)?;
-                        self.state = if size == 0 {
-                            ChunkState::Trailer
-                        } else {
-                            ChunkState::Data(size)
-                        };
-                    }
-                },
-                ChunkState::Data(remaining) => {
-                    let available = buf.len() - i;
-                    let take = usize::try_from(remaining.min(available as u64))
-                        .expect("bounded by available");
-                    out.extend_from_slice(&buf[i..i + take]);
-                    self.decoded += take as u64;
-                    i += take;
-                    self.state = match remaining - take as u64 {
-                        0 => ChunkState::DataEnd,
-                        left => ChunkState::Data(left),
-                    };
-                }
-                ChunkState::DataEnd => {
-                    match buf[i] {
-                        b'\r' => self.state = ChunkState::DataLf,
-                        b'\n' => self.state = ChunkState::Size,
-                        _ => return Err(BadRequest::new(400, "chunk data not terminated by CRLF")),
-                    }
-                    i += 1;
-                }
-                ChunkState::DataLf => {
-                    if buf[i] != b'\n' {
-                        return Err(BadRequest::new(400, "chunk data not terminated by CRLF"));
-                    }
-                    i += 1;
-                    self.state = ChunkState::Size;
-                }
-                ChunkState::Trailer => match self.take_line(buf, &mut i)? {
-                    None => {}
-                    Some(line) => {
-                        if line.is_empty() {
-                            self.state = ChunkState::Done;
-                        }
-                        // Non-empty trailer fields are consumed and
-                        // ignored (this server solicits none).
-                    }
-                },
-            }
-        }
-        Ok(i)
-    }
-
-    /// Accumulates bytes up to the next `\n`; `Some(line)` (CR
-    /// stripped) once complete, `None` when the buffer ran out first.
-    fn take_line(&mut self, buf: &[u8], i: &mut usize) -> Result<Option<Vec<u8>>, BadRequest> {
-        match buf[*i..].iter().position(|&b| b == b'\n') {
-            Some(nl) => {
-                self.line.extend_from_slice(&buf[*i..*i + nl]);
-                *i += nl + 1;
-                if self.line.last() == Some(&b'\r') {
-                    self.line.pop();
-                }
-                if self.line.len() > MAX_CHUNK_LINE {
-                    return Err(BadRequest::new(400, "chunk framing line too long"));
-                }
-                Ok(Some(std::mem::take(&mut self.line)))
-            }
-            None => {
-                self.line.extend_from_slice(&buf[*i..]);
-                *i = buf.len();
-                if self.line.len() > MAX_CHUNK_LINE {
-                    return Err(BadRequest::new(400, "chunk framing line too long"));
-                }
-                Ok(None)
-            }
-        }
-    }
-}
-
-/// Parses a chunk-size line: hex digits, optional `;extension` tail.
-fn parse_chunk_size(line: &[u8]) -> Result<u64, BadRequest> {
-    let text = std::str::from_utf8(line)
-        .map_err(|_| BadRequest::new(400, "chunk size line is not UTF-8"))?;
-    let digits = text.split(';').next().unwrap_or("").trim();
-    if digits.is_empty() || digits.len() > 16 {
-        return Err(BadRequest::new(400, "bad chunk size"));
-    }
-    u64::from_str_radix(digits, 16).map_err(|_| BadRequest::new(400, "bad chunk size"))
 }
 
 /// A response ready to serialize: status, content type, extra headers
@@ -614,19 +437,6 @@ impl Response {
             head: Arc::from(head.as_str()),
             body: Arc::from(self.body.into_boxed_slice()),
         }
-    }
-
-    /// Serializes the response (HTTP/1.1, `Connection: close`,
-    /// explicit `Content-Length`) — the one-shot path.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors from the underlying stream.
-    pub fn write_to(&self, stream: &mut impl Write) -> io::Result<()> {
-        let mut out = Vec::with_capacity(256 + self.body.len());
-        self.clone().into_wire().serialize_into(&mut out, false);
-        stream.write_all(&out)?;
-        stream.flush()
     }
 }
 
@@ -1205,11 +1015,10 @@ mod tests {
 
     #[test]
     fn responses_serialize_with_length_and_close() {
-        let mut out = Vec::new();
-        Response::error(503, "queue full")
+        let out = Response::error(503, "queue full")
             .with_header("Retry-After", "1".into())
-            .write_to(&mut out)
-            .unwrap();
+            .into_wire()
+            .to_bytes(false);
         let text = String::from_utf8(out).unwrap();
         assert!(
             text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
@@ -1264,53 +1073,5 @@ mod tests {
             }
             other => panic!("expected Bad, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn chunked_decoder_handles_extensions_trailers_and_splits() {
-        let wire = b"4;ext=1\r\nabcd\r\nA\r\n0123456789\r\n0\r\nTrailer: x\r\n\r\ntail";
-        // Whole-buffer feed.
-        let mut decoder = ChunkedDecoder::new();
-        let mut out = Vec::new();
-        let used = decoder.feed(wire, &mut out).unwrap();
-        assert!(decoder.is_done());
-        assert_eq!(out, b"abcd0123456789");
-        assert_eq!(&wire[used..], b"tail");
-        assert_eq!(decoder.decoded_bytes(), 14);
-        // Byte-at-a-time feed reaches the same state.
-        let mut decoder = ChunkedDecoder::new();
-        let mut out = Vec::new();
-        let mut consumed = 0;
-        while !decoder.is_done() {
-            consumed += decoder
-                .feed(&wire[consumed..consumed + 1], &mut out)
-                .unwrap();
-        }
-        assert_eq!(out, b"abcd0123456789");
-        assert_eq!(consumed, used);
-    }
-
-    #[test]
-    fn chunked_decoder_tolerates_bare_lf() {
-        let mut decoder = ChunkedDecoder::new();
-        let mut out = Vec::new();
-        let used = decoder.feed(b"3\nxyz\n0\n\n", &mut out).unwrap();
-        assert!(decoder.is_done());
-        assert_eq!(out, b"xyz");
-        assert_eq!(used, 9);
-    }
-
-    #[test]
-    fn chunked_decoder_rejects_malformed_framing() {
-        let mut out = Vec::new();
-        let bad = ChunkedDecoder::new().feed(b"zz\r\n", &mut out).unwrap_err();
-        assert_eq!(bad.status, 400);
-        let bad = ChunkedDecoder::new()
-            .feed(b"2\r\nabX", &mut out)
-            .unwrap_err();
-        assert_eq!(bad.status, 400);
-        let long = vec![b'1'; MAX_CHUNK_LINE + 2];
-        let bad = ChunkedDecoder::new().feed(&long, &mut out).unwrap_err();
-        assert_eq!(bad.status, 400);
     }
 }

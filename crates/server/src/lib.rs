@@ -18,8 +18,12 @@
 //! Production behaviors, all dependency-free on `std::net`:
 //!
 //! - **Keep-alive + pipelining**: HTTP/1.1 persistent connections with
-//!   incremental parsing ([`http`], [`conn`]); pipelined requests are
-//!   answered as one batched write.
+//!   incremental parsing ([`http`]); pipelined requests are answered as
+//!   one batched write.
+//! - **One sans-IO connection core** ([`conn`]): framing, the request
+//!   budget, chunked-body deframing and every response's keep-alive
+//!   fate are decided in one socket-free state machine; the reactor,
+//!   the workers and the upload path are I/O shells around it.
 //! - **Epoll reactor** (the only transport, so the server builds on
 //!   Linux only): one readiness thread owns every idle connection;
 //!   workers only ever touch connections with a complete parsed
@@ -31,9 +35,9 @@
 //!   sweep batches each hold a semaphore permit ([`limit`]).
 //! - **Streaming uploads**: `POST /v1/trace/intervals` accepts
 //!   `Transfer-Encoding: chunked` bodies without ever buffering them —
-//!   the worker pumps wire bytes straight through the chunk deframer
-//!   and trace decoder into the constant-memory streaming interval
-//!   extractor ([`streaming`]).
+//!   the worker pumps wire bytes straight through the core's chunk
+//!   deframer and the trace decoder into the constant-memory streaming
+//!   interval extractor ([`streaming`]).
 //! - **Sharded hot state**: lock-striped profile-store front
 //!   ([`storefront`]), sharded O(1)-eviction LRU response cache
 //!   ([`respcache`]), striped telemetry counters.

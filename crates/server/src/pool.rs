@@ -13,10 +13,12 @@
 //! connections close, then the workers exit.
 
 use crate::artifacts::ArtifactCatalog;
-use crate::conn::{Connection, Taken};
+use crate::conn::Event;
 use crate::http::{Request, Response};
 use crate::limit::Semaphore;
-use crate::reactor::{reactor_worker, ExemptFn, Reactor, ReactorConfig, ReactorHandle, ShedHook};
+use crate::reactor::{
+    reactor_worker, Connection, ExemptFn, Reactor, ReactorConfig, ReactorHandle, ShedHook,
+};
 use crate::respcache::ResponseCache;
 use crate::routes::{self, RouteContext, ServerInfo};
 use crate::storefront::StoreFront;
@@ -137,8 +139,6 @@ impl Default for ServerConfig {
 
 /// Settings a worker needs to serve one connection's batch.
 pub struct WorkerConfig {
-    /// Per-connection request budget (0 = unlimited).
-    pub max_requests_per_connection: u32,
     /// Max pipelined responses per queue cycle.
     pub pipeline_batch: usize,
     /// Socket read timeout while streaming a chunked upload body.
@@ -310,7 +310,6 @@ impl Server {
         }
 
         let worker_config = Arc::new(WorkerConfig {
-            max_requests_per_connection: config.max_requests_per_connection,
             pipeline_batch: config.pipeline_batch.max(1),
             request_timeout: config.request_timeout,
             stop: Arc::clone(&stop),
@@ -441,11 +440,13 @@ pub(crate) fn record_shed(request: &Request, ctx: &RouteContext) {
     });
 }
 
-/// The worker path: answer `request` and up
-/// to `pipeline_batch - 1` pipelined successors, batching the
-/// pre-serialized responses into one buffer and one write.
+/// The worker path: answer `request` and up to `pipeline_batch - 1`
+/// pipelined successors, batching the pre-serialized responses into
+/// one buffer and one write. A chunked upload reads its body here
+/// (`streaming::serve_upload`) and is answered like any other
+/// request.
 ///
-/// Returns the connection with its fate recorded in `close`.
+/// Returns the connection with its fate decided by its core.
 pub fn work_requests(
     mut conn: Connection,
     mut request: Request,
@@ -453,51 +454,27 @@ pub fn work_requests(
     worker_config: &WorkerConfig,
 ) -> Connection {
     ctx.metrics.inflight.add(1);
+    let stopping = || worker_config.stop.load(Ordering::Relaxed);
     let mut answered = 0usize;
     let recorder = ctx.recorder.as_deref();
     loop {
-        if request.chunked {
-            // A chunked upload's body is still on the wire behind the
-            // header block. Flush the responses batched so far, then
-            // hand the socket to the streaming upload path — it reads
-            // the body incrementally and writes its own response.
-            // Exclusive connection ownership (reactor ONESHOT) makes
-            // the blocking reads safe.
-            // `conn.close` may already be set by a `Connection: close`
-            // header or an exhausted request budget; the upload is
-            // still owed its response (announcing the close), so only
-            // a failed flush skips it.
-            if flush_batch(&mut conn, ctx) {
-                conn = crate::streaming::serve_upload(conn, &request, ctx, worker_config);
-            }
-            answered += 1;
-            if conn.close || answered >= worker_config.pipeline_batch {
-                break;
-            }
-            match conn.take_request(worker_config.max_requests_per_connection) {
-                Taken::Request(next) => {
-                    request = next;
-                    continue;
-                }
-                Taken::Bad { bad, recoverable } => {
-                    let survive = recoverable && !conn.eof;
-                    let wire = Response::error(bad.status, &bad.reason).into_wire();
-                    wire.serialize_into(&mut conn.out, survive);
-                    ctx.metrics.responses_4xx.inc();
-                    if !survive {
-                        conn.close = true;
-                    }
-                    break;
-                }
-                Taken::NeedMore => break,
-            }
+        // A chunked upload's body is still on the wire and may stream
+        // for a long time: flush the responses batched so far first.
+        // Exclusive connection ownership (reactor ONESHOT) makes the
+        // upload's blocking reads safe.
+        if request.chunked && !flush_batch(&mut conn, ctx) {
+            break;
         }
         let started = Instant::now();
         let route = routes::route_name(&request);
         let stage = StageTrace::default();
-        let wire = routes::handle(&request, ctx, &stage);
+        let wire = if request.chunked {
+            crate::streaming::serve_upload(&mut conn, &request, ctx, worker_config.request_timeout)
+        } else {
+            routes::handle(&request, ctx, &stage)
+        };
         // The response's Connection header must state the fate.
-        let keep_alive = conn.can_keep_alive(worker_config.stop.load(Ordering::Relaxed));
+        let keep_alive = conn.core.keep_alive(stopping());
         if recorder.is_some() {
             let trace = request.trace;
             let queue_us = us32(started.saturating_duration_since(trace.parsed_at));
@@ -550,29 +527,23 @@ pub fn work_requests(
         ctx.metrics.record_latency(route, micros);
         answered += 1;
 
-        if !keep_alive {
-            conn.close = true;
+        if !keep_alive || answered >= worker_config.pipeline_batch {
             break;
         }
-        if answered >= worker_config.pipeline_batch {
-            break;
-        }
-        match conn.take_request(worker_config.max_requests_per_connection) {
-            Taken::Request(next) => request = next,
-            Taken::Bad { bad, recoverable } => {
-                let survive = recoverable && !conn.eof;
-                let wire = Response::error(bad.status, &bad.reason).into_wire();
-                wire.serialize_into(&mut conn.out, survive);
+        match conn.core.next_event() {
+            Event::Request(next) => request = next,
+            Event::Bad(bad) => {
+                let keep_alive = conn.core.keep_alive(stopping());
+                Response::from(bad)
+                    .into_wire()
+                    .serialize_into(&mut conn.out, keep_alive);
                 ctx.metrics.responses_4xx.inc();
-                if !survive {
-                    conn.close = true;
-                }
                 break;
             }
-            // `take_request` already marked close on a half-closed
-            // dangling partial; otherwise just flush and hand the
-            // connection back for more bytes.
-            Taken::NeedMore => break,
+            // Flush and hand the connection back, for more bytes or to
+            // close it. (An upload reads its body to the end or closes,
+            // so no body is pending here.)
+            _ => break,
         }
     }
     flush_batch(&mut conn, ctx);
@@ -582,8 +553,8 @@ pub fn work_requests(
 }
 
 /// Writes the batch buffer (one write per pipelined batch), then
-/// stamps and publishes its pending flight-recorder records. Sets
-/// `conn.close` and returns `false` on a transport failure; returns
+/// stamps and publishes its pending flight-recorder records. Closes
+/// the connection and returns `false` on a transport failure; returns
 /// `true` without writing when nothing is serialized.
 fn flush_batch(conn: &mut Connection, ctx: &RouteContext) -> bool {
     if conn.out.is_empty() {
@@ -593,7 +564,7 @@ fn flush_batch(conn: &mut Connection, ctx: &RouteContext) -> bool {
     let flushed_ok = flush_output(conn).is_ok();
     if !flushed_ok {
         ctx.metrics.transport_errors.inc();
-        conn.close = true;
+        conn.core.abort();
     }
     if let Some(recorder) = ctx.recorder.as_deref() {
         // One write served the whole pipelined batch; each record

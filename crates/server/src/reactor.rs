@@ -11,8 +11,9 @@
 //!                    └───────────────────────────────────────┘
 //! ```
 //!
-//! The reactor reads readiness-driven bytes into each connection's
-//! buffer and hands **fully-parsed requests** to the worker pool.
+//! The reactor feeds readiness-driven bytes into each connection's
+//! protocol core ([`crate::conn::Core`]) and hands **fully-parsed
+//! requests** to the worker pool.
 //! Workers handle, write the response batch, and give the connection
 //! back through the return queue, waking the reactor via a pipe (the
 //! `epoll`/`pipe2` declarations below are the workspace's second
@@ -35,10 +36,11 @@
 //! write half (FIN behind the response), then read and discard input
 //! until the peer closes or `LINGER` passes.
 
-use crate::conn::{Connection, Taken};
+use crate::conn::{Core, Event};
 use crate::http::{Request, Response, WireResponse};
 use crate::pool::{Job, Queue, WorkerConfig};
 use crate::routes::RouteContext;
+use crate::trace::PendingRecord;
 use leakage_telemetry::{registry, striped_counter};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -205,6 +207,31 @@ impl ReactorHandle {
     }
 }
 
+/// One client connection, moving between the reactor (readiness
+/// reads) and the worker pool (handle → write): the socket, its
+/// protocol core, and the worker side's output and timing state.
+pub struct Connection {
+    /// The socket, nonblocking; workers switch it to blocking mode
+    /// for the duration of a write or a streamed upload.
+    pub stream: TcpStream,
+    /// Framing, request budget and fate of the bytes read so far.
+    pub core: Core,
+    /// Serialized responses awaiting a write.
+    pub out: Vec<u8>,
+    /// Reactor slab token.
+    pub token: u64,
+    /// Last read/write activity, for idle-timeout sweeps.
+    pub last_activity: Instant,
+    /// Flight-recorder records of the batch being serialized,
+    /// published after its write so they carry the real write cost.
+    pub pending: Vec<PendingRecord>,
+    /// Serialize duration of the previous response on this
+    /// connection, reported in the next `Server-Timing` header.
+    pub last_serialize_us: u32,
+    /// Write duration of the previous flushed batch, likewise.
+    pub last_write_us: u32,
+}
+
 /// Answers admission-exempt requests (health/debug routes) inline
 /// when the queue is full; `None` means the request is shed normally.
 pub type ExemptFn = dyn Fn(&Request) -> Option<WireResponse> + Send + Sync;
@@ -237,8 +264,6 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// A read larger than this per readiness event would let one fast
 /// sender starve the slab.
 const READ_CHUNK: usize = 16 * 1024;
-/// Hard cap on buffered input per connection (one oversized request).
-const MAX_BUFFER: usize = crate::http::MAX_HEADER_BYTES + crate::http::MAX_BODY_BYTES + 1;
 /// How long a closed connection may keep discarding input before it
 /// is dropped regardless (a peer that never closes).
 const LINGER: Duration = Duration::from_secs(1);
@@ -391,13 +416,9 @@ impl Reactor {
         let open = self.slab.len() + self.handle.inflight.load(Ordering::SeqCst);
         if self.draining || open >= self.config.max_connections {
             striped_counter!("server_admission_rejected_total").inc();
-            let mut stream = stream;
-            let _ = Response::error(503, "connection limit reached")
-                .with_header("Retry-After", self.config.retry_after_secs.to_string())
-                .write_to(&mut stream);
             let token = self.next_token;
             self.next_token += 1;
-            self.close_after_response(stream, token, true);
+            self.shed(stream, token, "connection limit reached", true);
             return;
         }
         if stream.set_nonblocking(true).is_err() {
@@ -413,7 +434,17 @@ impl Reactor {
         let token = self.next_token;
         self.next_token += 1;
         if self.arm(&stream, token, true) {
-            self.slab.insert(token, Connection::new(stream, token));
+            let conn = Connection {
+                stream,
+                core: Core::new(self.config.max_requests_per_connection),
+                out: Vec::new(),
+                token,
+                last_activity: Instant::now(),
+                pending: Vec::new(),
+                last_serialize_us: 0,
+                last_write_us: 0,
+            };
+            self.slab.insert(token, conn);
         }
     }
 
@@ -422,16 +453,13 @@ impl Reactor {
     /// reactor (removed from the slab, epoll disarmed by ONESHOT).
     fn on_readable(&mut self, mut conn: Connection) {
         let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            if conn.buf.len() >= MAX_BUFFER {
-                break;
-            }
+        while conn.core.wants_input() {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
-                    conn.eof = true;
+                    conn.core.feed_eof();
                     break;
                 }
-                Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => conn.core.feed(&chunk[..n]),
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -444,70 +472,82 @@ impl Reactor {
         self.advance(conn);
     }
 
-    /// One parse step: dispatch a complete request, answer a bad one
-    /// inline, or park for more bytes.
+    /// Serves the buffered input: dispatches a complete request to the
+    /// workers, answers a bad one (or an exempt one on a full queue)
+    /// inline and goes on with the next, or parks for more bytes.
     fn advance(&mut self, mut conn: Connection) {
-        match conn.take_request(self.config.max_requests_per_connection) {
-            Taken::Request(request) => self.dispatch(conn, request),
-            Taken::Bad { bad, recoverable } => {
-                let survive = recoverable && !conn.close && !conn.eof && !self.draining;
-                let wire = Response::error(bad.status, &bad.reason).into_wire();
-                let mut out = Vec::new();
-                wire.serialize_into(&mut out, survive);
-                striped_counter!("server_responses_4xx_total").inc();
-                // Best-effort nonblocking write: 4xx bodies are tiny
-                // and virtually always fit the socket buffer.
-                let ok = (&conn.stream).write_all(&out).is_ok();
-                if survive && ok {
+        loop {
+            let wire = match conn.core.next_event() {
+                Event::Request(request) => match self.dispatch(conn, request) {
+                    Some((returned, wire)) => {
+                        conn = returned;
+                        wire
+                    }
+                    None => return,
+                },
+                Event::Bad(bad) => {
+                    striped_counter!("server_responses_4xx_total").inc();
+                    Response::from(bad).into_wire()
+                }
+                Event::NeedMore if !self.draining => {
                     self.park(conn);
-                } else {
-                    self.close_after_response(conn.stream, conn.token, false);
+                    return;
                 }
+                // Closed (or draining): nothing more is served. Body
+                // events never reach the reactor: a chunked body is
+                // read by the worker its request went to.
+                _ => return self.close_after_response(conn.stream, conn.token, false),
+            };
+            let keep_alive = conn.core.keep_alive(self.draining);
+            // Best-effort nonblocking write: inline answers (4xx and
+            // debug routes) are small and virtually always fit the
+            // socket buffer.
+            let wrote = (&conn.stream).write_all(&wire.to_bytes(keep_alive)).is_ok();
+            if !(keep_alive && wrote) {
+                return self.close_after_response(conn.stream, conn.token, false);
             }
-            Taken::NeedMore => {
-                if conn.eof || conn.close || self.draining {
-                    return; // nothing more can arrive; drop
-                }
-                self.park(conn);
-            }
+            conn.last_activity = Instant::now();
         }
     }
 
-    fn dispatch(&mut self, conn: Connection, request: crate::http::Request) {
+    /// Queues a parsed request for the workers. On a full queue an
+    /// admission-exempt request comes back with its answer for the
+    /// caller to write; any other is shed with 503 and its connection
+    /// closed.
+    fn dispatch(
+        &mut self,
+        conn: Connection,
+        request: Request,
+    ) -> Option<(Connection, WireResponse)> {
         self.handle.inflight.fetch_add(1, Ordering::SeqCst);
-        if let Err((mut conn, request)) = self.queue.push((conn, request)) {
-            self.handle.inflight.fetch_sub(1, Ordering::SeqCst);
-            // Health/debug routes answer inline even when saturated —
-            // that is exactly when the debug plane matters most. The
-            // handlers behind the exempt closure are allocation-light
-            // and never touch the sim permits, so the reactor thread
-            // is not held hostage.
-            if let Some(wire) = (self.config.exempt)(&request) {
-                let survive = !conn.close && !conn.eof && !self.draining;
-                let mut out = Vec::new();
-                wire.serialize_into(&mut out, survive);
-                let ok = (&conn.stream).write_all(&out).is_ok();
-                if survive && ok {
-                    conn.last_activity = Instant::now();
-                    self.reinstate(conn);
-                } else {
-                    self.close_after_response(conn.stream, conn.token, false);
-                }
-                return;
-            }
-            (self.config.on_shed)(&request);
-            striped_counter!("server_admission_rejected_total").inc();
-            striped_counter!("server_shed_total").inc();
-            let wire = Response::error(503, "admission queue full")
-                .with_header("Retry-After", self.config.retry_after_secs.to_string())
-                .into_wire();
-            let mut out = Vec::new();
-            wire.serialize_into(&mut out, false);
-            let _ = (&conn.stream).write_all(&out);
-            // Shedding closes, so the client re-learns admission state
-            // on reconnect rather than livelocking a parked connection.
-            self.close_after_response(conn.stream, conn.token, false);
+        let Err((conn, request)) = self.queue.push((conn, request)) else {
+            return None;
+        };
+        self.handle.inflight.fetch_sub(1, Ordering::SeqCst);
+        // Health/debug routes answer inline even when saturated —
+        // that is exactly when the debug plane matters most. The
+        // handlers behind the exempt closure are allocation-light
+        // and never touch the sim permits, so the reactor thread
+        // is not held hostage.
+        if let Some(wire) = (self.config.exempt)(&request) {
+            return Some((conn, wire));
         }
+        (self.config.on_shed)(&request);
+        striped_counter!("server_admission_rejected_total").inc();
+        striped_counter!("server_shed_total").inc();
+        self.shed(conn.stream, conn.token, "admission queue full", false);
+        None
+    }
+
+    /// Answers 503 + `Retry-After` and closes. Shedding closes, so the
+    /// client re-learns admission state on reconnect rather than
+    /// livelocking a parked connection.
+    fn shed(&mut self, stream: TcpStream, token: u64, reason: &str, add: bool) {
+        let wire = Response::error(503, reason)
+            .with_header("Retry-After", self.config.retry_after_secs.to_string())
+            .into_wire();
+        let _ = (&stream).write_all(&wire.to_bytes(false));
+        self.close_after_response(stream, token, add);
     }
 
     /// Arms `stream` for one read-readiness event under `token`
@@ -529,21 +569,16 @@ impl Reactor {
         }
     }
 
-    /// A connection returned by a worker: close it, keep pipelining,
-    /// or park it for the next request.
+    /// A connection returned by a worker (or answered inline): go on
+    /// with its buffered input, which closes it if its fate is close.
+    /// A worker that hit its batch cap with requests still buffered
+    /// sends them through the queue again, for fairness.
     fn reinstate(&mut self, mut conn: Connection) {
-        if conn.close || self.draining {
-            self.close_after_response(conn.stream, conn.token, false);
-            return;
+        if self.draining {
+            return self.close_after_response(conn.stream, conn.token, false);
         }
         conn.last_activity = Instant::now();
-        if conn.has_buffered_request() {
-            // The worker hit its batch cap with requests still
-            // buffered; cycle through the queue again for fairness.
-            self.advance(conn);
-        } else {
-            self.park(conn);
-        }
+        self.advance(conn);
     }
 
     /// The one way an answered connection closes: FIN behind the
@@ -613,9 +648,12 @@ pub fn reactor_worker(
         // lost to the slab on a protocol-layer panic, so the handle
         // must still learn about it — hence the inner move.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut conn = crate::pool::work_requests(conn, request, ctx, worker_config);
-            conn.last_activity = Instant::now();
-            handle.give_back(conn);
+            handle.give_back(crate::pool::work_requests(
+                conn,
+                request,
+                ctx,
+                worker_config,
+            ));
         }));
         if result.is_err() {
             registry().counter("server_worker_panics_total").inc();

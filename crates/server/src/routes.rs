@@ -1033,21 +1033,47 @@ fn sweep(request: &Request, ctx: &RouteContext, stage: &StageTrace) -> Response 
 mod tests {
     use super::*;
 
-    fn test_fabric() -> Arc<JobFabric> {
+    /// A route context whose job fabric runs over a fresh directory
+    /// under the temp dir; the fabric stops and the directory is
+    /// removed when the test ends (passing or not).
+    struct TestCtx {
+        ctx: RouteContext,
+        jobs_dir: std::path::PathBuf,
+    }
+
+    impl std::ops::Deref for TestCtx {
+        type Target = RouteContext;
+
+        fn deref(&self) -> &RouteContext {
+            &self.ctx
+        }
+    }
+
+    impl std::ops::DerefMut for TestCtx {
+        fn deref_mut(&mut self) -> &mut RouteContext {
+            &mut self.ctx
+        }
+    }
+
+    impl Drop for TestCtx {
+        fn drop(&mut self) {
+            self.ctx.jobs.stop();
+            let _ = std::fs::remove_dir_all(&self.jobs_dir);
+        }
+    }
+
+    fn ctx_with_catalog(preserialize: bool) -> TestCtx {
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir =
+        let jobs_dir =
             std::env::temp_dir().join(format!("leakage-routes-jobs-{}-{seq}", std::process::id()));
-        JobFabric::start(leakage_jobs::FabricConfig {
-            jobs_dir: dir,
+        let jobs = JobFabric::start(leakage_jobs::FabricConfig {
+            jobs_dir: jobs_dir.clone(),
             workers: 1,
             ..leakage_jobs::FabricConfig::default()
         })
-        .expect("start test fabric")
-    }
-
-    fn ctx_with_catalog(preserialize: bool) -> RouteContext {
-        RouteContext {
+        .expect("start test fabric");
+        let ctx = RouteContext {
             store: ProfileStore::global(),
             front: Arc::new(StoreFront::new(ProfileStore::global(), 8)),
             cache: Arc::new(ResponseCache::new(16, 1)),
@@ -1058,11 +1084,12 @@ mod tests {
             limit_wait: Duration::from_millis(200),
             retry_after_secs: 1,
             metrics: HotMetrics::resolve(),
-            jobs: test_fabric(),
+            jobs,
             job_worker_quorum: 0,
             recorder: Some(Arc::new(FlightRecorder::new(64))),
             info: ServerInfo::new("test", 0),
-        }
+        };
+        TestCtx { ctx, jobs_dir }
     }
 
     /// `handle` with a throwaway stage trace, for tests that only
@@ -1072,7 +1099,7 @@ mod tests {
     }
 
     /// Catalog off, so tests exercise the LRU-cache tier.
-    fn ctx() -> RouteContext {
+    fn ctx() -> TestCtx {
         ctx_with_catalog(false)
     }
 

@@ -12,8 +12,9 @@
 //!   whole. The request completes at the end of its header block, the
 //!   worker takes exclusive ownership of the socket (the reactor
 //!   guarantees a connection is owned by exactly one worker at a
-//!   time), and [`serve_upload`] pumps wire bytes through a
-//!   [`ChunkedDecoder`] → [`StreamDecoder`] → extractor pipeline.
+//!   time), and [`serve_upload`] pumps wire bytes through the
+//!   connection core's chunk deframer ([`crate::conn::Core`]) →
+//!   [`StreamDecoder`] → extractor pipeline.
 //!   Peak memory is one read chunk plus the decoder's partial-record
 //!   tail plus the extractor's per-line state. That state is one entry
 //!   per distinct line the trace touches (lines are never retired
@@ -22,30 +23,25 @@
 //!   streams through a small, fixed-size worker.
 //!
 //! Limits: decoded chunked bodies are capped at
-//! [`MAX_DECODED_BODY`] bytes (413 beyond it), the line footprint of
-//! either framing at [`MAX_RESIDENT_LINES`] (413 beyond it), and
-//! `line_bits` at [`MAX_LINE_BITS`]. Uploads are counted in
+//! [`crate::conn::MAX_DECODED_BODY`] bytes (413 beyond it), the line
+//! footprint of either framing at [`MAX_RESIDENT_LINES`] (413 beyond
+//! it), and `line_bits` at [`MAX_LINE_BITS`]. Uploads are counted in
 //! `server_trace_uploads_total` / `server_trace_upload_bytes_total`;
 //! the `trace` route has the standard per-route request counter and
-//! latency histogram.
+//! latency histogram, and an upload's answer is written and recorded
+//! by the worker like any other response.
 
-use crate::conn::Connection;
-use crate::http::{ChunkedDecoder, Request, Response};
-use crate::pool::WorkerConfig;
+use crate::conn::Event;
+use crate::http::{Request, Response, WireResponse};
+use crate::reactor::Connection;
 use crate::routes::{self, RouteContext};
-use crate::trace::us32;
 use leakage_intervals::{CompactIntervalDist, StreamingExtractor};
 use leakage_telemetry::json;
-use leakage_telemetry::{registry, RequestRecord};
+use leakage_telemetry::registry;
 use leakage_trace::io::StreamDecoder;
 use leakage_trace::TraceError;
-use std::io::{self, Read, Write};
-use std::sync::atomic::Ordering;
-use std::time::Instant;
-
-/// Largest accepted decoded chunked body (wire bytes after chunk
-/// deframing, before LKTR record decoding): 256 MiB ≈ 10.7M events.
-pub const MAX_DECODED_BODY: u64 = 256 * 1024 * 1024;
+use std::io::{self, Read};
+use std::time::Duration;
 
 /// Most distinct lines one upload may touch (413 beyond): 2^18, six
 /// times the 41,943 records a 1 MiB `Content-Length` body holds.
@@ -166,136 +162,72 @@ fn count_upload(body_bytes: u64) {
         .add(body_bytes);
 }
 
-/// Serves one chunked-upload request on a worker-owned socket.
-///
-/// The caller has already flushed any batched responses; this
-/// function reads the body (starting with bytes already buffered
-/// behind the header block), writes its own response, and returns the
-/// connection with pipelined successor bytes retained in `conn.buf`
-/// and its fate in `conn.close`. Any framing or I/O failure closes:
-/// once chunk framing is lost mid-body the request boundary is
-/// unknowable.
+/// Reads one chunked upload's body through the connection core on a
+/// worker-owned socket and returns the answer, which the worker writes
+/// and records like any other. An answer given before the body's end
+/// (a refused route, a bad trace, a timeout) leaves it unread, so the
+/// core's fate rule closes the connection.
 pub(crate) fn serve_upload(
-    mut conn: Connection,
+    conn: &mut Connection,
     request: &Request,
     ctx: &RouteContext,
-    worker_config: &WorkerConfig,
-) -> Connection {
-    let started = Instant::now();
+    read_timeout: Duration,
+) -> WireResponse {
     let route = routes::route_name(request);
     ctx.metrics.count_route(route);
-
-    // The upload path block-reads the reactor's nonblocking socket;
-    // readiness mode is restored after the response.
-    let _ = conn.stream.set_nonblocking(false);
-    let _ = conn
-        .stream
-        .set_read_timeout(Some(worker_config.request_timeout));
-
-    let outcome = if request.method == "POST" && route == "trace" {
-        pump_chunked_body(&mut conn, request)
+    let response = if request.method == "POST" && route == "trace" {
+        // The upload block-reads the reactor's nonblocking socket;
+        // readiness mode is restored after the body.
+        let _ = conn.stream.set_nonblocking(false);
+        let _ = conn.stream.set_read_timeout(Some(read_timeout));
+        let outcome = pump_chunked_body(conn, request);
+        let _ = conn.stream.set_nonblocking(true);
+        outcome.unwrap_or_else(|refused| refused)
     } else {
         // Any other route would have to drain an unbounded body it
         // will not use; ask the client to frame with Content-Length.
-        Err(Response::error(
+        Response::error(
             411,
             "chunked bodies are only accepted on POST /v1/trace/intervals",
-        ))
+        )
     };
-    let (response, body_ok) = match outcome {
-        Ok(response) => (response, true),
-        Err(response) => (response, false),
-    };
-
-    // An error mid-stream loses chunk framing: the connection cannot
-    // be reused even if the socket is healthy.
-    let keep_alive = body_ok && conn.can_keep_alive(worker_config.stop.load(Ordering::Relaxed));
-    let wire = response.into_wire();
-    let status = wire.status();
-    let wrote = (&conn.stream).write_all(&wire.to_bytes(keep_alive)).is_ok();
-    if !wrote {
-        ctx.metrics.transport_errors.inc();
-    }
-    if !keep_alive || !wrote {
-        conn.close = true;
-    }
-
-    ctx.metrics.requests_total.inc();
-    ctx.metrics.count_status(status);
-    let total = started.elapsed();
-    ctx.metrics
-        .record_latency(route, u64::try_from(total.as_micros()).unwrap_or(u64::MAX));
-    if let Some(recorder) = ctx.recorder.as_deref() {
-        recorder.record(&RequestRecord {
-            trace_id: request.trace.id,
-            end_us: recorder.now_us(),
-            route: routes::route_code(route),
-            status,
-            req_bytes: request.trace.req_bytes,
-            parse_us: request.trace.parse_us,
-            handler_us: us32(total),
-            total_us: request.trace.parse_us.saturating_add(us32(total)),
-            ..RequestRecord::default()
-        });
-    }
-
-    let _ = conn.stream.set_nonblocking(true);
-    conn
+    response.into_wire()
 }
 
-/// Pumps the chunked body from `conn.buf` + the socket into the
-/// extractor. On success, surplus bytes (pipelined successors) are
-/// back in `conn.buf`.
+/// Pumps the chunked body from the core and the socket into the
+/// extractor, until the body ends or is refused.
 fn pump_chunked_body(conn: &mut Connection, request: &Request) -> Result<Response, Response> {
     let line_bits = parse_line_bits(request)?;
-    let mut chunks = ChunkedDecoder::new();
     let mut ingest = TraceIngest::new(line_bits);
-    // Scratch for one round of deframed bytes; cleared every round so
-    // memory stays one chunk deep.
-    let mut decoded = Vec::new();
-    // Body bytes that arrived pipelined behind the header block.
-    let mut wire = std::mem::take(&mut conn.buf);
+    let mut body_bytes = 0u64;
     let mut chunk = [0u8; READ_CHUNK];
     loop {
-        if !wire.is_empty() {
-            let used = chunks
-                .feed(&wire, &mut decoded)
-                .map_err(|bad| Response::error(bad.status, &bad.reason))?;
-            if chunks.decoded_bytes() > MAX_DECODED_BODY {
-                return Err(Response::error(
-                    413,
-                    &format!("chunked trace body capped at {MAX_DECODED_BODY} decoded bytes"),
-                ));
+        match conn.core.next_event() {
+            Event::Body(bytes) => {
+                body_bytes += bytes.len() as u64;
+                ingest.feed(bytes)?;
             }
-            ingest.feed(&decoded)?;
-            decoded.clear();
-            if chunks.is_done() {
-                // Surplus bytes belong to the next pipelined request.
-                conn.buf = wire.split_off(used);
-                break;
-            }
-            wire.clear();
-        }
-        match (&conn.stream).read(&mut chunk) {
-            Ok(0) => {
-                conn.eof = true;
-                return Err(Response::error(400, "connection closed mid-chunked-body"));
-            }
-            Ok(n) => wire.extend_from_slice(&chunk[..n]),
-            Err(err)
-                if err.kind() == io::ErrorKind::WouldBlock
-                    || err.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Err(Response::error(408, "timed out reading chunked body"));
-            }
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                conn.eof = true;
-                return Err(Response::error(400, "read error mid-chunked-body"));
+            Event::BodyEnd => break,
+            Event::Bad(bad) => return Err(bad.into()),
+            Event::NeedMore => match (&conn.stream).read(&mut chunk) {
+                Ok(n) if n > 0 => conn.core.feed(&chunk[..n]),
+                Err(err)
+                    if err.kind() == io::ErrorKind::WouldBlock
+                        || err.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return Err(Response::error(408, "timed out reading chunked body"));
+                }
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+                // End of stream or a failed read: nothing more arrives,
+                // and the core answers the unfinished body.
+                _ => conn.core.feed_eof(),
+            },
+            Event::Request(_) | Event::Closed => {
+                unreachable!("a chunked body ends in BodyEnd or Bad")
             }
         }
     }
-    count_upload(chunks.decoded_bytes());
+    count_upload(body_bytes);
     ingest.finish()
 }
 

@@ -1,0 +1,664 @@
+//! The sans-IO connection core, checked without sockets.
+//!
+//! A small shell drives [`Core`] the way the server does: it feeds
+//! segments, drains events until "need more", answers each request,
+//! 4xx and finished body at once (asking the core for the response's
+//! fate), refuses chunked bodies off the trace route without reading
+//! them (the 411 path), and stops at the first closing fate.
+//!
+//! - Every split point of every stream in a corpus of short streams,
+//!   and byte-at-a-time feeds, give the events and fates of the unsplit
+//!   feed; each stream's unsplit outcome is pinned as well.
+//! - Seeded random segmentations of long streams do the same.
+//! - Arbitrary bytes in arbitrary segments give only typed 4xx (400,
+//!   413, 431), never a panic, and a "need more" only while the core
+//!   still wants input, so buffering stays bounded.
+//! - A fate table pins the keep-alive rule case by case, and the
+//!   decoded-body cap of chunked uploads is pinned at its boundary.
+
+use leakage_server::conn::{Core, Event, MAX_DECODED_BODY};
+use leakage_server::http::{MAX_BODY_BYTES, MAX_HEADER_BYTES};
+use leakage_workloads::SplitMix64;
+use proptest::prelude::*;
+
+/// The one route that reads a chunked body; the shell refuses chunked
+/// bodies anywhere else without reading them, as the server does.
+const UPLOAD: &str = "/v1/trace/intervals";
+
+/// What the shell saw, with consecutive body bytes merged (how a body
+/// is cut into events depends on the segmentation; its bytes do not).
+#[derive(Debug, Clone, PartialEq)]
+enum Seen {
+    Request {
+        method: String,
+        path: String,
+        body: Vec<u8>,
+        chunked: bool,
+    },
+    Bad(u16),
+    Body(Vec<u8>),
+    BodyEnd,
+    /// A chunked body refused unread (411).
+    Refused,
+    /// The fate of the response just decided: keep-alive or close.
+    Fate(bool),
+    /// The peer's end of stream left nothing to answer.
+    Hangup,
+}
+
+struct Shell {
+    core: Core,
+    seen: Vec<Seen>,
+    done: bool,
+}
+
+impl Shell {
+    fn new(max_requests: u32) -> Self {
+        Shell {
+            core: Core::new(max_requests),
+            seen: Vec::new(),
+            done: false,
+        }
+    }
+
+    fn feed(&mut self, bytes: &[u8]) {
+        if !self.done {
+            self.core.feed(bytes);
+            self.drain();
+        }
+    }
+
+    fn eof(&mut self) {
+        if !self.done {
+            self.core.feed_eof();
+            self.drain();
+        }
+    }
+
+    fn drain(&mut self) {
+        while !self.done {
+            match self.core.next_event() {
+                Event::Request(request) => {
+                    let chunked = request.chunked;
+                    let refused = chunked && request.path != UPLOAD;
+                    self.seen.push(Seen::Request {
+                        method: request.method,
+                        path: request.path,
+                        body: request.body,
+                        chunked,
+                    });
+                    if refused {
+                        self.seen.push(Seen::Refused);
+                    }
+                    if !chunked || refused {
+                        self.fate();
+                    }
+                }
+                Event::Bad(bad) => {
+                    assert!(
+                        matches!(bad.status, 400 | 413 | 431),
+                        "untyped rejection {} ({})",
+                        bad.status,
+                        bad.reason
+                    );
+                    self.seen.push(Seen::Bad(bad.status));
+                    self.fate();
+                }
+                Event::Body(bytes) => {
+                    assert!(!bytes.is_empty(), "empty body event");
+                    match self.seen.last_mut() {
+                        Some(Seen::Body(data)) => data.extend_from_slice(bytes),
+                        _ => self.seen.push(Seen::Body(bytes.to_vec())),
+                    }
+                }
+                Event::BodyEnd => {
+                    self.seen.push(Seen::BodyEnd);
+                    self.fate();
+                }
+                Event::NeedMore => {
+                    assert!(self.core.wants_input(), "need more with a full buffer");
+                    return;
+                }
+                Event::Closed => {
+                    self.seen.push(Seen::Hangup);
+                    self.done = true;
+                }
+            }
+        }
+    }
+
+    fn fate(&mut self) {
+        let keep = self.core.keep_alive(false);
+        self.seen.push(Seen::Fate(keep));
+        self.done = !keep;
+    }
+}
+
+/// Feeds `stream` in the segments `cuts` mark (sorted offsets), then
+/// the end of stream when `eof` is set.
+fn run(stream: &[u8], cuts: &[usize], eof: bool, max_requests: u32) -> Vec<Seen> {
+    let mut shell = Shell::new(max_requests);
+    let mut from = 0;
+    for &cut in cuts.iter().chain([stream.len()].iter()) {
+        shell.feed(&stream[from..cut]);
+        from = cut;
+    }
+    if eof {
+        shell.eof();
+    }
+    shell.seen
+}
+
+/// A compact rendering of what the shell saw, for pinning outcomes.
+fn render(seen: &[Seen]) -> String {
+    let parts: Vec<String> = seen
+        .iter()
+        .map(|s| match s {
+            Seen::Request {
+                method,
+                path,
+                body,
+                chunked,
+            } => match (chunked, body.is_empty()) {
+                (true, _) => format!("{method} {path} chunked"),
+                (false, true) => format!("{method} {path}"),
+                (false, false) => format!("{method} {path} +{}", body.len()),
+            },
+            Seen::Bad(status) => status.to_string(),
+            Seen::Body(data) => format!("body {:?}", String::from_utf8_lossy(data)),
+            Seen::BodyEnd => "end".into(),
+            Seen::Refused => "411".into(),
+            Seen::Fate(true) => "keep".into(),
+            Seen::Fate(false) => "close".into(),
+            Seen::Hangup => "hangup".into(),
+        })
+        .collect();
+    parts.join(", ")
+}
+
+/// One stream of the corpus: its bytes, whether the peer half-closes
+/// after them, the request budget, and the pinned unsplit outcome.
+struct Case {
+    name: &'static str,
+    stream: Vec<u8>,
+    eof: bool,
+    max_requests: u32,
+    expect: &'static str,
+}
+
+fn case(name: &'static str, stream: &[u8], expect: &'static str) -> Case {
+    Case {
+        name,
+        stream: stream.to_vec(),
+        eof: false,
+        max_requests: 0,
+        expect,
+    }
+}
+
+const CHUNKED_HEAD: &str =
+    "POST /v1/trace/intervals HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
+
+fn corpus() -> Vec<Case> {
+    let chunked = |body: &str| [CHUNKED_HEAD, body].concat().into_bytes();
+    let mut too_wide = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+    too_wide.resize(MAX_HEADER_BYTES + 8, b'a');
+    vec![
+        case(
+            "pipelined burst",
+            b"GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /b?q=%20 HTTP/1.1\r\n\r\n\
+              POST /c HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+            "GET /a, keep, GET /b, keep, POST /c +5, keep",
+        ),
+        case(
+            "bare LF header blocks",
+            b"GET /lf HTTP/1.1\nHost: x\n\nGET /z HTTP/1.1\n\n",
+            "GET /lf, keep, GET /z, keep",
+        ),
+        case(
+            "chunked with extensions, trailers and bare LF, then a GET",
+            &chunked(
+                "4;ext=1\r\nabcd\r\nA\n0123456789\n0\r\nTrailer: x\r\n\r\n\
+                 GET /after HTTP/1.1\r\n\r\n",
+            ),
+            "POST /v1/trace/intervals chunked, body \"abcd0123456789\", end, keep, \
+             GET /after, keep",
+        ),
+        case(
+            "chunked off the trace route is refused unread",
+            b"POST /v1/sweep HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+              3\r\nabc\r\n0\r\n\r\nGET /never HTTP/1.1\r\n\r\n",
+            "POST /v1/sweep chunked, 411, close",
+        ),
+        Case {
+            max_requests: 2,
+            ..case(
+                "budget-exhausting request",
+                b"GET /1 HTTP/1.1\r\n\r\nGET /2 HTTP/1.1\r\n\r\nGET /3 HTTP/1.1\r\n\r\n",
+                "GET /1, keep, GET /2, close",
+            )
+        },
+        Case {
+            max_requests: 2,
+            ..case(
+                "budget spent by a chunked upload",
+                &[
+                    b"GET /1 HTTP/1.1\r\n\r\n".as_slice(),
+                    &chunked("2\r\nxy\r\n0\r\n\r\nGET /never HTTP/1.1\r\n\r\n"),
+                ]
+                .concat(),
+                "GET /1, keep, POST /v1/trace/intervals chunked, body \"xy\", end, close",
+            )
+        },
+        case(
+            "HTTP/1.0 closes",
+            b"GET /old HTTP/1.0\r\n\r\nGET /never HTTP/1.0\r\n\r\n",
+            "GET /old, close",
+        ),
+        case(
+            "HTTP/1.0 keep-alive, then Connection: close",
+            b"GET /old HTTP/1.0\r\nConnection: keep-alive\r\n\r\n\
+              GET /next HTTP/1.1\r\nConnection: close\r\n\r\nGET /never HTTP/1.1\r\n\r\n",
+            "GET /old, keep, GET /next, close",
+        ),
+        case(
+            "recoverable 400s",
+            b"BOGUS\r\n\r\n\r\n\r\nGET /%zz HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc\
+              GET /ok HTTP/1.1\r\n\r\n",
+            "400, keep, 400, keep, 400, keep, GET /ok, keep",
+        ),
+        case(
+            "400 on an undeframable encoding",
+            b"POST /x HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\nGET /never HTTP/1.1\r\n\r\n",
+            "400, close",
+        ),
+        case(
+            "400 on a bad Content-Length",
+            b"POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\nGET /never HTTP/1.1\r\n\r\n",
+            "400, close",
+        ),
+        case(
+            "413 on a declared body past the cap",
+            format!(
+                "POST /v1/sweep HTTP/1.1\r\nContent-Length: {}\r\n\r\n0123456789",
+                MAX_BODY_BYTES + 1
+            )
+            .as_bytes(),
+            "413, close",
+        ),
+        case(
+            "431 on a header block past the cap",
+            &too_wide,
+            "431, close",
+        ),
+        case(
+            "413 on a chunk that would pass the decoded cap",
+            &chunked(&format!("1\r\nx\r\n{MAX_DECODED_BODY:x}\r\n")),
+            "POST /v1/trace/intervals chunked, body \"x\", 413, close",
+        ),
+        case(
+            "400 on broken chunk framing",
+            &chunked("3\r\nabcX\r\n"),
+            "POST /v1/trace/intervals chunked, body \"abc\", 400, close",
+        ),
+        Case {
+            eof: true,
+            ..case(
+                "end of stream mid-request",
+                b"GET /ok HTTP/1.1\r\n\r\nGET /cut HTTP/1.1\r\nHo",
+                "GET /ok, keep, hangup",
+            )
+        },
+        Case {
+            eof: true,
+            ..case(
+                "end of stream mid-body",
+                b"POST /c HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+                "hangup",
+            )
+        },
+        Case {
+            eof: true,
+            ..case(
+                "end of stream mid-chunked-body",
+                &chunked("5\r\nab"),
+                "POST /v1/trace/intervals chunked, body \"ab\", 400, close",
+            )
+        },
+        Case {
+            eof: true,
+            ..case(
+                "end of stream between requests",
+                b"GET /a HTTP/1.1\r\n\r\n",
+                "GET /a, keep, hangup",
+            )
+        },
+    ]
+}
+
+#[test]
+fn every_split_point_of_every_short_stream_gives_the_unsplit_events() {
+    for case in corpus() {
+        let whole = run(&case.stream, &[], case.eof, case.max_requests);
+        assert_eq!(render(&whole), case.expect, "{}", case.name);
+        for cut in 0..=case.stream.len() {
+            let split = run(&case.stream, &[cut], case.eof, case.max_requests);
+            assert_eq!(split, whole, "{}: split at {cut}", case.name);
+        }
+        let every: Vec<usize> = (1..case.stream.len()).collect();
+        let bytewise = run(&case.stream, &every, case.eof, case.max_requests);
+        assert_eq!(bytewise, whole, "{}: byte at a time", case.name);
+    }
+}
+
+/// A long stream: pipelined GETs, a chunked upload in odd-sized chunks
+/// with extensions, a `Content-Length` POST, more GETs.
+fn long_stream() -> Vec<u8> {
+    let mut stream = Vec::new();
+    for i in 0..40 {
+        stream
+            .extend_from_slice(format!("GET /v1/table/{i}?scale=test HTTP/1.1\r\n\r\n").as_bytes());
+    }
+    stream.extend_from_slice(CHUNKED_HEAD.as_bytes());
+    let body: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
+    for (n, piece) in body.chunks(997).enumerate() {
+        stream.extend_from_slice(format!("{:x};n={n}\r\n", piece.len()).as_bytes());
+        stream.extend_from_slice(piece);
+        stream.extend_from_slice(b"\r\n");
+    }
+    stream.extend_from_slice(b"0\r\nX-Trailer: done\r\n\r\n");
+    let posted = vec![b'p'; 10_000];
+    stream.extend_from_slice(
+        format!(
+            "POST /v1/sweep HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            posted.len()
+        )
+        .as_bytes(),
+    );
+    stream.extend_from_slice(&posted);
+    for i in 0..40 {
+        stream.extend_from_slice(format!("GET /healthz?i={i} HTTP/1.1\r\n\r\n").as_bytes());
+    }
+    stream
+}
+
+/// Sorted random cut offsets into `len` bytes, segments of 1 byte to
+/// `max_segment` bytes.
+fn random_cuts(rng: &mut SplitMix64, len: usize, max_segment: u64) -> Vec<usize> {
+    let mut cuts = Vec::new();
+    let mut at = 0;
+    loop {
+        at += 1 + rng.below(max_segment) as usize;
+        if at >= len {
+            return cuts;
+        }
+        cuts.push(at);
+    }
+}
+
+#[test]
+fn seeded_random_segmentations_of_long_streams_give_the_unsplit_events() {
+    let stream = long_stream();
+    for (max_requests, eof) in [(0, false), (0, true), (60, true)] {
+        let whole = run(&stream, &[], eof, max_requests);
+        let requests = whole
+            .iter()
+            .filter(|s| matches!(s, Seen::Request { .. }))
+            .count();
+        let expected = if max_requests == 0 { 82 } else { 60 };
+        assert_eq!(requests, expected, "budget {max_requests}");
+        for seed in 0..64 {
+            let mut rng = SplitMix64::new(seed);
+            let max_segment = [3, 64, 1500, 20_000][seed as usize % 4];
+            let cuts = random_cuts(&mut rng, stream.len(), max_segment);
+            let split = run(&stream, &cuts, eof, max_requests);
+            assert_eq!(split, whole, "seed {seed}, budget {max_requests}");
+        }
+    }
+}
+
+/// Fragments that make near-HTTP streams, so the arbitrary inputs reach
+/// deep into the grammar instead of failing at the first byte.
+fn fragment() -> impl Strategy<Value = Vec<u8>> {
+    let pieces: Vec<&'static [u8]> = vec![
+        b"GET / HTTP/1.1\r\n",
+        b"POST /v1/trace/intervals HTTP/1.1\r\n",
+        b"HTTP/1.0",
+        b"\r\n",
+        b"\n",
+        b"\r",
+        b" ",
+        b"Transfer-Encoding: chunked\r\n",
+        b"Content-Length: 4\r\n",
+        b"Connection: close\r\n",
+        b"0\r\n\r\n",
+        b"ffffffffffffffff\r\n",
+        b"3;x=y\r\nabc\r\n",
+        b"%zz",
+        b":",
+    ];
+    prop_oneof![
+        prop::sample::select(pieces).prop_map(<[u8]>::to_vec),
+        prop::collection::vec(0u8..=255, 1..24),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any bytes, any segmentation: typed 4xx only (checked by the
+    /// shell), no panic, bounded buffering, and the unsplit outcome.
+    #[test]
+    fn arbitrary_bytes_give_typed_answers_however_split(
+        fragments in prop::collection::vec(fragment(), 0..40),
+        sizes in prop::collection::vec(1usize..64, 1..32),
+        eof in 0u8..2,
+        max_requests in 0u32..4,
+    ) {
+        let stream = fragments.concat();
+        let mut cuts = Vec::new();
+        let mut at = 0;
+        for size in sizes.iter().cycle() {
+            at += size;
+            if at >= stream.len() {
+                break;
+            }
+            cuts.push(at);
+        }
+        let eof = eof == 1;
+        let whole = run(&stream, &[], eof, max_requests);
+        let split = run(&stream, &cuts, eof, max_requests);
+        prop_assert_eq!(split, whole);
+    }
+}
+
+#[test]
+fn buffering_stays_bounded_for_oversized_input() {
+    // Feed as the reactor does: 16 KiB reads while the core wants
+    // input. Each stream must be decided before the reads stop.
+    let mut too_wide = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+    too_wide.resize(4 << 20, b'a');
+    let mut no_newline = vec![b'A'; 4 << 20];
+    no_newline[0] = b'G';
+    let mut largest =
+        format!("POST /v1/sweep HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n").into_bytes();
+    largest.resize(largest.len() + MAX_BODY_BYTES, b'{');
+    largest.extend_from_slice(b"GET /next HTTP/1.1\r\n\r\n");
+    for (stream, first) in [(too_wide, 431), (no_newline, 431), (largest, 200)] {
+        let mut core = Core::new(0);
+        let mut fed = 0;
+        while core.wants_input() && fed < stream.len() {
+            let end = (fed + 16 * 1024).min(stream.len());
+            core.feed(&stream[fed..end]);
+            fed = end;
+        }
+        let status = match core.next_event() {
+            Event::Request(_) => 200,
+            Event::Bad(bad) => bad.status,
+            other => panic!("undecided after {fed} bytes: {other:?}"),
+        };
+        assert_eq!(status, first);
+        assert!(
+            fed <= MAX_HEADER_BYTES + MAX_BODY_BYTES + 16 * 1024,
+            "read {fed} bytes"
+        );
+    }
+}
+
+/// The keep-alive rule, case by case. `stopping` is the server draining;
+/// `eof` the peer half-closing after the bytes.
+#[test]
+fn fate_table() {
+    let get = "GET /a HTTP/1.1\r\n\r\n";
+    let rows: [(&str, &str, bool, bool, bool); 15] = [
+        ("plain request", get, false, false, true),
+        ("plain request while draining", get, true, false, false),
+        ("recoverable 400", "BOGUS\r\n\r\n", false, false, true),
+        // A 4xx answered while the server drains announces the close
+        // the connection then gets.
+        (
+            "recoverable 400 while draining",
+            "BOGUS\r\n\r\n",
+            true,
+            false,
+            false,
+        ),
+        (
+            "client asked to close",
+            "GET /a HTTP/1.1\r\nConnection: close\r\n\r\n",
+            false,
+            false,
+            false,
+        ),
+        ("HTTP/1.0", "GET /a HTTP/1.0\r\n\r\n", false, false, false),
+        ("half-closed, nothing buffered", get, false, true, false),
+        // A half-closed peer's buffered request is still served, so
+        // the answer before it keeps the connection.
+        (
+            "half-closed, a request buffered",
+            "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n",
+            false,
+            true,
+            true,
+        ),
+        (
+            "half-closed, a bad request buffered",
+            "GET /a HTTP/1.1\r\n\r\nBOGUS\r\n\r\n",
+            false,
+            true,
+            true,
+        ),
+        (
+            "half-closed, a partial request buffered",
+            "GET /a HTTP/1.1\r\n\r\nGET /b",
+            false,
+            true,
+            false,
+        ),
+        (
+            "framing lost",
+            "POST /a HTTP/1.1\r\nTransfer-Encoding: gzip\r\n\r\n",
+            false,
+            false,
+            false,
+        ),
+        (
+            "chunked body left unread",
+            "POST /v1/sweep HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n1\r\n",
+            false,
+            false,
+            false,
+        ),
+        (
+            "oversized body",
+            "POST /a HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
+            false,
+            false,
+            false,
+        ),
+        (
+            "budget spent",
+            "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n",
+            false,
+            false,
+            false,
+        ),
+        (
+            "budget left",
+            "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n",
+            false,
+            false,
+            true,
+        ),
+    ];
+    for (name, stream, stopping, eof, keep) in rows {
+        let max_requests = if name == "budget spent" { 1 } else { 2 };
+        let mut core = Core::new(max_requests);
+        core.feed(stream.as_bytes());
+        if eof {
+            core.feed_eof();
+        }
+        match core.next_event() {
+            Event::Request(_) | Event::Bad(_) => {}
+            other => panic!("{name}: {other:?}"),
+        }
+        assert_eq!(core.keep_alive(stopping), keep, "{name}");
+        let closed = matches!(core.next_event(), Event::Closed);
+        assert_eq!(closed, !keep, "{name}: a close is final");
+    }
+
+    // A chunked body read to its end keeps the connection.
+    let mut core = Core::new(0);
+    core.feed(format!("{CHUNKED_HEAD}1\r\nx\r\n0\r\n\r\n").as_bytes());
+    assert!(matches!(core.next_event(), Event::Request(_)));
+    assert!(matches!(core.next_event(), Event::Body(b"x")));
+    assert!(matches!(core.next_event(), Event::BodyEnd));
+    assert!(core.keep_alive(false));
+
+    // A close is final: nothing more is served, and a failed write
+    // closes whatever the requests asked.
+    let mut core = Core::new(0);
+    core.feed(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n");
+    assert!(matches!(core.next_event(), Event::Request(_)));
+    core.abort();
+    assert!(!core.keep_alive(false));
+    assert!(matches!(core.next_event(), Event::Closed));
+}
+
+/// The decoded-body cap of chunked uploads: a body may declare exactly
+/// `MAX_DECODED_BODY` bytes; the size line that would pass it is
+/// refused with 413 before any of its data is read.
+#[test]
+fn decoded_body_cap_is_enforced_at_the_size_line() {
+    let open = |sizes: &str| {
+        let mut core = Core::new(0);
+        core.feed(format!("{CHUNKED_HEAD}{sizes}").as_bytes());
+        assert!(matches!(core.next_event(), Event::Request(_)));
+        core
+    };
+
+    let mut core = open(&format!("{MAX_DECODED_BODY:x}\r\n"));
+    assert!(
+        matches!(core.next_event(), Event::NeedMore),
+        "exactly the cap is accepted"
+    );
+
+    for sizes in [
+        format!("{:x}\r\n", MAX_DECODED_BODY + 1),
+        format!("1\r\nx\r\n{MAX_DECODED_BODY:x}\r\n"),
+        "ffffffffffffffff\r\n".to_string(),
+    ] {
+        let mut core = open(&sizes);
+        loop {
+            match core.next_event() {
+                Event::Body(_) => {}
+                Event::Bad(bad) => {
+                    assert_eq!(bad.status, 413, "{sizes:?}: {}", bad.reason);
+                    break;
+                }
+                other => panic!("{sizes:?}: {other:?}"),
+            }
+        }
+        assert!(!core.keep_alive(false), "{sizes:?}: framing is lost");
+    }
+}

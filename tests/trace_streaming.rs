@@ -441,6 +441,110 @@ fn chunked_upload_exhausting_the_request_budget_is_answered() {
     server.shutdown();
 }
 
+/// The stage names of the `Server-Timing` header in a response head.
+fn timing_stages(raw: &[u8]) -> Vec<String> {
+    let head_end = raw
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .expect("header terminator");
+    let head = String::from_utf8_lossy(&raw[..head_end]).into_owned();
+    let timing = head
+        .lines()
+        .find_map(|line| line.strip_prefix("Server-Timing: "))
+        .unwrap_or_else(|| panic!("no Server-Timing header: {head}"));
+    timing
+        .split(", ")
+        .map(|stage| stage.split(';').next().unwrap_or("").to_string())
+        .collect()
+}
+
+/// The flight-recorder record of `trace_id`, once it is published.
+fn recorded(addr: SocketAddr, trace_id: &str) -> Json {
+    for _ in 0..50 {
+        let debug = fetch(addr, "GET", "/debug/requests?n=256", None, CLIENT_TIMEOUT)
+            .expect("/debug/requests");
+        let doc = json::parse(&debug.text()).expect("debug JSON parses");
+        let records = doc
+            .get("records")
+            .and_then(Json::as_array)
+            .expect("records");
+        if let Some(record) = records
+            .iter()
+            .find(|r| r.get("trace_id").and_then(Json::as_str) == Some(trace_id))
+        {
+            return record.clone();
+        }
+        std::thread::sleep(Duration::from_millis(40));
+    }
+    panic!("trace {trace_id} never reached /debug/requests");
+}
+
+/// A chunked upload that sends `X-Request-Id` is answered and recorded
+/// like any other response: the same `Server-Timing` stages as the
+/// same body uploaded with `Content-Length`, and a flight-recorder
+/// record with its response size and disjoint stages (queue,
+/// serialize, write) that fit in its total.
+#[test]
+fn chunked_upload_is_traced_like_any_other_response() {
+    let server = Server::start(test_config()).expect("server starts");
+    let addr = server.addr();
+    let body = lktr_trace("isa:memcpy", 5_000, 2);
+
+    let mut buffered = format!(
+        "POST /v1/trace/intervals HTTP/1.1\r\nX-Request-Id: 31336\r\n\
+         Connection: close\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    buffered.extend_from_slice(&body);
+    let buffered = exchange(addr, &buffered, false);
+    let chunked = chunked_request(
+        "/v1/trace/intervals",
+        "X-Request-Id: 31337\r\nConnection: close\r\n",
+        &body,
+        4096,
+    );
+    let chunked = exchange(addr, &chunked, false);
+
+    assert_eq!(split_response(&buffered).0, 200);
+    assert_eq!(split_response(&chunked).0, 200);
+    assert!(
+        String::from_utf8_lossy(&chunked).contains("X-Request-Id: 31337\r\n"),
+        "the client id is echoed"
+    );
+    let stages = timing_stages(&chunked);
+    assert_eq!(stages, timing_stages(&buffered));
+    assert!(stages.len() >= 7, "{stages:?}");
+
+    for trace_id in ["31336", "31337"] {
+        let record = recorded(addr, trace_id);
+        let field = |name: &str| {
+            record
+                .get(name)
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("{trace_id}: record field {name}: {record:?}"))
+        };
+        assert_eq!(record.get("route").and_then(Json::as_str), Some("trace"));
+        assert_eq!(field("status"), 200.0, "{trace_id}");
+        assert!(field("resp_bytes") > 0.0, "{trace_id}: {record:?}");
+        let disjoint = [
+            "parse_us",
+            "queue_us",
+            "handler_us",
+            "serialize_us",
+            "write_us",
+        ]
+        .map(field)
+        .iter()
+        .sum::<f64>();
+        assert!(
+            disjoint <= field("total_us"),
+            "{trace_id}: disjoint stages {disjoint} exceed the total: {record:?}"
+        );
+    }
+    server.shutdown();
+}
+
 /// The bounded-memory acceptance gate: a >1M-event pointer-chase
 /// trace flows through the streaming extractor while its resident
 /// state never exceeds the program's line footprint — a fixed
