@@ -14,8 +14,8 @@ use leakage_core::policy::{OptDrowsy, OptHybrid, OptSleep};
 use leakage_core::{EnergyContext, GeneralizedModel, PowerMode, RefetchAccounting};
 use leakage_energy::{CircuitParams, ModePowers, ModeTimings, TechnologyNode};
 use leakage_intervals::{
-    CompactIntervalDist, IntervalClass, IntervalExtractor, IntervalKind, StreamingExtractor,
-    WakeHints,
+    front_slot, CompactIntervalDist, IntervalClass, IntervalExtractor, IntervalKind,
+    StreamingExtractor, WakeHints,
 };
 use leakage_isa::{IsaSource, PROGRAMS};
 use leakage_prefetch::{NextLinePrefetcher, StridePrefetcher};
@@ -488,46 +488,72 @@ pub fn check_extractor_fuzz(traces: u32) -> CheckOutcome {
 
 /// The bounded-state streaming extractor against the line-keyed O(n²)
 /// oracle: fuzzed finite traces (explicit ends, same-cycle repeats,
-/// zero-length tails) plus the executed trace of every ISA program,
+/// zero-length tails), fuzzed traces over lines that share the
+/// extractor's front entries, and the executed trace of every ISA program,
 /// demanding exact structural equality and resident state bounded by
 /// the number of distinct lines the trace touches.
 pub fn check_streaming_intervals(traces: u32) -> CheckOutcome {
     const NAME: &str = "streaming_intervals";
     let mut rng = rng_for(NAME);
-    // Fuzzed traces over a 6-line universe, nondecreasing cycles.
-    for trace in 0..traces {
-        let len = rng.below(200) as usize;
-        let mut cycle = 0u64;
-        let mut events = Vec::with_capacity(len);
-        for _ in 0..len {
-            cycle += rng.below(4);
-            events.push(AccessEvent {
-                frame: 0,
-                line: LineAddr::new(rng.below(6)),
-                cycle,
-                hit: rng.below(2) == 1,
-                dirty: rng.below(2) == 1,
-            });
-        }
-        let end = cycle + rng.below(10);
-        let mut streaming = StreamingExtractor::new(6, CompactIntervalDist::new());
-        for e in &events {
-            streaming.on_access(e.line, Cycle::new(e.cycle));
-        }
-        let peak = streaming.peak_resident_lines();
-        if peak > 6 {
-            return CheckOutcome::fail(
-                NAME,
-                format!("fuzz trace {trace}: {peak} resident lines from a 6-line universe"),
-            );
-        }
-        let prod = streaming.finish_at(Cycle::new(end));
-        let reference = reference_line_intervals_quadratic(&events, end);
-        if prod != reference {
-            return CheckOutcome::fail(
-                NAME,
-                format!("fuzz trace {trace}: streaming dist diverges ({len} events, end {end})"),
-            );
+    // Fuzzed traces with nondecreasing cycles over two universes: six
+    // consecutive lines, and twelve lines, four in each of three front
+    // entries, so that accesses keep evicting each other's front
+    // entries (dirty ones included) and most lookups reach the map.
+    let shared: Vec<LineAddr> = [3usize, 700, 4095]
+        .iter()
+        .flat_map(|&slot| {
+            (0u64..)
+                .map(LineAddr::new)
+                .filter(move |&line| front_slot(line) == slot)
+                .take(4)
+        })
+        .collect();
+    let universes = [
+        ("fuzz", (0..6).map(LineAddr::new).collect()),
+        ("front-aliasing", shared),
+    ];
+    for (label, lines) in &universes {
+        for trace in 0..traces {
+            let len = rng.below(200) as usize;
+            let mut cycle = 0u64;
+            let mut events = Vec::with_capacity(len);
+            for _ in 0..len {
+                cycle += rng.below(4);
+                events.push(AccessEvent {
+                    frame: 0,
+                    line: lines[rng.below(lines.len() as u64) as usize],
+                    cycle,
+                    hit: rng.below(2) == 1,
+                    dirty: rng.below(2) == 1,
+                });
+            }
+            let end = cycle + rng.below(10);
+            let touched: std::collections::HashSet<LineAddr> =
+                events.iter().map(|e| e.line).collect();
+            let mut streaming = StreamingExtractor::new(6, CompactIntervalDist::new());
+            for e in &events {
+                streaming.on_access(e.line, Cycle::new(e.cycle));
+            }
+            let peak = streaming.peak_resident_lines();
+            if peak > touched.len() {
+                return CheckOutcome::fail(
+                    NAME,
+                    format!(
+                        "{label} trace {trace}: {peak} resident lines from {} touched",
+                        touched.len()
+                    ),
+                );
+            }
+            let prod = streaming.finish_at(Cycle::new(end));
+            let reference = reference_line_intervals_quadratic(&events, end);
+            if prod != reference {
+                return CheckOutcome::fail(
+                    NAME,
+                    format!(
+                        "{label} trace {trace}: streaming dist diverges ({len} events, end {end})"
+                    ),
+                );
+            }
         }
     }
     // Executed ISA programs through the TraceSink adapter (64-byte
@@ -588,7 +614,10 @@ pub fn check_streaming_intervals(traces: u32) -> CheckOutcome {
     }
     CheckOutcome::pass(
         NAME,
-        format!("{traces} fuzz traces; {}", program_detail.join("; ")),
+        format!(
+            "{traces} fuzz traces; {traces} front-aliasing traces; {}",
+            program_detail.join("; ")
+        ),
     )
 }
 

@@ -55,7 +55,7 @@ mod tally;
 pub use dist::{CompactIntervalDist, IntervalClass};
 pub use extractor::IntervalExtractor;
 pub use interval::{Interval, IntervalKind, WakeHints};
-pub use streaming::StreamingExtractor;
+pub use streaming::{front_slot, StreamingExtractor, FRONT_LEN};
 pub use tally::{IntervalTally, DENSE_LEN};
 
 /// A consumer of extracted intervals.

@@ -35,7 +35,7 @@ use crate::conn::Event;
 use crate::http::{Request, Response, WireResponse};
 use crate::reactor::Connection;
 use crate::routes::{self, RouteContext};
-use leakage_intervals::{CompactIntervalDist, StreamingExtractor};
+use leakage_intervals::{IntervalTally, StreamingExtractor};
 use leakage_telemetry::json;
 use leakage_telemetry::registry;
 use leakage_trace::io::StreamDecoder;
@@ -44,11 +44,14 @@ use std::io::{self, Read};
 use std::time::Duration;
 
 /// Most distinct lines one upload may touch (413 beyond): 2^18, six
-/// times the 41,943 records a 1 MiB `Content-Length` body holds.
-/// Measured on x86-64 with distinct-line loads, the open-line map holds
-/// 8.5 MiB at the cap and the upload peaks at 31.3 MiB once finalization
-/// adds one trailing-interval class per line. Checked after each fed
-/// buffer, so the map overshoots by at most that buffer's records.
+/// times the 41,942 records a 1 MiB `Content-Length` body holds.
+/// Measured on x86-64 with distinct-line loads and a counting
+/// allocator, the extractor holds 8.6 MiB at the cap (the open-line
+/// map's 8.5 MiB and its fixed 96 KiB front), and the upload peaks at
+/// 23.0 MiB, the tally's 128 KiB included, once finalization adds one
+/// trailing-interval class per line; the map is freed before that
+/// summary grows. Checked after each fed buffer, so the map overshoots
+/// by at most that buffer's records.
 pub const MAX_RESIDENT_LINES: usize = 1 << 18;
 
 /// Largest accepted `line_bits` query value (a 16M-line index space;
@@ -77,11 +80,12 @@ fn parse_line_bits(request: &Request) -> Result<u32, Response> {
 }
 
 /// An in-flight trace upload: LKTR record decoding feeding the
-/// streaming per-line extractor. Constant memory per touched line, at
-/// most [`MAX_RESIDENT_LINES`] of them; nothing retains the body.
+/// streaming per-line extractor, which counts into a dense tally.
+/// Constant memory per touched line, at most [`MAX_RESIDENT_LINES`] of
+/// them; nothing retains the body.
 struct TraceIngest {
     decoder: StreamDecoder,
-    extractor: StreamingExtractor<CompactIntervalDist>,
+    extractor: StreamingExtractor<IntervalTally>,
     line_bits: u32,
 }
 
@@ -89,7 +93,7 @@ impl TraceIngest {
     fn new(line_bits: u32) -> Self {
         TraceIngest {
             decoder: StreamDecoder::new(),
-            extractor: StreamingExtractor::new(line_bits, CompactIntervalDist::new()),
+            extractor: StreamingExtractor::new(line_bits, IntervalTally::new()),
             line_bits,
         }
     }
@@ -118,7 +122,7 @@ impl TraceIngest {
         let lines = extractor.resident_lines() as u64;
         let peak = extractor.peak_resident_lines() as u64;
         let end_cycle = extractor.watermark().map_or(0, |last| last.raw() + 1);
-        let dist = extractor.finish();
+        let dist = extractor.finish().into_dist();
         Ok(Response::json(
             200,
             json::object([
