@@ -39,13 +39,12 @@
 //! its timestamp after it entered the front (its *dirty* flag), so
 //! every write-back is paid for by an earlier hit that hashed nothing.
 //!
-//! A client can still choose lines that share front entries so that
-//! every access misses, and then the front is pure overhead. So after
-//! every 4,096 misses the extractor checks the hits it got for them;
-//! below one hit in eight lookups it writes the front back and sits it
-//! out for the next 2^18 accesses, which go straight to the map. Input
-//! built to defeat the front thus costs per access what the map alone
-//! costs, plus a counter.
+//! A client can pick lines that share front entries so that every
+//! access misses. Such an access pays the map update the map alone
+//! paid plus a compare and a store in the front; with the lookup inline
+//! and the write-back out of line, that input costs the upload handler
+//! what it cost before the front (`front_miss` in
+//! `scripts/bench_streaming.sh`).
 //!
 //! # Watermark finalization
 //!
@@ -93,23 +92,33 @@ struct FrontEntry {
     dirty: bool,
 }
 
-/// The empty entry `slot`: it holds line 0, or line 1 in line 0's own
-/// slot, a line that is never looked up there. So an empty entry
-/// matches no line (`u64::MAX` included) and needs no flag.
-fn empty_entry(slot: usize) -> FrontEntry {
-    FrontEntry {
-        line: u64::from(slot == front_slot(LineAddr::new(0))),
+/// An empty front: every entry holds line 0, except line 0's own
+/// entry, which holds line 1. Each holds a line that is never looked up
+/// there, so an empty entry matches no line (`u64::MAX` included) and
+/// needs no flag.
+fn empty_front() -> Box<[FrontEntry; FRONT_LEN]> {
+    let empty = FrontEntry {
+        line: 0,
         last: Cycle::ZERO,
         dirty: false,
-    }
+    };
+    let mut front: Box<[FrontEntry; FRONT_LEN]> = vec![empty; FRONT_LEN]
+        .into_boxed_slice()
+        .try_into()
+        .expect("FRONT_LEN entries");
+    front[front_slot(LineAddr::new(0))].line = 1;
+    front
 }
 
-/// Front misses between checks that the front still earns its keep.
-const MISS_WINDOW: u64 = 4096;
-
-/// Accesses the front sits out once a check finds it missing nearly
-/// every time.
-const FRONT_OFF_SPAN: u32 = 1 << 18;
+/// Writes a dirty entry the front evicts back to the line table.
+/// Out of line: it runs only after a hit dirtied the entry.
+#[cold]
+#[inline(never)]
+fn write_back(open: &mut HashMap<LineAddr, Cycle>, entry: &FrontEntry) {
+    if let Some(stale) = open.get_mut(&LineAddr::new(entry.line)) {
+        *stale = entry.last;
+    }
+}
 
 /// Incremental line-centric interval extractor with state bounded by
 /// the trace's line footprint.
@@ -138,13 +147,9 @@ pub struct StreamingExtractor<S> {
     /// Every touched line and its last access, except that a dirty
     /// front entry holds a newer one.
     open: HashMap<LineAddr, Cycle>,
-    /// A write-back cache of `open`, indexed by [`front_slot`].
-    front: Box<[FrontEntry]>,
-    /// Front hits and misses since the last check.
-    front_hits: u64,
-    front_misses: u64,
-    /// Accesses left before the front is used again (0 while on).
-    front_off: u32,
+    /// A write-back cache of `open`, indexed by [`front_slot`]; its
+    /// fixed length lets the lookup skip a bounds check.
+    front: Box<[FrontEntry; FRONT_LEN]>,
     /// The highest cycle seen (meaningful once `events > 0`).
     max_cycle: Cycle,
     peak_resident: usize,
@@ -159,10 +164,7 @@ impl<S: IntervalSink> StreamingExtractor<S> {
         StreamingExtractor {
             line_bits,
             open: HashMap::new(),
-            front: (0..FRONT_LEN).map(empty_entry).collect(),
-            front_hits: 0,
-            front_misses: 0,
-            front_off: 0,
+            front: empty_front(),
             max_cycle: Cycle::ZERO,
             peak_resident: 0,
             events: 0,
@@ -200,22 +202,11 @@ impl<S: IntervalSink> StreamingExtractor<S> {
 
     /// Records one access to `line` at `cycle`, closing the line's
     /// previous interval (if any) into the sink.
+    #[inline]
     pub fn on_access(&mut self, line: LineAddr, cycle: Cycle) {
         self.events += 1;
         self.max_cycle = self.max_cycle.max(cycle);
-        let last = if self.front_off == 0 {
-            self.through_front(line, cycle)
-        } else {
-            self.front_off -= 1;
-            if self.front_off == 0 {
-                // The map moved on while the front sat out.
-                for (slot, entry) in self.front.iter_mut().enumerate() {
-                    *entry = empty_entry(slot);
-                }
-            }
-            self.open.insert(line, cycle)
-        };
-        match last {
+        match self.through_front(line, cycle) {
             Some(last) => self.emit(
                 last,
                 cycle.saturating_since(last),
@@ -227,37 +218,23 @@ impl<S: IntervalSink> StreamingExtractor<S> {
 
     /// Looks `line` up in the front, then the table, and records
     /// `cycle` as its last access: the previous one, if any.
+    #[inline]
     fn through_front(&mut self, line: LineAddr, cycle: Cycle) -> Option<Cycle> {
         let key = line.index();
         let entry = &mut self.front[front_slot(line)];
         if entry.line == key {
-            self.front_hits += 1;
             entry.dirty = true;
             return Some(std::mem::replace(&mut entry.last, cycle));
         }
         if entry.dirty {
-            if let Some(stale) = self.open.get_mut(&LineAddr::new(entry.line)) {
-                *stale = entry.last;
-            }
+            write_back(&mut self.open, entry);
         }
         *entry = FrontEntry {
             line: key,
             last: cycle,
             dirty: false,
         };
-        let last = self.open.insert(line, cycle);
-        self.front_misses += 1;
-        if self.front_misses == MISS_WINDOW {
-            // Below a hit in eight lookups, the lookup costs more
-            // than the hits save: sit the front out for a while.
-            if self.front_hits * 7 < MISS_WINDOW {
-                self.flush_front();
-                self.front_off = FRONT_OFF_SPAN;
-            }
-            self.front_hits = 0;
-            self.front_misses = 0;
-        }
-        last
+        self.open.insert(line, cycle)
     }
 
     /// Writes every dirty front entry back to the table.
@@ -321,7 +298,7 @@ impl<S: IntervalSink> TraceSink for StreamingExtractor<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CollectSink, CompactIntervalDist};
+    use crate::CollectSink;
     use leakage_trace::{Address, Pc};
 
     fn line(i: u64) -> LineAddr {
@@ -460,66 +437,6 @@ mod tests {
         let strided: std::collections::HashSet<usize> =
             (0..64).map(|k| front_slot(line(7 + (k << 14)))).collect();
         assert!(strided.len() >= 60, "{} distinct entries", strided.len());
-    }
-
-    #[test]
-    fn a_dirty_entry_written_back_on_sitting_out_stays_written_back() {
-        // Line 9 is dirtied by a hit, the front then sits out, line 9
-        // moves on in the map, and the extractor finishes while the
-        // front is still out: the trailing interval starts at line 9's
-        // last access, not at the front's stale copy.
-        let lines = sharing_slot(front_slot(line(9)) ^ 1, 8);
-        let mut x = StreamingExtractor::new(0, CollectSink::new());
-        x.on_access(line(9), c(0));
-        x.on_access(line(9), c(1));
-        // The first access to line 9 was the window's first miss.
-        for i in 0..MISS_WINDOW - 1 {
-            x.on_access(line(lines[i as usize % 8]), c(2 + i));
-        }
-        assert_eq!(x.front_off, FRONT_OFF_SPAN);
-        let late = 1 + MISS_WINDOW;
-        x.on_access(line(9), c(late));
-        let intervals = x.finish_at(c(late + 5)).into_intervals();
-        let trailing_of_9 = intervals
-            .iter()
-            .filter(|i| i.kind == IntervalKind::Trailing)
-            .find(|i| i.start == c(late) || i.start == c(1))
-            .unwrap();
-        assert_eq!(trailing_of_9.start, c(late));
-        assert_eq!(trailing_of_9.length, 5);
-    }
-
-    #[test]
-    fn a_front_that_always_misses_sits_out_then_returns() {
-        // Eight lines sharing one entry, cycled: every lookup misses.
-        let lines = sharing_slot(0, 8);
-        let mut x = StreamingExtractor::new(0, CompactIntervalDist::new());
-        let mut cycle = 0;
-        let mut access = |x: &mut StreamingExtractor<_>, l: u64| {
-            x.on_access(line(l), c(cycle));
-            cycle += 1;
-        };
-        for i in 0..MISS_WINDOW as usize {
-            access(&mut x, lines[i % 8]);
-        }
-        assert_eq!(x.front_off, FRONT_OFF_SPAN);
-        for i in 0..FRONT_OFF_SPAN as usize {
-            access(&mut x, lines[i % 8]);
-        }
-        assert_eq!(x.front_off, 0);
-        // Back on: one line re-accessed hits the front.
-        access(&mut x, lines[0]);
-        access(&mut x, lines[0]);
-        assert_eq!(x.front_hits, 1);
-        let events = x.events();
-        let dist = x.finish();
-        // Every interior interval but the last is eight cycles long.
-        let interior = |class: &crate::IntervalClass| class.kind != IntervalKind::Trailing;
-        assert_eq!(dist.count_matching(interior), events - 8);
-        assert_eq!(
-            dist.count_matching(|class| interior(class) && class.length == 8),
-            events - 9
-        );
     }
 
     #[test]

@@ -142,28 +142,40 @@ fn dense_class(index: usize) -> IntervalClass {
 impl IntervalSink for IntervalTally {
     #[inline]
     fn record(&mut self, interval: Interval) {
-        if interval.length >= DENSE_LEN {
-            return self.inner.record(interval);
-        }
         let class = IntervalClass::from(&interval);
-        match dense_index(&class) {
-            Some(index) => {
-                let cell = &mut self.dense[index];
-                if *cell == 0 {
-                    // Claim the class's map entry in first-seen order.
-                    self.inner.add(class, 0);
-                    self.claimed.push(index as u16);
-                }
-                *cell += 1;
-                if *cell == u16::MAX {
-                    // Spill a full cell; the entry already exists, so
-                    // re-claiming it after the reset changes nothing
-                    // (the fold reads a repeated claim's cell once).
-                    self.inner.add(class, u64::from(u16::MAX));
-                    *cell = 0;
-                }
-            }
-            None => self.inner.record(interval),
+        let Some(index) = dense_index(&class) else {
+            return self.inner.add(class, 1);
+        };
+        let cell = &mut self.dense[index];
+        if *cell == 0 || *cell == u16::MAX - 1 {
+            self.count_rare(class, index);
+        } else {
+            *cell += 1;
+        }
+    }
+}
+
+impl IntervalTally {
+    /// Counts `class` in its cell `index` on the two rare steps: the
+    /// class's first interval and the one that fills its cell. Kept
+    /// out of line so that [`record`](IntervalSink::record) inlines
+    /// into its callers' loops.
+    #[cold]
+    #[inline(never)]
+    fn count_rare(&mut self, class: IntervalClass, index: usize) {
+        let cell = &mut self.dense[index];
+        if *cell == 0 {
+            // Claim the class's map entry in first-seen order.
+            self.inner.add(class, 0);
+            self.claimed.push(index as u16);
+        }
+        *cell += 1;
+        if *cell == u16::MAX {
+            // Spill a full cell; the entry already exists, so
+            // re-claiming it after the reset changes nothing (the fold
+            // reads a repeated claim's cell once).
+            self.inner.add(class, u64::from(u16::MAX));
+            *cell = 0;
         }
     }
 }

@@ -18,9 +18,8 @@
 //!   of each SPEC analog and `isa:*` program;
 //! * `front_miss` — twelve copies of one body of the same length that
 //!   cycles 1,024 lines sharing one front entry, four cycles apart:
-//!   every lookup misses the extractor's front (until it sits the
-//!   front out), and every interval is `DENSE_LEN` cycles long, so it
-//!   misses the tally's dense array too. That is the most a client can
+//!   every lookup misses the extractor's front, and every interval is
+//!   `DENSE_LEN` cycles long, so it misses the tally's dense array too. That is the most a client can
 //!   make an upload cost per event short of minting a new interval
 //!   class per event, which costs one map insert with or without
 //!   either.
@@ -38,20 +37,21 @@
 use cache_leakage_limits::intervals::{
     front_slot, CompactIntervalDist, IntervalTally, StreamingExtractor, DENSE_LEN, FRONT_LEN,
 };
-use cache_leakage_limits::server::http::MAX_BODY_BYTES;
 use cache_leakage_limits::server::streaming::intervals_from_bytes;
 use cache_leakage_limits::server::Request;
 use cache_leakage_limits::telemetry::json;
 use cache_leakage_limits::trace::io::{StreamDecoder, TraceWriter};
-use cache_leakage_limits::trace::{
-    Address, Cycle, LineAddr, MemoryAccess, Pc, TraceSink, TraceSource, VecTrace,
-};
-use cache_leakage_limits::workloads::{by_name, Scale, ISA_SUITE_NAMES, SUITE_NAMES};
+use cache_leakage_limits::trace::{Address, Cycle, LineAddr, MemoryAccess, Pc, TraceSink};
+use cache_leakage_limits::workloads::{ISA_SUITE_NAMES, SUITE_NAMES};
 use std::hint::black_box;
 use std::time::Instant;
 
 mod bench_util;
 use bench_util::{commit_arg, quartiles};
+
+#[path = "../tests/support/uploads.rs"]
+mod uploads;
+use uploads::{upload_events, RECORDS};
 
 /// The steps, in perfbench's layer names.
 const STEPS: [&str; 4] = [
@@ -67,10 +67,6 @@ const ROUNDS: usize = 21;
 /// Cache-line bits of the uploads (the route's default).
 const LINE_BITS: u32 = 6;
 
-/// Records in one upload: as many 25-byte records as fit the
-/// `Content-Length` cap after the 8-byte header.
-const RECORDS: usize = (MAX_BODY_BYTES - 8) / 25;
-
 /// Lines the `front_miss` body cycles through.
 const MISS_LINES: u64 = 1024;
 
@@ -81,22 +77,6 @@ impl TraceSink for Count {
     fn accept(&mut self, access: MemoryAccess) {
         black_box(access);
         self.0 += 1;
-    }
-}
-
-/// The first `records` accesses of a benchmark, run at doubling cycle
-/// budgets until it makes that many (as `serve_mixed` builds them).
-fn upload_events(name: &str, records: usize) -> Vec<MemoryAccess> {
-    let mut cycles = records as u64;
-    loop {
-        let mut trace = VecTrace::new();
-        by_name(name, Scale::Custom(cycles))
-            .expect("benchmark")
-            .run(&mut trace);
-        if trace.events().len() >= records {
-            return trace.events()[..records].to_vec();
-        }
-        cycles *= 2;
     }
 }
 
@@ -184,7 +164,7 @@ fn main() {
     let uploads: Vec<Vec<u8>> = SUITE_NAMES
         .iter()
         .chain(ISA_SUITE_NAMES.iter())
-        .map(|name| encode(upload_events(name, RECORDS)))
+        .map(|name| encode(upload_events(name)))
         .collect();
     let miss = front_miss_body();
     let families: [(&str, Vec<Vec<u8>>); 2] = [

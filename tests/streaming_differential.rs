@@ -11,9 +11,10 @@
 //! are the twelve upload-sized benchmark traces the serving benchmark
 //! uploads, `profile_line_centric` at test scale, a `line_bits=0`
 //! trace opening on line `u64::MAX`, which an empty front entry must
-//! not be mistaken for, and a trace that makes the front sit out and
-//! come back. The upload route's `IntervalTally` sink is pinned to the
-//! `CompactIntervalDist` sink the same way.
+//! not be mistaken for, and a trace that evicts dirty front entries by
+//! cycling lines that share one entry. The upload route's
+//! `IntervalTally` sink is pinned to the `CompactIntervalDist` sink the
+//! same way.
 
 use cache_leakage_limits::cachesim::FrameId;
 use cache_leakage_limits::experiments::profile_line_centric;
@@ -21,12 +22,14 @@ use cache_leakage_limits::intervals::{
     front_slot, CompactIntervalDist, Interval, IntervalClass, IntervalKind, IntervalSink,
     IntervalTally, StreamingExtractor, WakeHints,
 };
-use cache_leakage_limits::server::http::MAX_BODY_BYTES;
 use cache_leakage_limits::trace::{
     Address, Cycle, LineAddr, MemoryAccess, Pc, TraceSink, TraceSource, VecTrace,
 };
 use cache_leakage_limits::workloads::{by_name, Scale, ISA_SUITE_NAMES, SUITE_NAMES};
 use std::collections::HashMap;
+
+#[path = "support/uploads.rs"]
+mod uploads;
 
 /// The extractor as it was before the front: one map from each
 /// touched line to its last access.
@@ -136,29 +139,10 @@ fn assert_same(what: &str, line_bits: u32, events: &[MemoryAccess]) {
     );
 }
 
-/// The first `records` accesses of a benchmark, run at doubling cycle
-/// budgets until it makes that many: the serving benchmark's uploads.
-fn upload_events(name: &str, records: usize) -> Vec<MemoryAccess> {
-    let mut cycles = records as u64;
-    loop {
-        let mut trace = VecTrace::new();
-        by_name(name, Scale::Custom(cycles))
-            .expect("benchmark")
-            .run(&mut trace);
-        if trace.events().len() >= records {
-            return trace.events()[..records].to_vec();
-        }
-        cycles *= 2;
-    }
-}
-
 #[test]
 fn upload_sized_benchmark_traces_match_the_map_extractor() {
-    // As many 25-byte LKTR records as fit the 1 MiB Content-Length cap
-    // after the 8-byte header.
-    let records = (MAX_BODY_BYTES - 8) / 25;
     for name in SUITE_NAMES.iter().chain(ISA_SUITE_NAMES.iter()) {
-        assert_same(name, 6, &upload_events(name, records));
+        assert_same(name, 6, &uploads::upload_events(name));
     }
 }
 
@@ -235,24 +219,17 @@ fn line_u64_max_first_matches_the_map_extractor() {
 }
 
 #[test]
-fn a_front_that_sits_out_matches_the_map_extractor() {
+fn evicted_dirty_front_entries_match_the_map_extractor() {
     // A local phase that leaves many front entries dirty, 20,000
     // accesses cycling eight lines that share one front entry (every
-    // lookup misses, so the front is written back and sits out), the
-    // local lines again while it is out, and then either the end or a
-    // long local phase past the span it sits out for.
+    // lookup misses), the local lines again, which now write back or
+    // miss, and the end with entries still dirty.
     let local = |i: u64| 1000 + (i / 5) % 700 + (i % 3) * 4096;
     let shared = sharing_slot_with(42, 8);
-    let sitting_out: Vec<u64> = (0..10_000)
+    let lines: Vec<u64> = (0..10_000)
         .map(local)
         .chain((0..20_000).map(|i| shared[i % 8]))
         .chain((0..10_000).map(local))
         .collect();
-    assert_same("front out at the end", 0, &loads(&sitting_out, 1));
-    let back: Vec<u64> = sitting_out
-        .iter()
-        .copied()
-        .chain((0..300_000).map(local))
-        .collect();
-    assert_same("front back", 0, &loads(&back, 1));
+    assert_same("evicted dirty entries", 0, &loads(&lines, 1));
 }
