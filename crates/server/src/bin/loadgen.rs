@@ -8,8 +8,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen --addr HOST:PORT [--connections N] [--seconds S]\n\
-         \x20             [--timeout-ms MS] [--mix PATH:WEIGHT,PATH:WEIGHT,...]\n\
-         \x20             [--pipeline N] [--close]"
+         \x20             [--mix PATH:WEIGHT,PATH:WEIGHT,...] [--pipeline N] [--close]"
     );
     std::process::exit(2);
 }
@@ -39,9 +38,6 @@ fn main() {
             "--connections" => config.connections = value().parse().unwrap_or_else(|_| usage()),
             "--seconds" => {
                 config.duration = Duration::from_secs(value().parse().unwrap_or_else(|_| usage()));
-            }
-            "--timeout-ms" => {
-                config.timeout = Duration::from_millis(value().parse().unwrap_or_else(|_| usage()));
             }
             "--mix" => config.mix = parse_mix(&value()).unwrap_or_else(|| usage()),
             "--pipeline" => config.pipeline = value().parse().unwrap_or_else(|_| usage()),

@@ -2,14 +2,17 @@
 //! shell read, the peer's end of stream and, per response, whether the
 //! server is stopping; it hands back one [`Event`] at a time and the one
 //! keep-alive rule every response uses ([`Core::keep_alive`]). It owns
-//! the input buffer, the request budget and the chunked-body decoder
-//! with its decoded-size cap. The reactor, the worker loop and the
-//! upload path are I/O shells around it: read, feed, write, linger.
-//! `tests/conn_split.rs` checks it at every split point of its input.
+//! the input buffer, the request budget, the chunked-body decoder with
+//! its decoded-size cap, and the connection's one clock: each input
+//! comes with the time the shell read, and [`Core::deadline`] decides
+//! idle expiry, the end of a linger and a stalled body's 408. The
+//! reactor, the worker loop and the upload path are I/O shells around
+//! it: read, feed, write, linger. `tests/conn_split.rs` checks it at
+//! every split point of its input and on a virtual clock.
 
 use crate::http::{parse_request, BadRequest, Parse, Request, MAX_BODY_BYTES, MAX_HEADER_BYTES};
 use crate::trace::{next_trace_id, us32};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Largest accepted decoded chunked body: 256 MiB ≈ 10.7M LKTR events.
 /// A chunk whose declared size would pass it is refused with 413 at its
@@ -19,6 +22,10 @@ pub const MAX_DECODED_BODY: u64 = 256 * 1024 * 1024;
 /// Input buffered before the core stops asking for more: one maximal
 /// request and a byte, which always parses to a request or a 4xx.
 const MAX_BUFFER: usize = MAX_HEADER_BYTES + MAX_BODY_BYTES + 1;
+
+/// How long a closed connection may keep discarding input before it
+/// is dropped regardless (a peer that never closes).
+pub const LINGER: Duration = Duration::from_secs(1);
 
 /// Longest accepted chunk-size or trailer line (a size line is ~16
 /// hex digits plus extensions; anything longer is an attack or a bug).
@@ -65,12 +72,19 @@ pub struct Core {
     body: Option<ChunkedDecoder>,
     /// Scratch for one [`Event::Body`]'s deframed bytes.
     decoded: Vec<u8>,
+    /// Longest silence allowed while open.
+    idle: Duration,
+    /// Last progress: bytes fed or a response written.
+    progress: Instant,
+    /// The latest time an input came with.
+    now: Instant,
 }
 
 impl Core {
-    /// A fresh connection with a budget of `max_requests` requests
-    /// (0 = unlimited); the response that spends it announces the close.
-    pub fn new(max_requests: u32) -> Self {
+    /// A connection accepted at `now` with a budget of `max_requests`
+    /// requests (0 = unlimited; the response that spends it announces
+    /// the close) and an `idle` timeout.
+    pub fn new(max_requests: u32, idle: Duration, now: Instant) -> Self {
         Core {
             buf: Vec::new(),
             ahead: None,
@@ -80,17 +94,62 @@ impl Core {
             close: false,
             body: None,
             decoded: Vec::new(),
+            idle,
+            progress: now,
+            now,
         }
     }
 
-    /// Appends bytes read from the peer.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+    /// Appends bytes read from the peer at `now`; any byte is progress.
+    pub fn feed(&mut self, bytes: &[u8], now: Instant) {
+        self.now = now;
+        if !bytes.is_empty() {
+            self.progress = now;
+            self.buf.extend_from_slice(bytes);
+        }
     }
 
     /// Records the peer's end of stream (a read of 0 bytes or an error).
-    pub fn feed_eof(&mut self) {
+    pub fn feed_eof(&mut self, now: Instant) {
+        self.now = now;
         self.eof = true;
+    }
+
+    /// A response (or a batch of them) was written at `now`: progress,
+    /// and the time a closing answer starts the linger from.
+    pub fn written(&mut self, now: Instant) {
+        self.now = now;
+        self.progress = now;
+    }
+
+    /// Time passed with no input (a read that timed out). A chunked
+    /// body whose deadline it reaches is answered 408.
+    pub fn tick(&mut self, now: Instant) {
+        self.now = now;
+    }
+
+    /// When the connection's fate falls due: an open connection expires
+    /// at its last progress + the idle timeout; a closed one stops
+    /// lingering at its close (the closing answer's write) + [`LINGER`].
+    pub fn deadline(&self) -> Instant {
+        self.progress + if self.close { LINGER } else { self.idle }
+    }
+
+    /// Whether the deadline has passed at `now`: the shell drops the
+    /// connection (an idle expiry, or the end of a linger).
+    pub fn expired(&self, now: Instant) -> bool {
+        now >= self.deadline()
+    }
+
+    /// The idle timeout, which also bounds each read of a chunked body
+    /// and each batch write in total.
+    pub fn idle_timeout(&self) -> Duration {
+        self.idle
+    }
+
+    /// Whether the connection's fate is close (it lingers, if at all).
+    pub fn is_closed(&self) -> bool {
+        self.close
     }
 
     /// Whether the shell should read more: false once a whole maximal
@@ -99,11 +158,14 @@ impl Core {
         self.buf.len() < MAX_BUFFER
     }
 
-    /// The transport failed (a write did not complete): the connection
-    /// closes, whatever its requests asked.
+    /// The shell closes the connection whatever its requests asked (a
+    /// failed write, a shed, a drain). Buffered input is dropped.
     pub fn abort(&mut self) {
         self.close = true;
         self.body = None;
+        self.ahead = None;
+        self.buf = Vec::new();
+        self.decoded = Vec::new();
     }
 
     /// The next event from the buffered input.
@@ -132,6 +194,11 @@ impl Core {
                 self.body = None;
                 self.close = true;
                 return Event::Bad(BadRequest::new(400, "connection closed mid-chunked-body"));
+            }
+            if self.expired(self.now) {
+                self.body = None;
+                self.close = true;
+                return Event::Bad(BadRequest::new(408, "timed out reading chunked body"));
             }
             return Event::NeedMore;
         }

@@ -97,15 +97,7 @@ pub struct LoadReport {
 
 /// Stage labels in the server's `Server-Timing` header, in the order
 /// the serving path runs them.
-pub const TIMING_STAGES: [&str; 7] = [
-    "parse",
-    "queue",
-    "permit",
-    "handler",
-    "store",
-    "serialize",
-    "write",
-];
+pub const TIMING_STAGES: [&str; 6] = ["parse", "queue", "permit", "handler", "store", "write"];
 
 /// One stage's latency summary across every response that reported it.
 #[derive(Debug, Clone)]
@@ -149,7 +141,7 @@ fn dur_ms_to_us(ms: &str) -> Option<u64> {
 /// Accumulates `Server-Timing` durations (converted to µs) into the
 /// per-stage sample vectors. Unknown stage names are ignored so the
 /// loadgen keeps working against servers that add stages.
-fn parse_server_timing(header: &str, stage_us: &mut [Vec<u64>; 7]) {
+fn parse_server_timing(header: &str, stage_us: &mut [Vec<u64>; TIMING_STAGES.len()]) {
     for entry in header.split(',') {
         let mut parts = entry.trim().split(';');
         let Some(name) = parts.next() else { continue };
@@ -215,7 +207,7 @@ fn schedule(mix: &[(String, u32)]) -> Vec<String> {
 #[derive(Default)]
 struct ThreadStats {
     latencies_us: Vec<u64>,
-    stage_us: [Vec<u64>; 7],
+    stage_us: [Vec<u64>; TIMING_STAGES.len()],
     status_2xx: u64,
     status_4xx: u64,
     status_5xx: u64,
@@ -551,17 +543,17 @@ mod tests {
 
     #[test]
     fn server_timing_header_parses_to_stage_micros() {
-        let mut stage_us: [Vec<u64>; 7] = Default::default();
+        let mut stage_us: [Vec<u64>; TIMING_STAGES.len()] = Default::default();
         parse_server_timing(
             "parse;dur=0.012, queue;dur=1.500, permit;dur=0.000, handler;dur=2.345, \
-             store;dur=2.000, serialize;dur=0.050, write;dur=0.125",
+             store;dur=2.000, write;dur=0.125",
             &mut stage_us,
         );
         assert_eq!(stage_us[0], vec![12], "parse 0.012ms -> 12us");
         assert_eq!(stage_us[1], vec![1500]);
         assert_eq!(stage_us[2], vec![0]);
         assert_eq!(stage_us[3], vec![2345]);
-        assert_eq!(stage_us[6], vec![125]);
+        assert_eq!(stage_us[5], vec![125]);
         // Unknown stages and malformed entries are skipped, known ones
         // still accumulate.
         parse_server_timing(
@@ -569,6 +561,6 @@ mod tests {
             &mut stage_us,
         );
         assert_eq!(stage_us[1], vec![1500], "bogus duration ignored");
-        assert_eq!(stage_us[6], vec![125, 1]);
+        assert_eq!(stage_us[5], vec![125, 1]);
     }
 }

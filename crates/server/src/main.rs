@@ -9,7 +9,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: leakage-server [--addr HOST:PORT] [--workers N] [--queue-depth N]\n\
-         \x20                  [--scale test|small|paper|CYCLES] [--timeout-ms MS]\n\
+         \x20                  [--scale test|small|paper|CYCLES]\n\
          \x20                  [--cache-entries N] [--sim-concurrency N] [--sweep-concurrency N]\n\
          \x20                  [--idle-timeout-ms MS] [--max-requests-per-conn N] [--max-connections N]\n\
          \x20                  [--pipeline-batch N] [--cache-shards N] [--no-preserialize]\n\
@@ -31,10 +31,6 @@ fn parse_config() -> ServerConfig {
             "--queue-depth" => config.queue_depth = value().parse().unwrap_or_else(|_| usage()),
             "--scale" => {
                 config.default_scale = Scale::parse_arg(&value()).unwrap_or_else(|| usage());
-            }
-            "--timeout-ms" => {
-                config.request_timeout =
-                    Duration::from_millis(value().parse().unwrap_or_else(|_| usage()));
             }
             "--cache-entries" => {
                 config.cache_entries = value().parse().unwrap_or_else(|_| usage());

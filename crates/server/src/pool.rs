@@ -22,7 +22,7 @@ use crate::reactor::{
 use crate::respcache::ResponseCache;
 use crate::routes::{self, RouteContext, ServerInfo};
 use crate::storefront::StoreFront;
-use crate::trace::{us32, PendingRecord, StageTrace, TimingHeader};
+use crate::trace::{render_timing, us32, PendingRecord, StageTrace};
 use leakage_experiments::ProfileStore;
 use leakage_jobs::{FabricConfig, JobFabric};
 use leakage_telemetry::{FlightRecorder, RequestRecord, FLAG_SHED};
@@ -45,9 +45,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission queue depth; work beyond it is shed.
     pub queue_depth: usize,
-    /// Socket read timeout while a worker streams a chunked upload
-    /// body.
-    pub request_timeout: Duration,
     /// LRU response-cache capacity (entries, across all shards).
     pub cache_entries: usize,
     /// Scale used when a query names none.
@@ -60,7 +57,10 @@ pub struct ServerConfig {
     pub limit_wait: Duration,
     /// `Retry-After` seconds on shed responses.
     pub retry_after_secs: u64,
-    /// Close keep-alive connections idle this long.
+    /// The connection clock's one timeout: the longest silence allowed
+    /// on a parked connection, the longest a chunked-body read may go
+    /// without a byte (408 after it), and the total bound on one batch
+    /// write.
     pub idle_timeout: Duration,
     /// Requests served per connection before it is closed
     /// (0 = unlimited). The budget-exhausting response carries
@@ -111,7 +111,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             queue_depth: 64,
-            request_timeout: Duration::from_secs(30),
             cache_entries: 128,
             default_scale: Scale::Test,
             sim_concurrency: 4,
@@ -135,17 +134,6 @@ impl Default for ServerConfig {
             job_worker_quorum: 0,
         }
     }
-}
-
-/// Settings a worker needs to serve one connection's batch.
-pub struct WorkerConfig {
-    /// Max pipelined responses per queue cycle.
-    pub pipeline_batch: usize,
-    /// Socket read timeout while streaming a chunked upload body.
-    pub request_timeout: Duration,
-    /// The server's stop flag: once raised, responses advertise
-    /// `Connection: close` and connections wind down.
-    pub stop: Arc<AtomicBool>,
 }
 
 /// A parsed request together with the connection it arrived on — the
@@ -309,12 +297,6 @@ impl Server {
                 .spawn(move || routes::warm_catalog(&ctx))?;
         }
 
-        let worker_config = Arc::new(WorkerConfig {
-            pipeline_batch: config.pipeline_batch.max(1),
-            request_timeout: config.request_timeout,
-            stop: Arc::clone(&stop),
-        });
-
         listener.set_nonblocking(true)?;
         let queue = Arc::new(Queue::new(config.queue_depth.max(1)));
         ctx.info.set_queue_len({
@@ -353,16 +335,17 @@ impl Server {
                 .name("leakage-server-reactor".to_string())
                 .spawn(move || reactor.run(&stop))?
         };
+        let batch = config.pipeline_batch.max(1);
         let mut workers = Vec::with_capacity(config.workers.max(1));
         for index in 0..config.workers.max(1) {
             let queue = Arc::clone(&queue);
             let handle = Arc::clone(&handle);
             let ctx = Arc::clone(&ctx);
-            let worker_config = Arc::clone(&worker_config);
+            let stop = Arc::clone(&stop);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("leakage-server-worker-{index}"))
-                    .spawn(move || reactor_worker(&queue, &handle, &ctx, &worker_config))?,
+                    .spawn(move || reactor_worker(&queue, &handle, &ctx, batch, &stop))?,
             );
         }
 
@@ -440,9 +423,10 @@ pub(crate) fn record_shed(request: &Request, ctx: &RouteContext) {
     });
 }
 
-/// The worker path: answer `request` and up to `pipeline_batch - 1`
-/// pipelined successors, batching the pre-serialized responses into
-/// one buffer and one write. A chunked upload reads its body here
+/// The worker path: answer `request` and up to `batch - 1` pipelined
+/// successors, batching the pre-serialized responses into one buffer
+/// and one write; once `stop` is raised, responses announce
+/// `Connection: close`. A chunked upload reads its body here
 /// (`streaming::serve_upload`) and is answered like any other
 /// request.
 ///
@@ -451,10 +435,11 @@ pub fn work_requests(
     mut conn: Connection,
     mut request: Request,
     ctx: &RouteContext,
-    worker_config: &WorkerConfig,
+    batch: usize,
+    stop: &AtomicBool,
 ) -> Connection {
     ctx.metrics.inflight.add(1);
-    let stopping = || worker_config.stop.load(Ordering::Relaxed);
+    let stopping = || stop.load(Ordering::Relaxed);
     let mut answered = 0usize;
     let recorder = ctx.recorder.as_deref();
     loop {
@@ -469,7 +454,7 @@ pub fn work_requests(
         let route = routes::route_name(&request);
         let stage = StageTrace::default();
         let wire = if request.chunked {
-            crate::streaming::serve_upload(&mut conn, &request, ctx, worker_config.request_timeout)
+            crate::streaming::serve_upload(&mut conn, &request, ctx)
         } else {
             routes::handle(&request, ctx, &stage)
         };
@@ -477,46 +462,29 @@ pub fn work_requests(
         let keep_alive = conn.core.keep_alive(stopping());
         if recorder.is_some() {
             let trace = request.trace;
-            let queue_us = us32(started.saturating_duration_since(trace.parsed_at));
-            // One clock read ends the handler stage and starts the
-            // serialize stage.
-            let handler_done = Instant::now();
-            let handler_us = us32(handler_done.saturating_duration_since(started));
-            let header = TimingHeader {
-                id: trace.id,
-                parse_us: trace.parse_us,
-                queue_us,
-                permit_us: stage.permit_us.get(),
-                handler_us,
-                store_us: stage.store_us.get(),
-                prev_serialize_us: conn.last_serialize_us,
-                prev_write_us: conn.last_write_us,
-            };
-            wire.serialize_traced(&mut conn.out, keep_alive, |out| {
-                header.render(out, trace.from_client);
-            });
-            let serialize_us = us32(handler_done.elapsed());
-            conn.last_serialize_us = serialize_us;
             // write_us/total_us/end_us are filled in after the batch
             // flush; see below.
+            let record = RequestRecord {
+                trace_id: trace.id,
+                route: routes::route_code(route),
+                flags: stage.flags(),
+                status: wire.status(),
+                req_bytes: trace.req_bytes,
+                resp_bytes: u32::try_from(wire.head_len() + wire.body().len()).unwrap_or(u32::MAX),
+                parse_us: trace.parse_us,
+                queue_us: us32(started.saturating_duration_since(trace.parsed_at)),
+                permit_us: stage.permit_us.get(),
+                handler_us: us32(started.elapsed()),
+                store_us: stage.store_us.get(),
+                ..RequestRecord::default()
+            };
+            let prev_write_us = conn.last_write_us;
+            wire.serialize_traced(&mut conn.out, keep_alive, |out| {
+                render_timing(out, &record, prev_write_us, trace.from_client);
+            });
             conn.pending.push(PendingRecord {
                 parsed_at: trace.parsed_at,
-                record: RequestRecord {
-                    trace_id: trace.id,
-                    route: routes::route_code(route),
-                    flags: stage.flags(),
-                    status: wire.status(),
-                    req_bytes: trace.req_bytes,
-                    resp_bytes: u32::try_from(wire.head_len() + wire.body().len())
-                        .unwrap_or(u32::MAX),
-                    parse_us: trace.parse_us,
-                    queue_us,
-                    permit_us: stage.permit_us.get(),
-                    handler_us,
-                    store_us: stage.store_us.get(),
-                    serialize_us,
-                    ..RequestRecord::default()
-                },
+                record,
             });
         } else {
             wire.serialize_into(&mut conn.out, keep_alive);
@@ -527,7 +495,7 @@ pub fn work_requests(
         ctx.metrics.record_latency(route, micros);
         answered += 1;
 
-        if !keep_alive || answered >= worker_config.pipeline_batch {
+        if !keep_alive || answered >= batch {
             break;
         }
         match conn.core.next_event() {
@@ -552,25 +520,28 @@ pub fn work_requests(
     conn
 }
 
-/// Writes the batch buffer (one write per pipelined batch), then
-/// stamps and publishes its pending flight-recorder records. Closes
-/// the connection and returns `false` on a transport failure; returns
-/// `true` without writing when nothing is serialized.
+/// Writes the batch buffer (one write per pipelined batch), tells the
+/// core when it ended, then stamps and publishes its pending
+/// flight-recorder records. Closes the connection and returns `false`
+/// on a transport failure; returns `true` without writing when nothing
+/// is serialized.
 fn flush_batch(conn: &mut Connection, ctx: &RouteContext) -> bool {
     if conn.out.is_empty() {
         return true;
     }
     let write_started = Instant::now();
-    let flushed_ok = flush_output(conn).is_ok();
+    let flushed_ok = flush_output(conn, write_started).is_ok();
     if !flushed_ok {
         ctx.metrics.transport_errors.inc();
         conn.core.abort();
     }
+    // A single clock read ends the write for the core and stamps the
+    // whole batch.
+    let flushed = Instant::now();
+    conn.core.written(flushed);
     if let Some(recorder) = ctx.recorder.as_deref() {
         // One write served the whole pipelined batch; each record
         // carries that shared cost plus its own end-to-end total.
-        // A single clock read stamps the whole batch.
-        let flushed = Instant::now();
         let write_us = us32(flushed.duration_since(write_started));
         let end_us = recorder.now_us();
         conn.last_write_us = write_us;
@@ -589,66 +560,59 @@ fn flush_batch(conn: &mut Connection, ctx: &RouteContext) -> bool {
 
 /// Writes the batched output buffer, toggling the reactor's
 /// nonblocking socket into blocking mode for the write. The whole
-/// write is bounded by the connection's send timeout (the idle
-/// timeout, set at admission): a peer that stops reading, or reads
-/// too slowly to take the batch within that time, gets an error and a
-/// closed connection, not a pinned worker.
-fn flush_output(conn: &mut Connection) -> io::Result<()> {
+/// write, `started` then, is bounded by the core's idle timeout: a peer
+/// that stops reading, or reads too slowly to take the batch in time,
+/// gets an error and a closed connection, not a pinned worker.
+fn flush_output(conn: &mut Connection, started: Instant) -> io::Result<()> {
     conn.stream.set_nonblocking(false)?;
-    let result = write_within_send_timeout(&conn.stream, &conn.out);
+    let idle = conn.core.idle_timeout();
+    let result = write_within(&conn.stream, &conn.out, started, idle);
+    // A short write cut the send timeout; restore it for the next batch.
+    if matches!(result, Ok(true)) {
+        let _ = conn.stream.set_write_timeout(Some(idle));
+    }
     // Restore readiness mode even after a failed write; the reactor
     // owns cleanup either way.
     let _ = conn.stream.set_nonblocking(true);
     conn.out.clear();
-    result
+    result.map(drop)
 }
 
-/// Writes all of `buf` to a blocking `stream` within one send timeout
-/// (`SO_SNDTIMEO`) in total. The kernel applies that timeout to each
-/// `write` call, so `write_all` would let a peer that takes a little in
-/// every window hold the writer for as long as it likes. After a short
-/// write the rest gets only what is left of the timeout, which is
-/// restored for the next batch. A stream without a send timeout is
-/// written without a bound, as `write_all` does.
-fn write_within_send_timeout(stream: &TcpStream, buf: &[u8]) -> io::Result<()> {
-    let started = Instant::now();
+/// Writes all of `buf` to a blocking `stream` within `timeout` of
+/// `started` in total, and says whether it cut the send timeout. The
+/// kernel applies the send timeout (`SO_SNDTIMEO`, set to the idle
+/// timeout at admission) to each `write` call, so `write_all` would let
+/// a peer that takes a little in every window hold the writer for as
+/// long as it likes. After a short write the rest gets only what is
+/// left of `timeout`.
+fn write_within(
+    stream: &TcpStream,
+    buf: &[u8],
+    started: Instant,
+    timeout: Duration,
+) -> io::Result<bool> {
     let mut rest = buf;
-    // The connection's send timeout, read at the first short write.
-    let mut timeout = None;
-    let result = loop {
+    let mut shortened = false;
+    loop {
         match (&*stream).write(rest) {
-            Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => rest = &rest[n..],
             Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
-            Err(err) => break Err(err),
+            Err(err) => return Err(err),
         }
         if rest.is_empty() {
-            break Ok(());
+            return Ok(shortened);
         }
-        if timeout.is_none() {
-            match stream.write_timeout() {
-                Ok(configured) => timeout = configured,
-                Err(err) => break Err(err),
-            }
-        }
-        let Some(configured) = timeout else {
-            continue;
-        };
-        let left = configured.saturating_sub(started.elapsed());
+        let left = timeout.saturating_sub(started.elapsed());
         if left.is_zero() {
-            break Err(io::Error::new(
+            return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
-                "peer did not take the response within the send timeout",
+                "peer did not take the response within the idle timeout",
             ));
         }
-        if let Err(err) = stream.set_write_timeout(Some(left)) {
-            break Err(err);
-        }
-    };
-    if timeout.is_some() {
-        let _ = stream.set_write_timeout(timeout);
+        stream.set_write_timeout(Some(left))?;
+        shortened = true;
     }
-    result
 }
 
 #[cfg(test)]

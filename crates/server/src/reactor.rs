@@ -34,11 +34,13 @@
 //! sent and turns the client's end-of-stream into `ECONNRESET`. Every
 //! such close therefore goes through one lingering close: shut the
 //! write half (FIN behind the response), then read and discard input
-//! until the peer closes or `LINGER` passes.
+//! until the peer closes or the closed core's deadline passes. The
+//! reactor decides no time itself: it hands each core the clock it read
+//! with the input, and drops every connection whose core has expired.
 
 use crate::conn::{Core, Event};
 use crate::http::{Request, Response, WireResponse};
-use crate::pool::{Job, Queue, WorkerConfig};
+use crate::pool::{Job, Queue};
 use crate::routes::RouteContext;
 use crate::trace::PendingRecord;
 use leakage_telemetry::{registry, striped_counter};
@@ -220,15 +222,11 @@ pub struct Connection {
     pub out: Vec<u8>,
     /// Reactor slab token.
     pub token: u64,
-    /// Last read/write activity, for idle-timeout sweeps.
-    pub last_activity: Instant,
     /// Flight-recorder records of the batch being serialized,
     /// published after its write so they carry the real write cost.
     pub pending: Vec<PendingRecord>,
-    /// Serialize duration of the previous response on this
+    /// Write duration of the previous flushed batch on this
     /// connection, reported in the next `Server-Timing` header.
-    pub last_serialize_us: u32,
-    /// Write duration of the previous flushed batch, likewise.
     pub last_write_us: u32,
 }
 
@@ -243,7 +241,8 @@ pub type ShedHook = dyn Fn(&Request) + Send + Sync;
 /// has no route-level knowledge — route-aware behavior arrives as the
 /// `exempt`/`on_shed` closures.
 pub struct ReactorConfig {
-    /// Close keep-alive connections idle this long.
+    /// Each connection core's idle timeout, also kept as the socket's
+    /// send timeout.
     pub idle_timeout: Duration,
     /// Per-connection request budget (0 = unlimited).
     pub max_requests_per_connection: u32,
@@ -264,9 +263,6 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// A read larger than this per readiness event would let one fast
 /// sender starve the slab.
 const READ_CHUNK: usize = 16 * 1024;
-/// How long a closed connection may keep discarding input before it
-/// is dropped regardless (a peer that never closes).
-const LINGER: Duration = Duration::from_secs(1);
 /// Reads discarded per readiness event on a lingering socket, so one
 /// fast sender cannot starve the loop.
 const LINGER_READS: usize = 64;
@@ -279,10 +275,13 @@ pub struct Reactor {
     handle: Arc<ReactorHandle>,
     queue: Arc<Queue<Job>>,
     config: ReactorConfig,
+    /// Parked connections waiting for bytes, and closed ones lingering:
+    /// answered, half-closed, discarding input until the peer closes or
+    /// their core's deadline passes.
     slab: HashMap<u64, Connection>,
-    /// Answered, half-closed sockets discarding input until the peer
-    /// closes or their deadline passes.
-    lingering: HashMap<u64, (TcpStream, Instant)>,
+    /// Lingering slab entries, which do not count toward
+    /// `max_connections`.
+    lingering: usize,
     next_token: u64,
     draining: bool,
 }
@@ -322,7 +321,7 @@ impl Reactor {
                 queue,
                 config,
                 slab: HashMap::new(),
-                lingering: HashMap::new(),
+                lingering: 0,
                 next_token: FIRST_CONN_TOKEN,
                 draining: false,
             },
@@ -348,13 +347,11 @@ impl Reactor {
                 match token {
                     LISTENER_TOKEN => self.accept_all(),
                     WAKE_TOKEN => sys::drain_fd(self.wake.read_fd),
-                    token => {
-                        if let Some(conn) = self.slab.remove(&token) {
-                            self.on_readable(conn);
-                        } else if let Some((stream, deadline)) = self.lingering.remove(&token) {
-                            self.discard_input(token, stream, deadline);
-                        }
-                    }
+                    token => match self.take(token) {
+                        Some(conn) if conn.core.is_closed() => self.discard_input(conn),
+                        Some(conn) => self.on_readable(conn),
+                        None => {}
+                    },
                 }
             }
             for conn in self.handle.take_returns() {
@@ -366,11 +363,10 @@ impl Reactor {
                 // No new connections; parked idle ones close now, the
                 // in-flight ones when their workers return them.
                 self.listener = None;
-                self.slab.clear();
+                self.slab.retain(|_, conn| conn.core.is_closed());
             }
             if self.draining
                 && self.slab.is_empty()
-                && self.lingering.is_empty()
                 && self.handle.inflight.load(Ordering::SeqCst) == 0
             {
                 break;
@@ -413,39 +409,39 @@ impl Reactor {
     }
 
     fn admit(&mut self, stream: TcpStream) {
-        let open = self.slab.len() + self.handle.inflight.load(Ordering::SeqCst);
+        let open = self.slab.len() - self.lingering + self.handle.inflight.load(Ordering::SeqCst);
+        let config = &self.config;
+        let core = Core::new(
+            config.max_requests_per_connection,
+            config.idle_timeout,
+            Instant::now(),
+        );
+        let conn = Connection {
+            stream,
+            core,
+            out: Vec::new(),
+            token: self.next_token,
+            pending: Vec::new(),
+            last_write_us: 0,
+        };
+        self.next_token += 1;
         if self.draining || open >= self.config.max_connections {
             striped_counter!("server_admission_rejected_total").inc();
-            let token = self.next_token;
-            self.next_token += 1;
-            self.shed(stream, token, "connection limit reached", true);
+            return self.shed(conn, "connection limit reached", true);
+        }
+        if conn.stream.set_nonblocking(true).is_err() {
             return;
         }
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let _ = stream.set_nodelay(true);
+        let _ = conn.stream.set_nodelay(true);
         // SO_SNDTIMEO bounds every blocking write a worker makes on
         // this connection: a peer that stops reading loses the
         // connection after one idle timeout instead of pinning the
         // worker. (std refuses a zero timeout, which leaves the write
         // unbounded.)
-        let _ = stream.set_write_timeout(Some(self.config.idle_timeout));
-        let token = self.next_token;
-        self.next_token += 1;
-        if self.arm(&stream, token, true) {
-            let conn = Connection {
-                stream,
-                core: Core::new(self.config.max_requests_per_connection),
-                out: Vec::new(),
-                token,
-                last_activity: Instant::now(),
-                pending: Vec::new(),
-                last_serialize_us: 0,
-                last_write_us: 0,
-            };
-            self.slab.insert(token, conn);
-        }
+        let _ = conn
+            .stream
+            .set_write_timeout(Some(self.config.idle_timeout));
+        self.park(conn, true);
     }
 
     /// Reads whatever is ready, then parses and routes the
@@ -453,13 +449,14 @@ impl Reactor {
     /// reactor (removed from the slab, epoll disarmed by ONESHOT).
     fn on_readable(&mut self, mut conn: Connection) {
         let mut chunk = [0u8; READ_CHUNK];
+        let now = Instant::now();
         while conn.core.wants_input() {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
-                    conn.core.feed_eof();
+                    conn.core.feed_eof(now);
                     break;
                 }
-                Ok(n) => conn.core.feed(&chunk[..n]),
+                Ok(n) => conn.core.feed(&chunk[..n], now),
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -468,7 +465,6 @@ impl Reactor {
                 }
             }
         }
-        conn.last_activity = Instant::now();
         self.advance(conn);
     }
 
@@ -490,23 +486,23 @@ impl Reactor {
                     Response::from(bad).into_wire()
                 }
                 Event::NeedMore if !self.draining => {
-                    self.park(conn);
+                    self.park(conn, false);
                     return;
                 }
                 // Closed (or draining): nothing more is served. Body
                 // events never reach the reactor: a chunked body is
                 // read by the worker its request went to.
-                _ => return self.close_after_response(conn.stream, conn.token, false),
+                _ => return self.close_after_response(conn, false),
             };
             let keep_alive = conn.core.keep_alive(self.draining);
             // Best-effort nonblocking write: inline answers (4xx and
             // debug routes) are small and virtually always fit the
             // socket buffer.
             let wrote = (&conn.stream).write_all(&wire.to_bytes(keep_alive)).is_ok();
+            conn.core.written(Instant::now());
             if !(keep_alive && wrote) {
-                return self.close_after_response(conn.stream, conn.token, false);
+                return self.close_after_response(conn, false);
             }
-            conn.last_activity = Instant::now();
         }
     }
 
@@ -535,19 +531,20 @@ impl Reactor {
         (self.config.on_shed)(&request);
         striped_counter!("server_admission_rejected_total").inc();
         striped_counter!("server_shed_total").inc();
-        self.shed(conn.stream, conn.token, "admission queue full", false);
+        self.shed(conn, "admission queue full", false);
         None
     }
 
     /// Answers 503 + `Retry-After` and closes. Shedding closes, so the
     /// client re-learns admission state on reconnect rather than
     /// livelocking a parked connection.
-    fn shed(&mut self, stream: TcpStream, token: u64, reason: &str, add: bool) {
+    fn shed(&mut self, mut conn: Connection, reason: &str, add: bool) {
         let wire = Response::error(503, reason)
             .with_header("Retry-After", self.config.retry_after_secs.to_string())
             .into_wire();
-        let _ = (&stream).write_all(&wire.to_bytes(false));
-        self.close_after_response(stream, token, add);
+        let _ = (&conn.stream).write_all(&wire.to_bytes(false));
+        conn.core.written(Instant::now());
+        self.close_after_response(conn, add);
     }
 
     /// Arms `stream` for one read-readiness event under `token`
@@ -562,43 +559,54 @@ impl Reactor {
         armed
     }
 
-    /// Re-arms the connection in epoll and parks it in the slab.
-    fn park(&mut self, conn: Connection) {
-        if self.arm(&conn.stream, conn.token, false) {
+    /// Re-arms the connection in epoll (`add` for a socket epoll has
+    /// not seen) and puts it in the slab, parked or lingering.
+    fn park(&mut self, conn: Connection, add: bool) {
+        if self.arm(&conn.stream, conn.token, add) {
+            self.lingering += usize::from(conn.core.is_closed());
             self.slab.insert(conn.token, conn);
         }
+    }
+
+    fn take(&mut self, token: u64) -> Option<Connection> {
+        let conn = self.slab.remove(&token)?;
+        self.lingering -= usize::from(conn.core.is_closed());
+        Some(conn)
     }
 
     /// A connection returned by a worker (or answered inline): go on
     /// with its buffered input, which closes it if its fate is close.
     /// A worker that hit its batch cap with requests still buffered
     /// sends them through the queue again, for fairness.
-    fn reinstate(&mut self, mut conn: Connection) {
+    fn reinstate(&mut self, conn: Connection) {
         if self.draining {
-            return self.close_after_response(conn.stream, conn.token, false);
+            return self.close_after_response(conn, false);
         }
-        conn.last_activity = Instant::now();
         self.advance(conn);
     }
 
     /// The one way an answered connection closes: FIN behind the
-    /// response, then linger discarding input (see the module docs).
-    /// `add` is set for a connection shed at accept, which epoll has
-    /// not seen.
-    fn close_after_response(&mut self, stream: TcpStream, token: u64, add: bool) {
-        if stream.shutdown(Shutdown::Write).is_err() || stream.set_nonblocking(true).is_err() {
+    /// response, then linger discarding input until the core's deadline
+    /// (see the module docs). `add` is set for a connection shed at
+    /// accept, which epoll has not seen.
+    fn close_after_response(&mut self, mut conn: Connection, add: bool) {
+        if conn.stream.shutdown(Shutdown::Write).is_err()
+            || conn.stream.set_nonblocking(true).is_err()
+        {
             return; // the peer is already gone
         }
-        self.linger(token, stream, Instant::now() + LINGER, add);
+        conn.core.abort();
+        conn.out = Vec::new();
+        self.park(conn, add);
     }
 
     /// Reads and discards what a lingering socket has ready; drops it
     /// at end-of-stream or on error, re-arms it otherwise.
-    fn discard_input(&mut self, token: u64, mut stream: TcpStream, deadline: Instant) {
+    fn discard_input(&mut self, mut conn: Connection) {
         let mut chunk = [0u8; READ_CHUNK];
         let mut reads = 0;
         while reads < LINGER_READS {
-            match stream.read(&mut chunk) {
+            match conn.stream.read(&mut chunk) {
                 Ok(0) => return, // the peer closed: the close is clean
                 Ok(_) => reads += 1,
                 Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
@@ -606,29 +614,24 @@ impl Reactor {
                 Err(_) => return,
             }
         }
-        self.linger(token, stream, deadline, false);
+        self.park(conn, false);
     }
 
-    fn linger(&mut self, token: u64, stream: TcpStream, deadline: Instant, add: bool) {
-        if self.arm(&stream, token, add) {
-            self.lingering.insert(token, (stream, deadline));
-        }
-    }
-
+    /// Drops every connection whose core's deadline has passed: idle
+    /// parked ones and finished lingers.
     fn sweep_idle(&mut self) {
-        let timeout = self.config.idle_timeout;
+        let now = Instant::now();
         let expired: Vec<u64> = self
             .slab
             .iter()
-            .filter(|(_, conn)| conn.last_activity.elapsed() >= timeout)
+            .filter(|(_, conn)| conn.core.expired(now))
             .map(|(token, _)| *token)
             .collect();
         for token in expired {
-            self.slab.remove(&token);
-            registry().counter("server_idle_closed_total").inc();
+            if self.take(token).is_some_and(|conn| !conn.core.is_closed()) {
+                registry().counter("server_idle_closed_total").inc();
+            }
         }
-        let now = Instant::now();
-        self.lingering.retain(|_, (_, deadline)| *deadline > now);
     }
 }
 
@@ -639,7 +642,8 @@ pub fn reactor_worker(
     queue: &Queue<Job>,
     handle: &ReactorHandle,
     ctx: &RouteContext,
-    worker_config: &WorkerConfig,
+    batch: usize,
+    stop: &AtomicBool,
 ) {
     while let Some((conn, request)) = queue.pop() {
         // Isolation belt-and-braces: `routes::handle` already catches
@@ -648,12 +652,7 @@ pub fn reactor_worker(
         // lost to the slab on a protocol-layer panic, so the handle
         // must still learn about it — hence the inner move.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle.give_back(crate::pool::work_requests(
-                conn,
-                request,
-                ctx,
-                worker_config,
-            ));
+            handle.give_back(crate::pool::work_requests(conn, request, ctx, batch, stop));
         }));
         if result.is_err() {
             registry().counter("server_worker_panics_total").inc();

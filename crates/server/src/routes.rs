@@ -512,7 +512,6 @@ fn record_json(rec: &RequestRecord) -> String {
         json::key("permit_us") + &rec.permit_us.to_string(),
         json::key("handler_us") + &rec.handler_us.to_string(),
         json::key("store_us") + &rec.store_us.to_string(),
-        json::key("serialize_us") + &rec.serialize_us.to_string(),
         json::key("write_us") + &rec.write_us.to_string(),
         json::key("req_bytes") + &rec.req_bytes.to_string(),
         json::key("resp_bytes") + &rec.resp_bytes.to_string(),
@@ -1350,6 +1349,32 @@ mod tests {
             handle(&get("/v1/profile/gzip", &[("scale", &over_cap())]), &ctx).status(),
             400
         );
+    }
+
+    /// A request that cannot get its concurrency permit within the wait
+    /// budget is shed: 503 + `Retry-After`, flagged as shed, after
+    /// waiting the budget and no longer.
+    #[test]
+    fn permit_exhaustion_sheds_after_the_wait_budget() {
+        let ctx = ctx();
+        let mut sweep = get("/v1/sweep", &[]);
+        sweep.method = "POST".into();
+        for (request, limit) in [
+            (get("/v1/table/2", &[]), &ctx.sim_limit),
+            (sweep, &ctx.sweep_limit),
+        ] {
+            let held: Vec<_> = std::iter::from_fn(|| limit.acquire(Duration::ZERO)).collect();
+            assert!(!held.is_empty());
+            let stage = StageTrace::default();
+            let response = super::handle(&request, &ctx, &stage);
+            let head = String::from_utf8_lossy(&response.to_bytes(false)).into_owned();
+            assert_eq!(response.status(), 503, "{}: {head}", request.path);
+            assert!(head.contains("Retry-After: 1\r\n"), "{head}");
+            assert_ne!(stage.flags() & FLAG_SHED, 0);
+            let waited = Duration::from_micros(u64::from(stage.permit_us.get()));
+            assert!(waited >= ctx.limit_wait, "gave up after {waited:?}");
+            assert!(waited < ctx.limit_wait * 10, "waited {waited:?}");
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ use leakage_telemetry::registry;
 use leakage_trace::io::StreamDecoder;
 use leakage_trace::TraceError;
 use std::io::{self, Read};
-use std::time::Duration;
+use std::time::Instant;
 
 /// Most distinct lines one upload may touch (413 beyond): 2^18, six
 /// times the 41,942 records a 1 MiB `Content-Length` body holds.
@@ -169,21 +169,21 @@ fn count_upload(body_bytes: u64) {
 /// Reads one chunked upload's body through the connection core on a
 /// worker-owned socket and returns the answer, which the worker writes
 /// and records like any other. An answer given before the body's end
-/// (a refused route, a bad trace, a timeout) leaves it unread, so the
-/// core's fate rule closes the connection.
+/// (a refused route, a bad trace, the core's 408 for a stalled body)
+/// leaves it unread, so the core's fate rule closes the connection.
 pub(crate) fn serve_upload(
     conn: &mut Connection,
     request: &Request,
     ctx: &RouteContext,
-    read_timeout: Duration,
 ) -> WireResponse {
     let route = routes::route_name(request);
     ctx.metrics.count_route(route);
     let response = if request.method == "POST" && route == "trace" {
-        // The upload block-reads the reactor's nonblocking socket;
-        // readiness mode is restored after the body.
+        // The upload block-reads the reactor's nonblocking socket, each
+        // read bounded by the idle timeout; readiness mode is restored
+        // after the body.
         let _ = conn.stream.set_nonblocking(false);
-        let _ = conn.stream.set_read_timeout(Some(read_timeout));
+        let _ = conn.stream.set_read_timeout(Some(conn.core.idle_timeout()));
         let outcome = pump_chunked_body(conn, request);
         let _ = conn.stream.set_nonblocking(true);
         outcome.unwrap_or_else(|refused| refused)
@@ -214,17 +214,19 @@ fn pump_chunked_body(conn: &mut Connection, request: &Request) -> Result<Respons
             Event::BodyEnd => break,
             Event::Bad(bad) => return Err(bad.into()),
             Event::NeedMore => match (&conn.stream).read(&mut chunk) {
-                Ok(n) if n > 0 => conn.core.feed(&chunk[..n]),
+                Ok(n) if n > 0 => conn.core.feed(&chunk[..n], Instant::now()),
+                // The read timed out: the core decides whether the body
+                // stalled past its deadline (408).
                 Err(err)
                     if err.kind() == io::ErrorKind::WouldBlock
                         || err.kind() == io::ErrorKind::TimedOut =>
                 {
-                    return Err(Response::error(408, "timed out reading chunked body"));
+                    conn.core.tick(Instant::now());
                 }
                 Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
                 // End of stream or a failed read: nothing more arrives,
                 // and the core answers the unfinished body.
-                _ => conn.core.feed_eof(),
+                _ => conn.core.feed_eof(Instant::now()),
             },
             Event::Request(_) | Event::Closed => {
                 unreachable!("a chunked body ends in BodyEnd or Bad")

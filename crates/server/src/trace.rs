@@ -206,60 +206,35 @@ impl HeaderBuf {
     }
 }
 
-/// The per-response trace headers, rendered between a
-/// `WireResponse`'s shared head and its `Connection` line.
+/// Renders `record`'s trace headers between a `WireResponse`'s shared
+/// head and its `Connection` line: the `X-Request-Id` echo, plus the
+/// `Server-Timing` attribution line when `timing` is set (the request
+/// carried a client-supplied id — tracing callers get the full
+/// breakdown, everyone else pays only for the one-line echo).
 ///
-/// `serialize` and `write` happen *after* this header is rendered, so
-/// they report the connection's previous flushed response (0 on the
-/// first); the flight-recorder record carries the exact values.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TimingHeader {
-    /// Trace id echoed as `X-Request-Id`.
-    pub id: u64,
-    /// `parse` stage, microseconds.
-    pub parse_us: u32,
-    /// `queue` stage (admission-queue wait).
-    pub queue_us: u32,
-    /// `permit` stage (concurrency-permit wait).
-    pub permit_us: u32,
-    /// `handler` stage.
-    pub handler_us: u32,
-    /// `store` stage (profile store / query compute).
-    pub store_us: u32,
-    /// Previous response's `serialize` stage on this connection.
-    pub prev_serialize_us: u32,
-    /// Previous batch's socket `write` on this connection.
-    pub prev_write_us: u32,
-}
-
-impl TimingHeader {
-    /// Renders the `X-Request-Id` echo, plus the `Server-Timing`
-    /// attribution line when `timing` is set (the request carried a
-    /// client-supplied id — tracing callers get the full breakdown,
-    /// everyone else pays only for the one-line echo).
-    pub fn render(&self, out: &mut Vec<u8>, timing: bool) {
-        let mut h = HeaderBuf::new();
-        h.lit(b"X-Request-Id: ");
-        h.u64(self.id);
-        if timing {
-            h.lit(b"\r\nServer-Timing: parse;dur=");
-            h.ms(self.parse_us);
-            h.lit(b", queue;dur=");
-            h.ms(self.queue_us);
-            h.lit(b", permit;dur=");
-            h.ms(self.permit_us);
-            h.lit(b", handler;dur=");
-            h.ms(self.handler_us);
-            h.lit(b", store;dur=");
-            h.ms(self.store_us);
-            h.lit(b", serialize;dur=");
-            h.ms(self.prev_serialize_us);
-            h.lit(b", write;dur=");
-            h.ms(self.prev_write_us);
-        }
-        h.lit(b"\r\n");
-        out.extend_from_slice(&h.buf[..h.len]);
+/// `write` happens *after* this header is rendered, so it reports
+/// `prev_write_us`, the connection's previous flushed batch (0 on the
+/// first); the flight-recorder record carries the exact value.
+pub fn render_timing(out: &mut Vec<u8>, record: &RequestRecord, prev_write_us: u32, timing: bool) {
+    let mut h = HeaderBuf::new();
+    h.lit(b"X-Request-Id: ");
+    h.u64(record.trace_id);
+    if timing {
+        h.lit(b"\r\nServer-Timing: parse;dur=");
+        h.ms(record.parse_us);
+        h.lit(b", queue;dur=");
+        h.ms(record.queue_us);
+        h.lit(b", permit;dur=");
+        h.ms(record.permit_us);
+        h.lit(b", handler;dur=");
+        h.ms(record.handler_us);
+        h.lit(b", store;dur=");
+        h.ms(record.store_us);
+        h.lit(b", write;dur=");
+        h.ms(prev_write_us);
     }
+    h.lit(b"\r\n");
+    out.extend_from_slice(&h.buf[..h.len]);
 }
 
 #[cfg(test)]
@@ -291,34 +266,33 @@ mod tests {
     #[test]
     fn timing_header_renders_ms_with_micros_fraction() {
         let mut out = Vec::new();
-        TimingHeader {
-            id: 42,
+        let record = RequestRecord {
+            trace_id: 42,
             parse_us: 1,
             queue_us: 1234,
             permit_us: 0,
             handler_us: 50_000,
             store_us: 49_999,
-            prev_serialize_us: 12,
-            prev_write_us: 345,
-        }
-        .render(&mut out, true);
+            ..RequestRecord::default()
+        };
+        render_timing(&mut out, &record, 345, true);
         let text = String::from_utf8(out).unwrap();
         assert_eq!(
             text,
             "X-Request-Id: 42\r\nServer-Timing: parse;dur=0.001, \
              queue;dur=1.234, permit;dur=0.000, handler;dur=50.000, \
-             store;dur=49.999, serialize;dur=0.012, write;dur=0.345\r\n"
+             store;dur=49.999, write;dur=0.345\r\n"
         );
     }
 
     #[test]
     fn untraced_requests_only_get_the_id_echo() {
         let mut out = Vec::new();
-        TimingHeader {
-            id: u64::MAX,
-            ..TimingHeader::default()
-        }
-        .render(&mut out, false);
+        let record = RequestRecord {
+            trace_id: u64::MAX,
+            ..RequestRecord::default()
+        };
+        render_timing(&mut out, &record, 0, false);
         assert_eq!(
             String::from_utf8(out).unwrap(),
             format!("X-Request-Id: {}\r\n", u64::MAX),

@@ -15,11 +15,32 @@
 //!   still wants input, so buffering stays bounded.
 //! - A fate table pins the keep-alive rule case by case, and the
 //!   decoded-body cap of chunked uploads is pinned at its boundary.
+//! - On a virtual clock (no sleeps): the deadline moves on progress and
+//!   not on an empty read, a parked connection expires exactly at last
+//!   progress + idle, a closed one at its close + `LINGER`, and a
+//!   stalled chunked body gets 408 and a close at every split point.
+//!   A proptest interleaves clock ticks with feeds.
 
-use leakage_server::conn::{Core, Event, MAX_DECODED_BODY};
+use leakage_server::conn::{Core, Event, LINGER, MAX_DECODED_BODY};
 use leakage_server::http::{MAX_BODY_BYTES, MAX_HEADER_BYTES};
 use leakage_workloads::SplitMix64;
 use proptest::prelude::*;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
+
+/// The idle timeout every core here runs with (the server's default).
+const IDLE: Duration = Duration::from_secs(5);
+
+/// The virtual clock: `ms` milliseconds after a fixed origin.
+fn at(ms: u64) -> Instant {
+    static ORIGIN: OnceLock<Instant> = OnceLock::new();
+    *ORIGIN.get_or_init(Instant::now) + Duration::from_millis(ms)
+}
+
+/// A core accepted at the clock's origin.
+fn new_core(max_requests: u32) -> Core {
+    Core::new(max_requests, IDLE, at(0))
+}
 
 /// The one route that reads a chunked body; the shell refuses chunked
 /// bodies anywhere else without reading them, as the server does.
@@ -50,27 +71,39 @@ struct Shell {
     core: Core,
     seen: Vec<Seen>,
     done: bool,
+    /// The clock the next input comes with; answers are written then.
+    now: Instant,
 }
 
 impl Shell {
     fn new(max_requests: u32) -> Self {
         Shell {
-            core: Core::new(max_requests),
+            core: new_core(max_requests),
             seen: Vec::new(),
             done: false,
+            now: at(0),
         }
     }
 
     fn feed(&mut self, bytes: &[u8]) {
         if !self.done {
-            self.core.feed(bytes);
+            self.core.feed(bytes, self.now);
             self.drain();
         }
     }
 
     fn eof(&mut self) {
         if !self.done {
-            self.core.feed_eof();
+            self.core.feed_eof(self.now);
+            self.drain();
+        }
+    }
+
+    /// The clock reads `now` with no input (a read that timed out).
+    fn tick(&mut self, now: Instant) {
+        self.now = now;
+        self.core.tick(now);
+        if !self.done {
             self.drain();
         }
     }
@@ -96,7 +129,7 @@ impl Shell {
                 }
                 Event::Bad(bad) => {
                     assert!(
-                        matches!(bad.status, 400 | 413 | 431),
+                        matches!(bad.status, 400 | 408 | 413 | 431),
                         "untyped rejection {} ({})",
                         bad.status,
                         bad.reason
@@ -127,8 +160,10 @@ impl Shell {
         }
     }
 
+    /// Decides the answer's fate and writes it.
     fn fate(&mut self) {
         let keep = self.core.keep_alive(false);
+        self.core.written(self.now);
         self.seen.push(Seen::Fate(keep));
         self.done = !keep;
     }
@@ -485,11 +520,11 @@ fn buffering_stays_bounded_for_oversized_input() {
     largest.resize(largest.len() + MAX_BODY_BYTES, b'{');
     largest.extend_from_slice(b"GET /next HTTP/1.1\r\n\r\n");
     for (stream, first) in [(too_wide, 431), (no_newline, 431), (largest, 200)] {
-        let mut core = Core::new(0);
+        let mut core = new_core(0);
         let mut fed = 0;
         while core.wants_input() && fed < stream.len() {
             let end = (fed + 16 * 1024).min(stream.len());
-            core.feed(&stream[fed..end]);
+            core.feed(&stream[fed..end], at(0));
             fed = end;
         }
         let status = match core.next_event() {
@@ -593,10 +628,10 @@ fn fate_table() {
     ];
     for (name, stream, stopping, eof, keep) in rows {
         let max_requests = if name == "budget spent" { 1 } else { 2 };
-        let mut core = Core::new(max_requests);
-        core.feed(stream.as_bytes());
+        let mut core = new_core(max_requests);
+        core.feed(stream.as_bytes(), at(0));
         if eof {
-            core.feed_eof();
+            core.feed_eof(at(0));
         }
         match core.next_event() {
             Event::Request(_) | Event::Bad(_) => {}
@@ -608,8 +643,11 @@ fn fate_table() {
     }
 
     // A chunked body read to its end keeps the connection.
-    let mut core = Core::new(0);
-    core.feed(format!("{CHUNKED_HEAD}1\r\nx\r\n0\r\n\r\n").as_bytes());
+    let mut core = new_core(0);
+    core.feed(
+        format!("{CHUNKED_HEAD}1\r\nx\r\n0\r\n\r\n").as_bytes(),
+        at(0),
+    );
     assert!(matches!(core.next_event(), Event::Request(_)));
     assert!(matches!(core.next_event(), Event::Body(b"x")));
     assert!(matches!(core.next_event(), Event::BodyEnd));
@@ -617,8 +655,8 @@ fn fate_table() {
 
     // A close is final: nothing more is served, and a failed write
     // closes whatever the requests asked.
-    let mut core = Core::new(0);
-    core.feed(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n");
+    let mut core = new_core(0);
+    core.feed(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n", at(0));
     assert!(matches!(core.next_event(), Event::Request(_)));
     core.abort();
     assert!(!core.keep_alive(false));
@@ -631,8 +669,8 @@ fn fate_table() {
 #[test]
 fn decoded_body_cap_is_enforced_at_the_size_line() {
     let open = |sizes: &str| {
-        let mut core = Core::new(0);
-        core.feed(format!("{CHUNKED_HEAD}{sizes}").as_bytes());
+        let mut core = new_core(0);
+        core.feed(format!("{CHUNKED_HEAD}{sizes}").as_bytes(), at(0));
         assert!(matches!(core.next_event(), Event::Request(_)));
         core
     };
@@ -660,5 +698,203 @@ fn decoded_body_cap_is_enforced_at_the_size_line() {
             }
         }
         assert!(!core.keep_alive(false), "{sizes:?}: framing is lost");
+    }
+}
+
+/// The deadline of an open core is its last progress + idle: bytes fed
+/// and a response written move it; an empty read, a tick and the peer's
+/// end of stream do not.
+#[test]
+fn deadline_moves_on_progress_and_not_on_an_empty_read() {
+    let mut core = new_core(0);
+    assert_eq!(core.deadline(), at(0) + IDLE, "accepted at 0");
+    core.feed(b"GET /a HTTP/1.1\r\n", at(100));
+    assert_eq!(core.deadline(), at(100) + IDLE, "bytes fed");
+    core.feed(b"", at(200));
+    assert_eq!(core.deadline(), at(100) + IDLE, "an empty read");
+    core.tick(at(300));
+    assert_eq!(core.deadline(), at(100) + IDLE, "a tick");
+    core.feed(b"\r\n", at(400));
+    assert!(matches!(core.next_event(), Event::Request(_)));
+    assert!(core.keep_alive(false));
+    assert_eq!(core.deadline(), at(400) + IDLE, "deciding the fate");
+    core.written(at(900));
+    assert_eq!(core.deadline(), at(900) + IDLE, "a response written");
+    assert!(matches!(core.next_event(), Event::NeedMore));
+    core.feed_eof(at(1000));
+    assert_eq!(core.deadline(), at(900) + IDLE, "end of stream");
+}
+
+/// A parked connection expires exactly at its last progress + idle,
+/// whatever ticks came before.
+#[test]
+fn parked_connection_expires_exactly_at_last_progress_plus_idle() {
+    let idle = IDLE.as_millis() as u64;
+    for (name, last, stream) in [
+        ("fresh", 0, ""),
+        ("partial request", 1_250, "GET /a HT"),
+        ("answered request", 2_000, "GET /a HTTP/1.1\r\n\r\n"),
+    ] {
+        let mut core = new_core(0);
+        if !stream.is_empty() {
+            core.feed(stream.as_bytes(), at(last));
+        }
+        if let Event::Request(_) = core.next_event() {
+            assert!(core.keep_alive(false));
+            core.written(at(last));
+            assert!(matches!(core.next_event(), Event::NeedMore));
+        }
+        for now in [last, last + 1, last + idle / 2, last + idle - 1] {
+            core.tick(at(now));
+            assert!(!core.expired(at(now)), "{name}: parked at {now} ms");
+        }
+        assert!(
+            core.expired(at(last + idle)),
+            "{name}: expires at {last} + idle"
+        );
+        assert!(!core.is_closed(), "{name}: expiry is the shell's to act on");
+    }
+}
+
+/// A closed core lingers until its close + `LINGER`: the closing
+/// answer's write, or the last progress before a close without one.
+#[test]
+fn closed_core_deadline_is_its_close_plus_linger() {
+    // A request that asked to close, answered at 3 s.
+    let mut core = new_core(0);
+    core.feed(b"GET /a HTTP/1.1\r\nConnection: close\r\n\r\n", at(100));
+    assert!(matches!(core.next_event(), Event::Request(_)));
+    assert!(!core.keep_alive(false));
+    core.written(at(3_000));
+    assert!(core.is_closed());
+    assert_eq!(core.deadline(), at(3_000) + LINGER);
+    core.tick(at(3_500));
+    assert!(!core.expired(at(3_999)));
+    assert!(core.expired(at(4_000)));
+
+    // Shed at accept: answered and closed at once.
+    let mut core = Core::new(0, IDLE, at(7_000));
+    core.abort();
+    core.written(at(7_000));
+    assert_eq!(core.deadline(), at(7_000) + LINGER);
+
+    // The peer half-closed over a partial request: closed with no
+    // answer, so the linger counts from the last bytes.
+    let mut core = new_core(0);
+    core.feed(b"GET /cut HT", at(500));
+    core.feed_eof(at(600));
+    assert!(matches!(core.next_event(), Event::Closed));
+    assert_eq!(core.deadline(), at(500) + LINGER);
+}
+
+/// Feeds `stream` in the segments `cuts` mark, 10 ms apart, then ticks
+/// the clock to 1 ms before the last progress + idle (nothing may
+/// happen) and then to exactly that deadline.
+fn run_stalled(stream: &[u8], cuts: &[usize]) -> Vec<Seen> {
+    let mut shell = Shell::new(0);
+    let mut last = at(0);
+    let mut from = 0;
+    for (i, &cut) in cuts.iter().chain([stream.len()].iter()).enumerate() {
+        shell.now = at(10 * i as u64);
+        shell.feed(&stream[from..cut]);
+        if cut > from {
+            last = shell.now;
+        }
+        from = cut;
+    }
+    let before = shell.seen.clone();
+    shell.tick(last + IDLE - Duration::from_millis(1));
+    assert_eq!(shell.seen, before, "nothing happens before the deadline");
+    shell.tick(last + IDLE);
+    assert_eq!(
+        shell.core.deadline(),
+        last + IDLE + LINGER,
+        "the 408 lingers"
+    );
+    shell.seen
+}
+
+/// A chunked upload whose body stops mid-chunk gets 408 and a close once
+/// its read makes no progress for the idle timeout, at every split
+/// point of its stream, with the events of the unsplit feed.
+#[test]
+fn stalled_chunked_upload_gets_408_and_a_close_at_every_split_point() {
+    let stream = format!("{CHUNKED_HEAD}4\r\nabcd\r\n5\r\nef").into_bytes();
+    let whole = run_stalled(&stream, &[]);
+    assert_eq!(
+        render(&whole),
+        "POST /v1/trace/intervals chunked, body \"abcdef\", 408, close"
+    );
+    for cut in 0..=stream.len() {
+        assert_eq!(run_stalled(&stream, &[cut]), whole, "split at {cut}");
+    }
+    let every: Vec<usize> = (1..stream.len()).collect();
+    assert_eq!(run_stalled(&stream, &every), whole, "byte at a time");
+}
+
+/// One step of a clocked stream: bytes fed, or the clock moving with
+/// no input; each comes after the clock advances this many ms.
+#[derive(Debug, Clone)]
+enum Step {
+    Feed(Vec<u8>, u64),
+    Tick(u64),
+}
+
+/// Clock advances that land on, just before and past the deadlines.
+fn advance() -> impl Strategy<Value = u64> {
+    let idle = IDLE.as_millis() as u64;
+    prop_oneof![
+        Just(0u64),
+        1..idle,
+        Just(idle - 1),
+        Just(idle),
+        Just(2 * idle)
+    ]
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (fragment(), advance()).prop_map(|(bytes, ms)| Step::Feed(bytes, ms)),
+        advance().prop_map(Step::Tick),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Clock ticks interleaved with arbitrary feeds: typed 4xx only (408
+    /// included), no panic, an open core's deadline never moves
+    /// backwards, and a closed one's is its close + `LINGER` from then
+    /// on.
+    #[test]
+    fn clock_ticks_interleaved_with_feeds_keep_the_deadline_monotone(
+        steps in prop::collection::vec(step(), 0..48),
+        max_requests in 0u32..4,
+    ) {
+        let mut shell = Shell::new(max_requests);
+        let mut elapsed = 0;
+        let mut deadline = shell.core.deadline();
+        let mut closed = None;
+        for step in steps {
+            let ms = match &step {
+                Step::Feed(_, ms) | Step::Tick(ms) => *ms,
+            };
+            elapsed += ms;
+            shell.now = at(elapsed);
+            match step {
+                Step::Feed(bytes, _) => shell.feed(&bytes),
+                Step::Tick(_) => shell.tick(at(elapsed)),
+            }
+            let now = shell.core.deadline();
+            match closed {
+                Some(linger) => prop_assert_eq!(now, linger),
+                None if shell.core.is_closed() => {
+                    prop_assert_eq!(now, shell.now + LINGER, "closed by an answer written now");
+                    closed = Some(now);
+                }
+                None => prop_assert!(now >= deadline, "the deadline moved backwards"),
+            }
+            deadline = now;
+        }
     }
 }

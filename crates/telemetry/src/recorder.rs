@@ -11,7 +11,7 @@
 //!   of the sequence word, from the even value it holds (`0`, or
 //!   `2*t + 2` for the last committed ticket `t`) to the odd value
 //!   `2*ticket + 1`. It claims only when that even value belongs to an
-//!   older ticket; the eight data words are stored relaxed and the
+//!   older ticket; the seven data words are stored relaxed and the
 //!   sequence is released as the even value `2*ticket + 2`.
 //! * A writer that finds the slot odd (another writer, a full ring
 //!   *lap* apart, is mid-write — e.g. preempted), already committed by
@@ -92,14 +92,12 @@ pub struct RequestRecord {
     pub handler_us: u32,
     /// Profile-store / query compute inside the handler.
     pub store_us: u32,
-    /// Response serialization into the connection buffer.
-    pub serialize_us: u32,
     /// Socket write (shared by every response in a flushed batch).
     pub write_us: u32,
 }
 
 /// Number of packed `AtomicU64` data words per slot.
-const WORDS: usize = 8;
+const WORDS: usize = 7;
 
 impl RequestRecord {
     /// Whether the reservoir must always retain this record.
@@ -114,9 +112,11 @@ impl RequestRecord {
             (u64::from(self.total_us) << 32) | u64::from(self.parse_us),
             (u64::from(self.queue_us) << 32) | u64::from(self.permit_us),
             (u64::from(self.handler_us) << 32) | u64::from(self.store_us),
-            (u64::from(self.serialize_us) << 32) | u64::from(self.write_us),
             (u64::from(self.req_bytes) << 32) | u64::from(self.resp_bytes),
-            (u64::from(self.status) << 16) | (u64::from(self.route) << 8) | u64::from(self.flags),
+            (u64::from(self.write_us) << 32)
+                | (u64::from(self.status) << 16)
+                | (u64::from(self.route) << 8)
+                | u64::from(self.flags),
         ]
     }
 
@@ -130,13 +130,12 @@ impl RequestRecord {
             permit_us: words[3] as u32,
             handler_us: (words[4] >> 32) as u32,
             store_us: words[4] as u32,
-            serialize_us: (words[5] >> 32) as u32,
-            write_us: words[5] as u32,
-            req_bytes: (words[6] >> 32) as u32,
-            resp_bytes: words[6] as u32,
-            status: (words[7] >> 16) as u16,
-            route: (words[7] >> 8) as u8,
-            flags: words[7] as u8,
+            req_bytes: (words[5] >> 32) as u32,
+            resp_bytes: words[5] as u32,
+            write_us: (words[6] >> 32) as u32,
+            status: (words[6] >> 16) as u16,
+            route: (words[6] >> 8) as u8,
+            flags: words[6] as u8,
         }
     }
 }
@@ -232,7 +231,7 @@ impl FlightRecorder {
         self.start.elapsed().as_micros() as u64
     }
 
-    /// Publishes one record: a ticket claim, a slot claim, eight
+    /// Publishes one record: a ticket claim, a slot claim, seven
     /// relaxed stores, and (only for errors or new top-K entrants) a
     /// reservoir insert.
     pub fn record(&self, rec: &RequestRecord) {
@@ -371,7 +370,6 @@ mod tests {
             permit_us: 3,
             handler_us: 800,
             store_us: 700,
-            serialize_us: 4,
             write_us: 5,
         };
         assert_eq!(RequestRecord::unpack(full.pack()), full);
@@ -434,5 +432,23 @@ mod tests {
         assert_eq!(top[0].total_us, 100);
         assert_eq!(top.last().unwrap().total_us, 100 - SLOW_TOP_K as u32 + 1);
         assert!(errors.is_empty());
+    }
+
+    /// The error reservoir keeps the last `ERROR_KEEP` errors (read
+    /// newest first), however many arrive.
+    #[test]
+    fn error_reservoir_keeps_the_last_error_keep_errors() {
+        let recorder = FlightRecorder::new(8);
+        let total = ERROR_KEEP as u64 * 3;
+        for id in 0..total {
+            recorder.record(&RequestRecord {
+                status: 503,
+                ..rec(id, 1)
+            });
+        }
+        let (_, errors) = recorder.slow();
+        let ids: Vec<u64> = errors.iter().map(|r| r.trace_id).collect();
+        let newest: Vec<u64> = (total - ERROR_KEEP as u64..total).rev().collect();
+        assert_eq!(ids, newest);
     }
 }

@@ -28,7 +28,6 @@ fn derived(id: u64) -> RequestRecord {
         permit_us: (seed >> 17) as u32,
         handler_us: (seed >> 19) as u32,
         store_us: (seed >> 23) as u32,
-        serialize_us: (seed >> 29) as u32,
         write_us: (seed >> 31) as u32,
     }
 }

@@ -488,7 +488,6 @@ fn request_trace_flows_to_flight_recorder() {
         "permit_us",
         "handler_us",
         "store_us",
-        "serialize_us",
         "write_us",
     ];
     for stage in stages {
@@ -499,11 +498,7 @@ fn request_trace_flows_to_flight_recorder() {
         );
     }
     // Disjoint wall-time stages sum to at most the total.
-    let disjoint = field("parse_us")
-        + field("queue_us")
-        + field("handler_us")
-        + field("serialize_us")
-        + field("write_us");
+    let disjoint = field("parse_us") + field("queue_us") + field("handler_us") + field("write_us");
     assert!(
         disjoint <= total,
         "disjoint stages ({disjoint}) must fit in the total ({total})"
