@@ -5,10 +5,10 @@
 //! the input buffer, the request budget, the chunked-body decoder with
 //! its decoded-size cap, and the connection's one clock: each input
 //! comes with the time the shell read, and [`Core::deadline`] decides
-//! idle expiry, the end of a linger and a stalled body's 408. The
-//! reactor, the worker loop and the upload path are I/O shells around
-//! it: read, feed, write, linger. `tests/conn_split.rs` checks it at
-//! every split point of its input and on a virtual clock.
+//! idle expiry, a request's total deadline and its 408, and the end of
+//! a linger. The reactor, the worker loop and the upload path are I/O
+//! shells around it: read, feed, write, linger. `tests/conn_split.rs`
+//! checks it at every split point of its input and on a virtual clock.
 
 use crate::http::{parse_request, BadRequest, Parse, Request, MAX_BODY_BYTES, MAX_HEADER_BYTES};
 use crate::trace::{next_trace_id, us32};
@@ -76,6 +76,10 @@ pub struct Core {
     idle: Duration,
     /// Last progress: bytes fed or a response written.
     progress: Instant,
+    /// The total deadline of the request in progress: its start (its
+    /// first byte, or the previous answer's write if later) + two idle
+    /// windows, + one more per [`MAX_HEADER_BYTES`] fed since.
+    due: Instant,
     /// The latest time an input came with.
     now: Instant,
 }
@@ -96,14 +100,22 @@ impl Core {
             decoded: Vec::new(),
             idle,
             progress: now,
+            due: now + idle * 2,
             now,
         }
     }
 
     /// Appends bytes read from the peer at `now`; any byte is progress.
+    /// Once the fate is close and no body is left to read, nothing more
+    /// is served: bytes are discarded (a lingering connection's input).
     pub fn feed(&mut self, bytes: &[u8], now: Instant) {
         self.now = now;
-        if !bytes.is_empty() {
+        if !bytes.is_empty() && (!self.close || self.body.is_some()) {
+            if !self.pending() {
+                self.due = now + self.idle * 2;
+            }
+            let fed = u32::try_from(bytes.len()).unwrap_or(u32::MAX);
+            self.due += (self.idle / MAX_HEADER_BYTES as u32).saturating_mul(fed);
             self.progress = now;
             self.buf.extend_from_slice(bytes);
         }
@@ -116,10 +128,12 @@ impl Core {
     }
 
     /// A response (or a batch of them) was written at `now`: progress,
-    /// and the time a closing answer starts the linger from.
+    /// the start of the next request's clock, and the time a closing
+    /// answer starts the linger from.
     pub fn written(&mut self, now: Instant) {
         self.now = now;
         self.progress = now;
+        self.due = now + self.idle * 2;
     }
 
     /// Time passed with no input (a read that timed out). A chunked
@@ -128,11 +142,22 @@ impl Core {
         self.now = now;
     }
 
-    /// When the connection's fate falls due: an open connection expires
-    /// at its last progress + the idle timeout; a closed one stops
-    /// lingering at its close (the closing answer's write) + [`LINGER`].
+    /// When the connection's fate falls due. An open connection expires
+    /// at its last progress + the idle timeout, a request in progress no
+    /// later than its total deadline (a client must average 16 KiB per
+    /// idle window after two windows of grace), and a closed connection's
+    /// linger at its close + [`LINGER`].
     pub fn deadline(&self) -> Instant {
-        self.progress + if self.close { LINGER } else { self.idle }
+        match (self.close, self.pending()) {
+            (true, _) => self.progress + LINGER,
+            (false, true) => self.due.min(self.progress + self.idle),
+            (false, false) => self.progress + self.idle,
+        }
+    }
+
+    /// Whether a request is in progress: input buffered, or a body to read.
+    pub fn pending(&self) -> bool {
+        !self.buf.is_empty() || self.body.is_some()
     }
 
     /// Whether the deadline has passed at `now`: the shell drops the
@@ -243,6 +268,10 @@ impl Core {
             Parse::Partial if self.eof => {
                 self.close = true;
                 Event::Closed
+            }
+            Parse::Partial if self.pending() && self.expired(self.now) => {
+                self.close = true;
+                Event::Bad(BadRequest::new(408, "timed out reading request"))
             }
             Parse::Partial => Event::NeedMore,
         }

@@ -20,17 +20,17 @@
 //! - **Keep-alive + pipelining**: HTTP/1.1 persistent connections with
 //!   incremental parsing ([`http`]); pipelined requests are answered as
 //!   one batched write.
-//! - **One sans-IO connection core** ([`conn`]): framing, the request
-//!   budget, chunked-body deframing and every response's keep-alive
-//!   fate are decided in one socket-free state machine; the reactor,
-//!   the workers and the upload path are I/O shells around it.
+//! - **Two pure state machines, I/O shells around them**: a connection
+//!   core ([`conn`]) decides framing, the request budget, chunked-body
+//!   deframing, each response's keep-alive fate and the connection's
+//!   clock (idle timeout, a request's total deadline, 408, linger); a
+//!   dispatch decides admission, shedding, inline answers, the worker
+//!   hand-back and the drain. Both are checked without sockets.
 //! - **Epoll reactor** (the only transport, so the server builds on
 //!   Linux only): one readiness thread owns every idle connection;
 //!   workers only ever touch connections with a complete parsed
-//!   request ([`reactor`]).
-//! - **Admission control**: a bounded queue between the reactor and
-//!   the fixed worker pool; when full, the reactor itself answers
-//!   503 + `Retry-After` ([`pool`]).
+//!   request ([`reactor`]). A full queue or `max_connections` is
+//!   answered 503 + `Retry-After` by the reactor itself.
 //! - **Per-endpoint concurrency limits**: simulation-backed GETs and
 //!   sweep batches each hold a semaphore permit ([`limit`]).
 //! - **Streaming uploads**: `POST /v1/trace/intervals` accepts
@@ -65,6 +65,7 @@
 //! throughput plus interpolated p50/p95/p99/max latency as JSON.
 
 #![deny(unsafe_code)]
+#![deny(clippy::all)]
 #![warn(missing_docs)]
 
 #[cfg(not(target_os = "linux"))]
@@ -72,6 +73,7 @@ compile_error!("leakage-server runs on Linux only: its transport is an epoll rea
 
 pub mod artifacts;
 pub mod conn;
+mod dispatch;
 pub mod http;
 pub mod limit;
 pub mod loadgen;

@@ -1,24 +1,14 @@
 //! The server core: bounded job queue, worker pool, graceful
-//! shutdown.
-//!
-//! One epoll reactor thread owns accept + read-readiness and parses
-//! requests off nonblocking connections ([`crate::reactor`]); the
-//! worker pool here answers them. An idle keep-alive connection costs
-//! a slab entry, not a thread.
-//!
-//! Backpressure is explicit: when the bounded queue is full the
-//! reactor itself answers 503 + `Retry-After` and closes — the client
-//! learns immediately instead of queueing into a timeout. Shutdown is
-//! draining: accepts stop, admitted work is served, idle keep-alive
-//! connections close, then the workers exit.
+//! shutdown. The epoll reactor ([`crate::reactor`]) parses requests
+//! off nonblocking connections and queues them; the worker pool here
+//! answers them. Shutdown is draining: accepts stop, admitted work is
+//! served, idle keep-alive connections close, then the workers exit.
 
 use crate::artifacts::ArtifactCatalog;
 use crate::conn::Event;
 use crate::http::{Request, Response};
 use crate::limit::Semaphore;
-use crate::reactor::{
-    reactor_worker, Connection, ExemptFn, Reactor, ReactorConfig, ReactorHandle, ShedHook,
-};
+use crate::reactor::{reactor_worker, Connection, Reactor, ReactorHandle};
 use crate::respcache::ResponseCache;
 use crate::routes::{self, RouteContext, ServerInfo};
 use crate::storefront::StoreFront;
@@ -58,9 +48,8 @@ pub struct ServerConfig {
     /// `Retry-After` seconds on shed responses.
     pub retry_after_secs: u64,
     /// The connection clock's one timeout: the longest silence allowed
-    /// on a parked connection, the longest a chunked-body read may go
-    /// without a byte (408 after it), and the total bound on one batch
-    /// write.
+    /// on a connection (a request cut off by it gets 408), the unit of a
+    /// request's total deadline, and the total bound on one batch write.
     pub idle_timeout: Duration,
     /// Requests served per connection before it is closed
     /// (0 = unlimited). The budget-exhausting response carries
@@ -138,10 +127,10 @@ impl Default for ServerConfig {
 
 /// A parsed request together with the connection it arrived on — the
 /// unit of work the reactor hands the pool.
-pub type Job = (Connection, Request);
+pub(crate) type Job = (Connection, Request);
 
 /// The bounded queue between the reactor and the workers.
-pub struct Queue<T> {
+pub(crate) struct Queue<T> {
     inner: Mutex<QueueInner<T>>,
     ready: Condvar,
     depth: usize,
@@ -154,7 +143,7 @@ struct QueueInner<T> {
 
 impl<T> Queue<T> {
     /// A queue shedding beyond `depth` items.
-    pub fn new(depth: usize) -> Self {
+    pub(crate) fn new(depth: usize) -> Self {
         Queue {
             inner: Mutex::new(QueueInner {
                 items: VecDeque::new(),
@@ -170,7 +159,7 @@ impl<T> Queue<T> {
     /// # Errors
     ///
     /// The rejected item, for the caller to shed.
-    pub fn push(&self, item: T) -> Result<(), T> {
+    pub(crate) fn push(&self, item: T) -> Result<(), T> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.items.len() >= self.depth {
             return Err(item);
@@ -183,7 +172,7 @@ impl<T> Queue<T> {
 
     /// Takes the next item; `None` once closed **and** drained, so
     /// queued work is always served through shutdown.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(item) = inner.items.pop_front() {
@@ -200,7 +189,7 @@ impl<T> Queue<T> {
     }
 
     /// Stops admissions and wakes every worker to drain and exit.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -209,17 +198,12 @@ impl<T> Queue<T> {
     }
 
     /// Items currently queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .items
             .len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -303,31 +287,8 @@ impl Server {
             let queue = Arc::clone(&queue);
             Box::new(move || queue.len())
         });
-        // Debug/health routes answer inline on a full queue instead of
-        // shedding — the observability plane must stay reachable exactly
-        // when the system is saturated. The closures keep the reactor
-        // route-agnostic.
-        let exempt = {
-            let ctx = Arc::clone(&ctx);
-            Arc::new(move |request: &Request| routes::exempt_response(request, &ctx))
-                as Arc<ExemptFn>
-        };
-        let on_shed = {
-            let ctx = Arc::clone(&ctx);
-            Arc::new(move |request: &Request| record_shed(request, &ctx)) as Arc<ShedHook>
-        };
-        let (reactor, handle) = Reactor::new(
-            listener,
-            Arc::clone(&queue),
-            ReactorConfig {
-                idle_timeout: config.idle_timeout,
-                max_requests_per_connection: config.max_requests_per_connection,
-                max_connections: config.max_connections.max(1),
-                retry_after_secs: config.retry_after_secs,
-                exempt,
-                on_shed,
-            },
-        )?;
+        let (reactor, handle) =
+            Reactor::new(listener, Arc::clone(&queue), &config, Arc::clone(&ctx))?;
 
         let reactor = {
             let stop = Arc::clone(&stop);
@@ -370,11 +331,6 @@ impl Server {
         self.addr
     }
 
-    /// Current job/admission-queue depth (observability for tests).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Graceful shutdown: stop accepting, serve everything already
     /// admitted (in-flight keep-alive requests included), close idle
     /// connections, join every thread.
@@ -404,13 +360,9 @@ pub(crate) fn record_shed(request: &Request, ctx: &RouteContext) {
         return;
     };
     let queue_us = us32(request.trace.parsed_at.elapsed());
-    let trace_id = if request.trace.id == 0 {
-        crate::trace::next_trace_id()
-    } else {
-        request.trace.id
-    };
     recorder.record(&RequestRecord {
-        trace_id,
+        // The core gives every request a trace id.
+        trace_id: request.trace.id,
         end_us: recorder.now_us(),
         route: routes::route_code(routes::route_name(request)),
         flags: FLAG_SHED,
@@ -431,7 +383,7 @@ pub(crate) fn record_shed(request: &Request, ctx: &RouteContext) {
 /// request.
 ///
 /// Returns the connection with its fate decided by its core.
-pub fn work_requests(
+pub(crate) fn work_requests(
     mut conn: Connection,
     mut request: Request,
     ctx: &RouteContext,

@@ -563,7 +563,7 @@ fn debug_requests(request: &Request, recorder: &FlightRecorder) -> Response {
     let records: Vec<RequestRecord> = recorder
         .recent(recorder.capacity())
         .into_iter()
-        .filter(|rec| route_filter.map_or(true, |code| rec.route == code))
+        .filter(|rec| route_filter.is_none_or(|code| rec.route == code))
         .filter(|rec| rec.total_us >= min_us)
         .take(n)
         .collect();

@@ -27,8 +27,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// up by `&str` — no key allocation on the hot path.
 pub struct StoreFront {
     store: &'static ProfileStore,
-    stripes: Vec<Mutex<HashMap<String, Vec<(u64, Arc<BenchmarkProfile>)>>>>,
+    stripes: Vec<Mutex<Stripe>>,
 }
+
+/// Benchmark name → its `(cycles, profile)` entries.
+type Stripe = HashMap<String, Vec<(u64, Arc<BenchmarkProfile>)>>;
 
 fn stripe_of(benchmark: &str, cycles: u64, stripes: usize) -> usize {
     let mut hash = Fnv64::new();

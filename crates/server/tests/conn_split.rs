@@ -19,7 +19,10 @@
 //!   not on an empty read, a parked connection expires exactly at last
 //!   progress + idle, a closed one at its close + `LINGER`, and a
 //!   stalled chunked body gets 408 and a close at every split point.
-//!   A proptest interleaves clock ticks with feeds.
+//!   A request's total deadline gives a trickled head 408 at every split
+//!   point, serves a head and a body at the floor rate, and starts a
+//!   pipelined request's clock at the previous answer's write. A
+//!   proptest interleaves clock ticks and one-byte trickles with feeds.
 
 use leakage_server::conn::{Core, Event, LINGER, MAX_DECODED_BODY};
 use leakage_server::http::{MAX_BODY_BYTES, MAX_HEADER_BYTES};
@@ -832,12 +835,143 @@ fn stalled_chunked_upload_gets_408_and_a_close_at_every_split_point() {
     assert_eq!(run_stalled(&stream, &every), whole, "byte at a time");
 }
 
+/// A request's total deadline: its start + two idle windows + one more
+/// per 16 KiB of the `fed` bytes (at a whole number of ns per byte).
+fn total_deadline(start: Instant, fed: usize) -> Instant {
+    start + IDLE * 2 + IDLE / MAX_HEADER_BYTES as u32 * fed as u32
+}
+
+/// A request head that a trickling client never finishes.
+const TRICKLED: &[u8] = b"GET /trickle HTTP/1.1\r\nHost: t\r\nX-Pad: pppppppppppppppp";
+
+/// Feeds `TRICKLED` up to `cut` at 0 ms, then one byte every 3 s (each
+/// within the idle timeout, so the connection is never idle), until the
+/// next byte would come after the total deadline; then ticks the clock to
+/// 1 ms before that deadline (nothing may happen) and to the deadline.
+fn run_trickled(cut: usize) -> Vec<Seen> {
+    let mut shell = Shell::new(0);
+    shell.feed(&TRICKLED[..cut]);
+    let mut fed = cut;
+    let mut next = 3_000;
+    while at(next) < total_deadline(at(0), fed) {
+        shell.now = at(next);
+        shell.feed(&TRICKLED[fed..=fed]);
+        fed += 1;
+        next += 3_000;
+    }
+    assert!(shell.seen.is_empty(), "cut {cut}: {:?}", shell.seen);
+    let deadline = total_deadline(at(0), fed);
+    assert_eq!(shell.core.deadline(), deadline, "cut {cut}");
+    shell.tick(deadline - Duration::from_millis(1));
+    assert!(
+        shell.seen.is_empty(),
+        "cut {cut}: nothing before the deadline"
+    );
+    shell.tick(deadline);
+    shell.seen
+}
+
+/// A head trickled one byte per 3 s never stays silent for the 5 s idle
+/// timeout, yet gets 408 and a close exactly at its total deadline
+/// (after about two idle windows), whichever point its first segment
+/// ends at.
+#[test]
+fn trickled_head_gets_408_at_its_deadline_at_every_split_point() {
+    for cut in 1..TRICKLED.len() - 3 {
+        assert_eq!(render(&run_trickled(cut)), "408, close", "cut {cut}");
+    }
+}
+
+/// Feeds `stream` 1 KiB every `period_ms` and returns what the shell saw.
+fn run_paced(stream: &[u8], period_ms: u64) -> Vec<Seen> {
+    let mut shell = Shell::new(0);
+    for (i, piece) in stream.chunks(1024).enumerate() {
+        shell.now = at(period_ms * i as u64);
+        shell.feed(piece);
+    }
+    shell.seen
+}
+
+/// A near-maximal head and a 64 KiB body, chunked or `Content-Length`,
+/// sent at the floor rate (16 KiB per idle window) are served; at half
+/// that rate the total deadline cuts them off with 408.
+#[test]
+fn head_and_body_at_the_floor_rate_are_served() {
+    let pad = "p".repeat(MAX_HEADER_BYTES - 200);
+    let body = vec![b'b'; 64 * 1024];
+    let mut chunked =
+        format!("POST {UPLOAD} HTTP/1.1\r\nTransfer-Encoding: chunked\r\nX-Pad: {pad}\r\n\r\n")
+            .into_bytes();
+    for chunk in body.chunks(4096) {
+        chunked.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+        chunked.extend_from_slice(chunk);
+        chunked.extend_from_slice(b"\r\n");
+    }
+    chunked.extend_from_slice(b"0\r\n\r\n");
+    let mut sized = format!(
+        "POST /v1/sweep HTTP/1.1\r\nX-Pad: {pad}\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    sized.extend_from_slice(&body);
+    let floor_ms = IDLE.as_millis() as u64 * 1024 / MAX_HEADER_BYTES as u64;
+    for (name, stream) in [("chunked", &chunked), ("sized", &sized)] {
+        let seen = run_paced(stream, floor_ms);
+        let body_len = seen.iter().find_map(|s| match s {
+            Seen::Request {
+                body,
+                chunked: false,
+                ..
+            } => Some(body.len()),
+            Seen::Body(body) => Some(body.len()),
+            _ => None,
+        });
+        assert_eq!(body_len, Some(body.len()), "{name}: the whole body arrives");
+        assert_eq!(seen.last(), Some(&Seen::Fate(true)), "{name}: served");
+        let seen = run_paced(stream, 2 * floor_ms);
+        assert!(
+            render(&seen).ends_with("408, close"),
+            "{name} at half the floor rate: {}",
+            render(&seen)
+        );
+    }
+}
+
+/// A pipelined request whose first bytes arrived with the one before it
+/// starts its clock when that answer is written, not at its first byte:
+/// a slow handler does not eat the next request's time.
+#[test]
+fn pipelined_request_clock_starts_at_the_previous_answers_write() {
+    let mut core = new_core(0);
+    core.feed(b"GET /a HTTP/1.1\r\n\r\nGET /b HT", at(0));
+    assert!(matches!(core.next_event(), Event::Request(_)));
+    assert!(core.keep_alive(false));
+    core.written(at(7_000));
+    assert!(matches!(core.next_event(), Event::NeedMore));
+    assert_eq!(core.deadline(), at(12_000), "the write is progress");
+    core.feed(b"T", at(11_000));
+    assert_eq!(core.deadline(), at(16_000));
+    core.feed(b"P", at(15_000));
+    let deadline = total_deadline(at(7_000), 2);
+    assert_eq!(core.deadline(), deadline, "counted from the write at 7 s");
+    core.tick(deadline - Duration::from_millis(1));
+    assert!(matches!(core.next_event(), Event::NeedMore));
+    core.tick(deadline);
+    match core.next_event() {
+        Event::Bad(bad) => assert_eq!(bad.status, 408),
+        other => panic!("{other:?}"),
+    }
+    assert!(!core.keep_alive(false), "a 408 closes");
+}
+
 /// One step of a clocked stream: bytes fed, or the clock moving with
 /// no input; each comes after the clock advances this many ms.
 #[derive(Debug, Clone)]
 enum Step {
     Feed(Vec<u8>, u64),
     Tick(u64),
+    /// One byte of a request line that never ends.
+    Trickle(u64),
 }
 
 /// Clock advances that land on, just before and past the deadlines.
@@ -856,16 +990,19 @@ fn step() -> impl Strategy<Value = Step> {
     prop_oneof![
         (fragment(), advance()).prop_map(|(bytes, ms)| Step::Feed(bytes, ms)),
         advance().prop_map(Step::Tick),
+        advance().prop_map(Step::Trickle),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Clock ticks interleaved with arbitrary feeds: typed 4xx only (408
-    /// included), no panic, an open core's deadline never moves
-    /// backwards, and a closed one's is its close + `LINGER` from then
-    /// on.
+    /// Clock ticks and one-byte trickles interleaved with arbitrary
+    /// feeds: typed 4xx only (408 included), no panic, an open core's
+    /// deadline never moves backwards and lies between the request's
+    /// total deadline (counted from the last answer's write at the
+    /// earliest) and last progress + idle, and a closed one's is its
+    /// close + `LINGER` from then on.
     #[test]
     fn clock_ticks_interleaved_with_feeds_keep_the_deadline_monotone(
         steps in prop::collection::vec(step(), 0..48),
@@ -875,15 +1012,31 @@ proptest! {
         let mut elapsed = 0;
         let mut deadline = shell.core.deadline();
         let mut closed = None;
+        let (mut progress, mut written) = (at(0), at(0));
         for step in steps {
             let ms = match &step {
-                Step::Feed(_, ms) | Step::Tick(ms) => *ms,
+                Step::Feed(_, ms) | Step::Tick(ms) | Step::Trickle(ms) => *ms,
             };
             elapsed += ms;
             shell.now = at(elapsed);
+            let (fed, answers) = (!shell.done, shell.seen.len());
             match step {
-                Step::Feed(bytes, _) => shell.feed(&bytes),
+                Step::Feed(bytes, _) => {
+                    shell.feed(&bytes);
+                    if fed && !bytes.is_empty() {
+                        progress = shell.now;
+                    }
+                }
                 Step::Tick(_) => shell.tick(at(elapsed)),
+                Step::Trickle(_) => {
+                    shell.feed(b"x");
+                    if fed {
+                        progress = shell.now;
+                    }
+                }
+            }
+            if shell.seen[answers..].iter().any(|seen| matches!(seen, Seen::Fate(_))) {
+                (progress, written) = (shell.now, shell.now);
             }
             let now = shell.core.deadline();
             match closed {
@@ -892,7 +1045,14 @@ proptest! {
                     prop_assert_eq!(now, shell.now + LINGER, "closed by an answer written now");
                     closed = Some(now);
                 }
-                None => prop_assert!(now >= deadline, "the deadline moved backwards"),
+                None => {
+                    prop_assert!(now >= deadline, "the deadline moved backwards");
+                    prop_assert!(now <= progress + IDLE, "past last progress + idle");
+                    prop_assert!(
+                        now >= (progress + IDLE).min(written + 2 * IDLE),
+                        "before the earliest total deadline"
+                    );
+                }
             }
             deadline = now;
         }

@@ -147,6 +147,54 @@ fn idle_connection_is_closed_after_timeout() {
     server.shutdown();
 }
 
+/// A client that trickles a request head one byte per 140 ms is never
+/// silent for the 300 ms idle timeout, but falls behind its request's
+/// total deadline: it gets 408 and `Connection: close` within 2 s
+/// instead of holding the connection for as long as it trickles.
+#[test]
+fn trickled_head_gets_408() {
+    let server = start(ServerConfig {
+        idle_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    });
+    let head = format!(
+        "GET /healthz HTTP/1.1\r\nHost: t\r\nX-Pad: {}\r\n\r\n",
+        "p".repeat(40)
+    );
+    let mut stream = TcpStream::connect_timeout(&server.addr(), CLIENT_TIMEOUT).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(140)))
+        .unwrap();
+    let started = Instant::now();
+    let mut raw = Vec::new();
+    let mut chunk = [0u8; 1024];
+    for byte in head.bytes() {
+        if stream.write_all(&[byte]).is_err() {
+            break;
+        }
+        match stream.read(&mut chunk) {
+            Ok(n) => {
+                raw.extend_from_slice(&chunk[..n]);
+                break;
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    stream
+        .read_to_end(&mut raw)
+        .expect("the answer ends in a clean close");
+    let waited = started.elapsed();
+    let text = String::from_utf8_lossy(&raw).to_ascii_lowercase();
+    assert!(text.starts_with("http/1.1 408"), "got: {text}");
+    assert!(text.contains("connection: close"), "got: {text}");
+    assert!(waited < Duration::from_secs(2), "answered after {waited:?}");
+    server.shutdown();
+}
+
 /// Idle keep-alive connections hold no worker: with two workers and
 /// eight parked connections, a ninth is answered at once instead of
 /// waiting out the idle timeout of a connection that pins a worker.

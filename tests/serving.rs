@@ -297,8 +297,9 @@ fn handler_panic_is_isolated_from_the_pool() {
 }
 
 /// Graceful shutdown drains: a request already admitted (and sleeping
-/// inside its handler) completes with 200 while the server shuts
-/// down, and only then does the listener disappear.
+/// inside its handler) and one queued behind it, not yet popped by the
+/// only worker, both complete with 200 while the server shuts down, and
+/// only then does the listener disappear.
 #[test]
 fn graceful_shutdown_drains_inflight_request() {
     let _faults = FaultScope::new("server/handler/healthz=latency:600");
@@ -308,18 +309,24 @@ fn graceful_shutdown_drains_inflight_request() {
     })
     .expect("server starts");
     let addr = server.addr();
+    let healthz = move || fetch(addr, "GET", "/healthz", None, CLIENT_TIMEOUT);
 
-    let inflight = std::thread::spawn(move || fetch(addr, "GET", "/healthz", None, CLIENT_TIMEOUT));
+    let inflight = std::thread::spawn(healthz);
     // Let the request reach the worker (it then sleeps 600ms in the
-    // armed latency site) before initiating shutdown.
+    // armed latency site), then queue a second one behind it before
+    // initiating shutdown.
     std::thread::sleep(Duration::from_millis(200));
+    let queued = std::thread::spawn(healthz);
+    std::thread::sleep(Duration::from_millis(150));
     server.shutdown();
 
-    let response = inflight
-        .join()
-        .expect("client thread")
-        .expect("in-flight request survives the shutdown");
-    assert_eq!(response.status, 200, "drained, not dropped");
+    for (name, client) in [("in-flight", inflight), ("queued", queued)] {
+        let response = client
+            .join()
+            .expect("client thread")
+            .unwrap_or_else(|err| panic!("{name} request survives the shutdown: {err}"));
+        assert_eq!(response.status, 200, "{name}: drained, not dropped");
+    }
 
     assert!(
         TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err(),
