@@ -140,6 +140,7 @@ pub fn decode_profile(bytes: &[u8]) -> Result<BenchmarkProfile, CodecError> {
         name,
         icache,
         dcache,
+        memo: Default::default(),
     })
 }
 
@@ -352,6 +353,7 @@ mod tests {
             name: "gzip".to_string(),
             icache: cache.clone(),
             dcache: cache,
+            memo: Default::default(),
         }
     }
 

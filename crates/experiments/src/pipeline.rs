@@ -2,6 +2,7 @@
 
 use crate::store::ProfileStore;
 use leakage_cachesim::{CacheStats, Hierarchy, HierarchyConfig, Level1};
+use leakage_core::{OptimalSavings, TechnologyNode};
 use leakage_faults::{panic_message, PipelineError};
 use leakage_intervals::{
     CompactIntervalDist, IntervalExtractor, IntervalTally, StreamingExtractor, WakeHints,
@@ -12,7 +13,7 @@ use leakage_workloads::{suite, Benchmark, Scale, SUITE_NAMES};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Everything the experiments need to know about one cache of one
 /// benchmark run: the interval distribution (the sufficient statistic
@@ -40,7 +41,7 @@ impl CacheProfile {
 }
 
 /// Profiles of both L1 caches for one benchmark.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct BenchmarkProfile {
     /// Benchmark name (e.g. `"gzip"`).
     pub name: String,
@@ -48,6 +49,11 @@ pub struct BenchmarkProfile {
     pub icache: CacheProfile,
     /// L1 data-cache profile.
     pub dcache: CacheProfile,
+    /// The sweep answers of this profile, one slot per (side, node)
+    /// (2 L1 sides × 4 technology nodes), each filled on first need by
+    /// [`BenchmarkProfile::optimal_savings`]. Never encoded; a clone
+    /// starts empty.
+    pub(crate) memo: [OnceLock<OptimalSavings>; 8],
 }
 
 impl BenchmarkProfile {
@@ -56,6 +62,32 @@ impl BenchmarkProfile {
         match side {
             Level1::Instruction => &self.icache,
             Level1::Data => &self.dcache,
+        }
+    }
+
+    /// The Fig. 6 generalized model's answer for one side at one node
+    /// ([`query::sweep_model`] over that side's distribution), evaluated
+    /// on the first call for each (side, node) and read back after.
+    ///
+    /// The memo assumes the profile's distributions do not change once
+    /// asked: edit a clone (which starts with an empty memo), not a
+    /// profile that has answered.
+    ///
+    /// [`query::sweep_model`]: crate::query::sweep_model
+    pub fn optimal_savings(&self, side: Level1, node: TechnologyNode) -> OptimalSavings {
+        let slot = side as usize * TechnologyNode::ALL.len() + node as usize;
+        *self.memo[slot]
+            .get_or_init(|| crate::query::sweep_model(node).optimal_savings(&self.side(side).dist))
+    }
+}
+
+impl Clone for BenchmarkProfile {
+    fn clone(&self) -> Self {
+        BenchmarkProfile {
+            name: self.name.clone(),
+            icache: self.icache.clone(),
+            dcache: self.dcache.clone(),
+            memo: Default::default(),
         }
     }
 }
@@ -201,6 +233,7 @@ impl PipelineSink {
                 prefetch: dcache.analyzer.stats(),
                 cache: *hierarchy.l1d().stats(),
             },
+            memo: Default::default(),
         }
     }
 }

@@ -132,9 +132,10 @@ pub struct SweepPoint {
     pub node: TechnologyNode,
 }
 
-/// Evaluates one sweep point: fetches the benchmark's memoized profile
+/// Answers one sweep point: fetches the benchmark's memoized profile
 /// and runs the Fig. 6 generalized model over the chosen side's
-/// interval distribution.
+/// interval distribution, once per profile, side and node
+/// ([`sweep_point_profile`]).
 ///
 /// # Errors
 ///
@@ -148,11 +149,14 @@ pub fn sweep_point(
     Ok(sweep_point_profile(&profile, point))
 }
 
-/// Evaluates one sweep point against an already-fetched profile —
-/// the store-free half of [`sweep_point`], for callers that front the
-/// store with their own cache (the HTTP server's sharded store front).
+/// Answers one sweep point from an already-fetched profile — the
+/// store-free half of [`sweep_point`], for callers that front the
+/// store with their own cache (the HTTP server's striped store front).
+/// Reads through the profile's memo
+/// ([`BenchmarkProfile::optimal_savings`]), so each (side, node) of a
+/// profile is evaluated at most once.
 pub fn sweep_point_profile(profile: &BenchmarkProfile, point: &SweepPoint) -> OptimalSavings {
-    sweep_model(point.node).optimal_savings(&profile.side(point.side).dist)
+    profile.optimal_savings(point.side, point.node)
 }
 
 /// The generalized model a sweep point of `node` is evaluated under:
@@ -244,6 +248,90 @@ mod tests {
             sweep_point(&store, Scale::Test, &point),
             Err(QueryError::Store(StoreError::UnknownBenchmark { .. }))
         ));
+    }
+
+    fn bits(savings: OptimalSavings) -> [u64; 3] {
+        [
+            savings.opt_drowsy.to_bits(),
+            savings.opt_sleep.to_bits(),
+            savings.opt_hybrid.to_bits(),
+        ]
+    }
+
+    fn filled(profile: &BenchmarkProfile) -> usize {
+        profile
+            .memo
+            .iter()
+            .filter(|slot| slot.get().is_some())
+            .count()
+    }
+
+    const SIDES: [Level1; 2] = [Level1::Instruction, Level1::Data];
+
+    #[test]
+    fn memo_answers_equal_the_direct_model_bit_for_bit() {
+        let store = ProfileStore::global();
+        let names = leakage_workloads::SUITE_NAMES
+            .iter()
+            .chain(leakage_workloads::ISA_SUITE_NAMES.iter());
+        for name in names {
+            // A clone starts with an empty memo, so the first call below
+            // is the one that evaluates, whatever other tests asked the
+            // shared profile.
+            let profile = store.fetch(name, Scale::Test).as_ref().clone();
+            assert_eq!(filled(&profile), 0, "{name}: a clone starts empty");
+            for side in SIDES {
+                for node in TechnologyNode::ALL {
+                    let direct = sweep_model(node).optimal_savings(&profile.side(side).dist);
+                    let first = profile.optimal_savings(side, node);
+                    let again = profile.optimal_savings(side, node);
+                    assert_eq!(bits(first), bits(direct), "{name} {side} {node}: first");
+                    assert_eq!(bits(again), bits(direct), "{name} {side} {node}: repeat");
+                }
+            }
+            assert_eq!(filled(&profile), 8, "{name}: one slot per (side, node)");
+        }
+    }
+
+    #[test]
+    fn racing_first_fills_agree_and_fill_one_slot() {
+        let profile = ProfileStore::global()
+            .fetch("gzip", Scale::Test)
+            .as_ref()
+            .clone();
+        let barrier = std::sync::Barrier::new(2);
+        let answers: Vec<[u64; 3]> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        bits(profile.optimal_savings(Level1::Data, TechnologyNode::N100))
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let direct = sweep_model(TechnologyNode::N100).optimal_savings(&profile.dcache.dist);
+        assert_eq!(answers, vec![bits(direct); 2]);
+        assert_eq!(filled(&profile), 1);
+    }
+
+    #[test]
+    fn edited_clone_answers_for_its_own_distribution() {
+        let original = ProfileStore::global()
+            .fetch("gzip", Scale::Test)
+            .as_ref()
+            .clone();
+        let (side, node) = (Level1::Instruction, TechnologyNode::N70);
+        let before = original.optimal_savings(side, node);
+        let mut edited = original.clone();
+        edited.icache.dist = original.dcache.dist.clone();
+        let after = edited.optimal_savings(side, node);
+        let direct = sweep_model(node).optimal_savings(&original.dcache.dist);
+        assert_eq!(bits(after), bits(direct));
+        assert_ne!(bits(after), bits(before), "the edit changes the answer");
+        // The original keeps its own answer.
+        assert_eq!(bits(original.optimal_savings(side, node)), bits(before));
     }
 
     #[test]

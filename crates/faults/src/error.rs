@@ -197,7 +197,7 @@ mod tests {
 
         let err = StoreError::Io {
             path: PathBuf::from("/tmp/x.profile"),
-            source: io::Error::new(io::ErrorKind::Other, "disk full"),
+            source: io::Error::other("disk full"),
         };
         assert!(err.to_string().contains("x.profile"));
         assert!(std::error::Error::source(&err).is_some());

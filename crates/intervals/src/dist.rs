@@ -233,12 +233,8 @@ mod tests {
 
     #[test]
     fn class_hasher_is_deterministic_and_spreads() {
-        use std::hash::{BuildHasher, Hash};
-        let hash_of = |c: &IntervalClass| {
-            let mut hasher = ClassHashBuilder.build_hasher();
-            c.hash(&mut hasher);
-            hasher.finish()
-        };
+        use std::hash::BuildHasher;
+        let hash_of = |c: &IntervalClass| ClassHashBuilder.hash_one(c);
         assert_eq!(hash_of(&class(100)), hash_of(&class(100)));
         // Adjacent lengths must not collide (they are the common case).
         let hashes: std::collections::HashSet<u64> =

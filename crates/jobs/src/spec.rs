@@ -170,13 +170,11 @@ impl JobSpec {
                 return Err(bad(format!("unknown benchmark {benchmark:?}")));
             }
         }
-        for (list, what) in [(&benchmarks, "benchmarks")] {
-            let mut seen = list.clone();
-            seen.sort();
-            seen.dedup();
-            if seen.len() != list.len() {
-                return Err(bad(format!("duplicate entries in {what:?}")));
-            }
+        let mut seen = benchmarks.clone();
+        seen.sort();
+        seen.dedup();
+        if seen.len() != benchmarks.len() {
+            return Err(bad("duplicate entries in \"benchmarks\""));
         }
         if sides.len() > 2 || (sides.len() == 2 && sides[0] == sides[1]) {
             return Err(bad("duplicate entries in \"sides\""));

@@ -133,7 +133,7 @@ fn stride_change_mid_stream_retrains_in_lockstep() {
     let mut reference = ReferenceStride::default();
     let pc = 0x400u64;
     let mut addr = 0x10_000u64;
-    let mut feed = |table: &mut StridePrefetcher, reference: &mut ReferenceStride, a: u64| {
+    let feed = |table: &mut StridePrefetcher, reference: &mut ReferenceStride, a: u64| {
         let actual = table.observe(Pc::new(pc), Address::new(a)).map(|p| p.raw());
         let expected = reference.observe(pc, a);
         assert_eq!(actual, expected, "divergence at addr {a:#x}");

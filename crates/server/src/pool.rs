@@ -218,6 +218,7 @@ pub struct Server {
     queue: Arc<Queue<Job>>,
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    warm: JoinHandle<()>,
 }
 
 impl Server {
@@ -272,14 +273,14 @@ impl Server {
         });
         let stop = Arc::new(AtomicBool::new(false));
 
-        if config.preserialize {
-            // Warm the catalog off the serving path; first-touch
-            // requests that race it compute identical bytes.
-            let ctx = Arc::clone(&ctx);
+        // Warm the catalog off the serving path (a disabled one returns
+        // at once); racing first-touch requests compute identical bytes.
+        let warm = {
+            let (ctx, stop) = (Arc::clone(&ctx), Arc::clone(&stop));
             std::thread::Builder::new()
                 .name("leakage-server-warm".to_string())
-                .spawn(move || routes::warm_catalog(&ctx))?;
-        }
+                .spawn(move || routes::warm_catalog_until(&ctx, &stop))?
+        };
 
         listener.set_nonblocking(true)?;
         let queue = Arc::new(Queue::new(config.queue_depth.max(1)));
@@ -318,6 +319,7 @@ impl Server {
             queue,
             reactor: Some(reactor),
             workers,
+            warm,
         })
     }
 
@@ -346,6 +348,8 @@ impl Server {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+        // The catalog warmer stops at its next artifact.
+        let _ = self.warm.join();
         // Resumable stop: running jobs park as `queued` with their
         // checkpoints intact; a restarted server picks them back up.
         self.jobs.stop();

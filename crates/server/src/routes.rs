@@ -30,7 +30,9 @@ use crate::trace::{us32, StageTrace};
 use leakage_experiments::query::{self, QueryError, SweepPoint};
 use leakage_experiments::{CacheProfile, ProfileStore, Table};
 use leakage_faults::StoreError;
-use leakage_jobs::{num_f64, CancelOutcome, JobFabric, JobSpec, ResultError, SubmitError};
+use leakage_jobs::{
+    num_f64, render_sweep_row, CancelOutcome, JobFabric, JobSpec, ResultError, SubmitError,
+};
 use leakage_telemetry::json::{self, Json};
 use leakage_telemetry::prometheus_text;
 use leakage_telemetry::{registry, striped_counter, Gauge, Histogram, StripedCounter};
@@ -38,9 +40,9 @@ use leakage_telemetry::{
     FlightRecorder, RequestRecord, FLAG_CACHE_HIT, FLAG_CATALOG_HIT, FLAG_PANIC, FLAG_SHED,
 };
 use leakage_workloads::{Scale, SUITE_NAMES};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -177,8 +179,8 @@ impl HotMetrics {
 pub struct RouteContext {
     /// The memoized profile store backing every simulation query.
     pub store: &'static ProfileStore,
-    /// Lock-striped read front over the store (profile + sweep hot
-    /// path).
+    /// Lock-striped read front over the store; a fetched profile
+    /// carries its own memo of sweep answers.
     pub front: Arc<StoreFront>,
     /// Sharded LRU response cache.
     pub cache: Arc<ResponseCache>,
@@ -343,9 +345,15 @@ pub fn handle(request: &Request, ctx: &RouteContext, stage: &StageTrace) -> Wire
 /// Fills the catalog by pushing every artifact in its finite space
 /// through the normal [`handle`] path — the bytes in the catalog are
 /// by construction the handler's (and hence the batch pipeline's)
-/// bytes. Called from a background thread at server start; safe to
-/// race with live traffic (first insert wins, all inserts identical).
+/// bytes. Safe to race with live traffic (first insert wins, all
+/// inserts identical).
 pub fn warm_catalog(ctx: &RouteContext) {
+    warm_catalog_until(ctx, &AtomicBool::new(false));
+}
+
+/// [`warm_catalog`], giving up between artifacts once `stop` is raised
+/// (the server's warming thread, which its shutdown joins).
+pub(crate) fn warm_catalog_until(ctx: &RouteContext, stop: &AtomicBool) {
     if !ctx.catalog.enabled() {
         return;
     }
@@ -376,8 +384,8 @@ pub fn warm_catalog(ctx: &RouteContext) {
             targets.push(request);
         }
     }
-    for request in targets {
-        let _ = handle(&request, ctx, &StageTrace::default());
+    for request in targets.iter().take_while(|_| !stop.load(Ordering::Relaxed)) {
+        let _ = handle(request, ctx, &StageTrace::default());
     }
 }
 
@@ -932,13 +940,11 @@ fn jobs_result(request: &Request, ctx: &RouteContext, id: &str) -> Response {
     }
 }
 
-/// One validated sweep request: a scale plus Fig. 6 model points.
-struct SweepRequest {
-    scale: Scale,
-    points: Vec<SweepPoint>,
-}
-
-fn parse_sweep_body(request: &Request, ctx: &RouteContext) -> Result<SweepRequest, Response> {
+/// Validates a sweep body into its scale and Fig. 6 model points.
+fn parse_sweep_body(
+    request: &Request,
+    ctx: &RouteContext,
+) -> Result<(Scale, Vec<SweepPoint>), Response> {
     let text = std::str::from_utf8(&request.body)
         .map_err(|_| Response::error(400, "sweep body is not UTF-8"))?;
     let doc = json::parse(text).map_err(|err| Response::error(400, &err.to_string()))?;
@@ -982,42 +988,32 @@ fn parse_sweep_body(request: &Request, ctx: &RouteContext) -> Result<SweepReques
             node,
         });
     }
-    Ok(SweepRequest { scale, points })
+    Ok((scale, points))
 }
 
 fn sweep(request: &Request, ctx: &RouteContext, stage: &StageTrace) -> Response {
-    let SweepRequest { scale, points } = match parse_sweep_body(request, ctx) {
+    let (scale, points) = match parse_sweep_body(request, ctx) {
         Ok(parsed) => parsed,
         Err(response) => return response,
     };
-    // All points validated; fan the batch out over the rayon pool.
-    // Profiles come through the striped front (so a hot benchmark is
-    // an uncontended read), and the store behind it memoizes, so the
-    // per-benchmark simulation cost is paid at most once per process.
-    // Rows render through `leakage_jobs::render_sweep_row` — the same
-    // function the job workers use — so a sharded job's rows are
-    // byte-identical to this path by construction.
-    let results: Vec<Result<String, QueryError>> = timed_store(stage, || {
-        points
-            .par_iter()
-            .map(|point| {
-                let profile = ctx.front.fetch(&point.benchmark, scale)?;
-                let savings = query::sweep_point_profile(&profile, point);
-                Ok(leakage_jobs::render_sweep_row(
-                    &point.benchmark,
-                    point.side,
-                    point.node,
-                    &savings,
-                ))
-            })
-            .collect()
-    });
-    let mut rows = Vec::with_capacity(results.len());
-    for result in results {
-        match result {
-            Ok(row) => rows.push(row),
-            Err(err) => return query_error_response(&err),
+    // Each profile comes through the striped front and answers each
+    // (side, node) from its memo, so a point is a lookup plus a render,
+    // in order on this worker. Rows render through `render_sweep_row`,
+    // as the job workers' rows do, so a sharded job's rows are
+    // byte-identical to these by construction.
+    let mut rows = Vec::with_capacity(points.len());
+    let fetched = timed_store(stage, || {
+        for p in &points {
+            let savings = ctx
+                .front
+                .fetch(&p.benchmark, scale)?
+                .optimal_savings(p.side, p.node);
+            rows.push(render_sweep_row(&p.benchmark, p.side, p.node, &savings));
         }
+        Ok::<(), QueryError>(())
+    });
+    if let Err(err) = fetched {
+        return query_error_response(&err);
     }
     Response::json(
         200,
@@ -1489,6 +1485,13 @@ mod tests {
         let catalog_hit = handle(&request, &ctx).to_bytes(true);
         let fresh = handle(&request, &ctx_with_catalog(false)).to_bytes(true);
         assert_eq!(catalog_hit, fresh);
+    }
+
+    #[test]
+    fn a_stopped_warm_leaves_the_catalog_alone() {
+        let ctx = ctx_with_catalog(true);
+        warm_catalog_until(&ctx, &AtomicBool::new(true));
+        assert_eq!(ctx.catalog.len(), 0);
     }
 
     #[test]

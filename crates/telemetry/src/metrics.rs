@@ -73,7 +73,7 @@ impl StripedCounter {
         use std::cell::Cell;
         static NEXT: AtomicU64 = AtomicU64::new(0);
         thread_local! {
-            static INDEX: Cell<usize> = Cell::new(usize::MAX);
+            static INDEX: Cell<usize> = const { Cell::new(usize::MAX) };
         }
         let index = INDEX.with(|slot| {
             let mut index = slot.get();

@@ -541,7 +541,7 @@ mod tests {
         impl Write for Failing {
             fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
                 if self.budget == 0 {
-                    return Err(std::io::Error::new(std::io::ErrorKind::Other, "sink died"));
+                    return Err(std::io::Error::other("sink died"));
                 }
                 let n = buf.len().min(self.budget);
                 self.budget -= n;

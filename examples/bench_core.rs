@@ -1,5 +1,5 @@
 //! Single-thread throughput of generalized-model sweep evaluation, in
-//! points per second, along three paths over one job-shaped sweep:
+//! points per second, along four paths over one job-shaped sweep:
 //!
 //! * `per_policy_oracle` — three `EnergyContext::evaluate` walks per
 //!   point (`OPT-Drowsy`, `OPT-Sleep(b)`, `OPT-Hybrid`), the reference
@@ -8,14 +8,21 @@
 //!   point (the `POST /v1/sweep` path);
 //! * `grouped_chunk` — `protocol::chunk_response` over every chunk,
 //!   one walk per (benchmark, side, node) run, including row rendering
-//!   and the chunk checksum, as a job worker runs it.
+//!   and the chunk checksum, as a job worker runs it;
+//! * `sweep_route_point` — what a `POST /v1/sweep` point costs once its
+//!   profile has answered: a memo hit
+//!   (`BenchmarkProfile::optimal_savings`) plus `render_sweep_row`.
+//!   The route has no refetch axis, so each point reads its
+//!   (benchmark, side, node) cell's answer at the calibrated `C_D`.
 //!
 //! The sweep is the `sweep_job` benchmark's shape at test scale: every
 //! suite and ISA benchmark × both L1 sides × the four nodes × 192
 //! refetch-permille values, 1,024-point chunks (18,432 points). Rounds
-//! interleave the three paths, rotating which goes first, and the
-//! report gives each path's median and quartiles over the rounds.
-//! Before timing, the three paths are checked to produce the same rows.
+//! interleave the paths, rotating which goes first, and the report
+//! gives each path's median and quartiles over the rounds. Before
+//! timing, the first three paths are checked to produce the same rows,
+//! and every memo answer is checked to render the row
+//! `optimal_savings_k1` gives its cell at the calibrated `C_D`.
 //!
 //! ```text
 //! cargo run --release --example bench_core -- [--commit SHA]
@@ -28,8 +35,11 @@ use cache_leakage_limits::core::policy::{OptDrowsy, OptHybrid, OptSleep};
 use cache_leakage_limits::core::OptimalSavings;
 use cache_leakage_limits::energy::TechnologyNode;
 use cache_leakage_limits::experiments::{BenchmarkProfile, ProfileStore};
+use cache_leakage_limits::jobs::checkpoint::decode_chunk;
 use cache_leakage_limits::jobs::protocol::{chunk_response, Assign};
-use cache_leakage_limits::jobs::{render_job_row, JobSpec, PermilleAxis};
+use cache_leakage_limits::jobs::{
+    render_job_row, render_sweep_row, JobPoint, JobSpec, PermilleAxis,
+};
 use cache_leakage_limits::telemetry::json;
 use cache_leakage_limits::workloads::{Scale, ISA_SUITE_NAMES, SUITE_NAMES};
 use std::collections::HashMap;
@@ -40,9 +50,14 @@ use std::time::Instant;
 mod bench_util;
 use bench_util::{commit_arg, quartiles};
 
-const PATHS: [&str; 3] = ["per_policy_oracle", "optimal_savings_k1", "grouped_chunk"];
+const PATHS: [&str; 4] = [
+    "per_policy_oracle",
+    "optimal_savings_k1",
+    "grouped_chunk",
+    "sweep_route_point",
+];
 
-/// Interleaved rounds; each times all three paths once.
+/// Interleaved rounds; each times every path once.
 const ROUNDS: usize = 5;
 
 fn main() {
@@ -93,13 +108,17 @@ fn main() {
         })
     };
 
-    // The three paths must agree row for row before any is timed.
+    // The first three paths must agree row for row before any is timed.
     let with_permille = spec.has_refetch_axis();
-    let wire: String = chunks().collect();
-    for (point, line) in points
-        .iter()
-        .zip(wire.lines().filter(|l| !l.contains("\"chunk")))
-    {
+    let rows: Vec<String> = chunks()
+        .flat_map(|response| {
+            decode_chunk(response.as_bytes())
+                .expect("chunk_response is a sealed chunk")
+                .rows
+        })
+        .collect();
+    assert_eq!(rows.len(), points.len());
+    for (point, line) in points.iter().zip(&rows) {
         let expected = render_job_row(point, &oracle(point), with_permille);
         let fused = render_job_row(
             point,
@@ -111,12 +130,32 @@ fn main() {
             "optimal_savings differs from the per-policy oracle"
         );
         assert_eq!(
-            line, expected,
+            *line, expected,
             "chunk_response differs from the per-policy oracle"
         );
     }
 
-    let mut seconds: [Vec<f64>; 3] = Default::default();
+    // Each memo answer renders the row the fused walk gives its cell at
+    // the calibrated C_D; checking all cells also fills every memo.
+    for (name, profile) in &profiles {
+        for side in &spec.sides {
+            for &node in &spec.nodes {
+                let k1 = JobPoint {
+                    benchmark: name.clone(),
+                    side: *side,
+                    node,
+                    refetch_permille: 1000,
+                };
+                assert_eq!(
+                    render_sweep_row(name, *side, node, &profile.optimal_savings(*side, node)),
+                    render_job_row(&k1, &k1.evaluate(profile), false),
+                    "the memo differs from optimal_savings"
+                );
+            }
+        }
+    }
+
+    let mut seconds: [Vec<f64>; 4] = Default::default();
     for round in 0..ROUNDS {
         for turn in 0..PATHS.len() {
             let path = (round + turn) % PATHS.len();
@@ -128,8 +167,12 @@ fn main() {
                 1 => points.iter().for_each(|p| {
                     black_box(p.evaluate(&profiles[&p.benchmark]));
                 }),
-                _ => chunks().for_each(|response| {
+                2 => chunks().for_each(|response| {
                     black_box(response);
+                }),
+                _ => points.iter().for_each(|p| {
+                    let savings = profiles[&p.benchmark].optimal_savings(p.side, p.node);
+                    black_box(render_sweep_row(&p.benchmark, p.side, p.node, &savings));
                 }),
             }
             seconds[path].push(started.elapsed().as_secs_f64());

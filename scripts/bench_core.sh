@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
 # Reproduces results/BENCH_core.json: single-thread points/s of the
-# three ways to evaluate generalized-model sweep points, over the
+# four ways to answer generalized-model sweep points, over the
 # sweep_job-shaped 18,432-point spec at test scale:
 #
 #   per_policy_oracle    three EnergyContext::evaluate walks per point
 #   optimal_savings_k1   GeneralizedModel::optimal_savings per point
 #   grouped_chunk        protocol::chunk_response per 1,024-point chunk,
 #                        one walk per (benchmark, side, node) run
+#   sweep_route_point    a POST /v1/sweep point once its profile has
+#                        answered: memo hit + render_sweep_row
 #
-# Rounds interleave the three paths (rotating which goes first); the
-# JSON gives each path's median and quartiles over 5 rounds, the
-# speedup over the oracle, and the host's core count, the thread count
-# and the commit.
+# Rounds interleave the paths (rotating which goes first); the JSON
+# gives each path's median and quartiles over 5 rounds, the speedup
+# over the oracle, and the host's core count, the thread count and the
+# commit.
 # The timing code is examples/bench_core.rs, which also checks that
-# the three paths produce the same rows before it times them.
+# the first three paths produce the same rows, and the memo the rows of
+# optimal_savings_k1 at the calibrated C_D, before it times them.
 #
 # Usage: scripts/bench_core.sh [out.json]
 

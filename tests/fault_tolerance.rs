@@ -214,7 +214,7 @@ fn enospc_degrades_to_memory_only() {
     assert!(
         files
             .iter()
-            .all(|p| !p.extension().is_some_and(|e| e == "profile")),
+            .all(|p| p.extension().is_none_or(|e| e != "profile")),
         "{files:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);

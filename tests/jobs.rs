@@ -1,12 +1,13 @@
 //! End-to-end tests of the sweep-job fabric over real sockets: the
 //! differential conformance scenario (a sharded job's rows are
-//! byte-identical to the single-process `POST /v1/sweep` path and the
-//! in-process query oracle) and the pagination contract of
+//! byte-identical to the single-process `POST /v1/sweep` path and to
+//! the direct model's rows) and the pagination contract of
 //! `GET /v1/jobs/<id>/result`.
 
 use cache_leakage_limits::cachesim::Level1;
 use cache_leakage_limits::energy::TechnologyNode;
 use cache_leakage_limits::experiments::{query, ProfileStore};
+use cache_leakage_limits::jobs::render_sweep_row;
 use cache_leakage_limits::server::{fetch, Server, ServerConfig};
 use cache_leakage_limits::telemetry::json::{self, Json};
 use cache_leakage_limits::workloads::{Scale, SUITE_NAMES};
@@ -113,7 +114,7 @@ fn array_bytes<'a>(text: &'a str, key: &str) -> &'a str {
 /// (48 points, ≤512 as required) sharded into 16-point chunks across
 /// worker processes must serve rows byte-identical to the same points
 /// evaluated by one `POST /v1/sweep` batch in the server process, and
-/// agree with the in-process query oracle.
+/// equal the direct model's rows.
 #[test]
 fn sharded_job_rows_are_byte_identical_to_sweep_batch() {
     let (server, jobs_dir) = jobs_server();
@@ -161,37 +162,23 @@ fn sharded_job_rows_are_byte_identical_to_sweep_batch() {
         "job rows and sweep results must be byte-identical"
     );
 
-    // And both agree with the in-process oracle on a spot-checked
-    // point (gzip/dcache/100nm = row index 1*8 + 1*4 + 1 = 29... use
-    // explicit coordinates instead of arithmetic).
-    let oracle = query::sweep_point(
-        ProfileStore::global(),
-        Scale::Test,
-        &query::SweepPoint {
-            benchmark: "gzip".to_string(),
-            side: Level1::Data,
-            node: TechnologyNode::N100,
-        },
-    )
-    .expect("oracle point");
-    let doc = json::parse(&page_text).expect("page JSON");
-    let rows = doc.get("rows").and_then(Json::as_array).expect("rows");
-    let row = rows
-        .iter()
-        .find(|r| {
-            r.get("benchmark").and_then(Json::as_str) == Some("gzip")
-                && r.get("side").and_then(Json::as_str) == Some("dcache")
-                && r.get("node").and_then(Json::as_str) == Some("100nm")
-        })
-        .expect("gzip/dcache/100nm row");
-    let served = row
-        .get("opt_hybrid")
-        .and_then(Json::as_f64)
-        .expect("opt_hybrid");
-    assert!(
-        (served - oracle.opt_hybrid).abs() < 1e-12,
-        "served {served} vs oracle {}",
-        oracle.opt_hybrid
+    // And both are the rows of the direct model, rendered by the one
+    // renderer: the independent oracle, which reads no memo.
+    let mut expected = Vec::new();
+    for benchmark in SUITE_NAMES {
+        let profile = ProfileStore::global().fetch(benchmark, Scale::Test);
+        for side in [Level1::Instruction, Level1::Data] {
+            for node in TechnologyNode::ALL {
+                let direct = query::sweep_model(node).optimal_savings(&profile.side(side).dist);
+                expected.push(render_sweep_row(benchmark, side, node, &direct));
+            }
+        }
+    }
+    let expected = json::array(expected);
+    assert_eq!(
+        array_bytes(&page_text, "rows"),
+        &expected[1..expected.len() - 1],
+        "job rows must be the direct model's rows"
     );
 
     server.shutdown();

@@ -206,7 +206,7 @@ fn concurrent_writers_never_tear_the_file() {
     let leftovers: Vec<_> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
-        .filter(|p| !p.extension().is_some_and(|ext| ext == "profile"))
+        .filter(|p| p.extension().is_none_or(|ext| ext != "profile"))
         .collect();
     assert!(leftovers.is_empty(), "{leftovers:?}");
     let _ = std::fs::remove_dir_all(&dir);

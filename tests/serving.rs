@@ -8,12 +8,15 @@
 //! `server/handler/profile`, `server/handler/figure`) that no other
 //! test in this binary touches concurrently.
 
+use cache_leakage_limits::cachesim::Level1;
+use cache_leakage_limits::energy::TechnologyNode;
 use cache_leakage_limits::experiments::query;
 use cache_leakage_limits::experiments::{ProfileStore, Table};
 use cache_leakage_limits::faults::{set_plane, Plane};
+use cache_leakage_limits::jobs::render_sweep_row;
 use cache_leakage_limits::server::{fetch, loadgen, Client, LoadgenConfig, Server, ServerConfig};
 use cache_leakage_limits::telemetry::json::{self, Json};
-use cache_leakage_limits::workloads::Scale;
+use cache_leakage_limits::workloads::{Scale, ISA_SUITE_NAMES, SUITE_NAMES};
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -97,49 +100,45 @@ fn served_table2_is_byte_identical_to_batch_pipeline() {
 }
 
 /// A sweep batch over HTTP evaluates exactly the generalized-model
-/// points the in-process query API produces.
+/// points the direct model gives: one batch of every (benchmark, side,
+/// node) cell at test scale, sent twice (first touch of each profile's
+/// memo, then memo hits), must both be byte-identical to
+/// `render_sweep_row` over `sweep_model(node).optimal_savings(dist)`.
 #[test]
 fn served_sweep_matches_query_api() {
     let server = Server::start(test_config()).expect("server starts");
-    let body = br#"{"scale": "test", "points": [
-        {"benchmark": "ammp", "side": "dcache", "node": "100nm"},
-        {"benchmark": "vortex", "side": "icache", "node": "70nm"}
-    ]}"#;
-    let response = fetch(
-        server.addr(),
-        "POST",
-        "/v1/sweep",
-        Some(body),
-        CLIENT_TIMEOUT,
-    )
-    .expect("sweep response");
-    assert_eq!(response.status, 200, "{}", response.text());
-    let doc = json::parse(&response.text()).expect("sweep JSON parses");
-    let results = doc
-        .get("results")
-        .and_then(Json::as_array)
-        .expect("results array");
-    assert_eq!(results.len(), 2);
-
-    let expected = query::sweep_point(
-        ProfileStore::global(),
-        Scale::Test,
-        &query::SweepPoint {
-            benchmark: "ammp".to_string(),
-            side: cache_leakage_limits::cachesim::Level1::Data,
-            node: cache_leakage_limits::energy::TechnologyNode::N100,
-        },
-    )
-    .expect("in-process sweep point");
-    let served_drowsy = results[0]
-        .get("opt_drowsy")
-        .and_then(Json::as_f64)
-        .expect("opt_drowsy");
-    assert!(
-        (served_drowsy - expected.opt_drowsy).abs() < 1e-9,
-        "served {served_drowsy} vs batch {}",
-        expected.opt_drowsy
-    );
+    let mut points = Vec::new();
+    let mut rows = Vec::new();
+    for benchmark in SUITE_NAMES.iter().chain(ISA_SUITE_NAMES.iter()) {
+        let profile = ProfileStore::global().fetch(benchmark, Scale::Test);
+        for (side, token) in [(Level1::Instruction, "icache"), (Level1::Data, "dcache")] {
+            for node in TechnologyNode::ALL {
+                points.push(format!(
+                    r#"{{"benchmark": {benchmark:?}, "side": "{token}", "node": "{node}"}}"#
+                ));
+                let direct = query::sweep_model(node).optimal_savings(&profile.side(side).dist);
+                rows.push(render_sweep_row(benchmark, side, node, &direct));
+            }
+        }
+    }
+    assert_eq!(points.len(), 96);
+    let body = format!(r#"{{"scale": "test", "points": [{}]}}"#, points.join(", "));
+    let expected = json::object([
+        json::key("scale_cycles") + &Scale::Test.cycles().to_string(),
+        json::key("results") + &json::array(rows),
+    ]);
+    for pass in ["first touch", "memo hit"] {
+        let response = fetch(
+            server.addr(),
+            "POST",
+            "/v1/sweep",
+            Some(body.as_bytes()),
+            CLIENT_TIMEOUT,
+        )
+        .expect("sweep response");
+        assert_eq!(response.status, 200, "{pass}: {}", response.text());
+        assert!(response.text() == expected, "{pass}: served rows differ");
+    }
     server.shutdown();
 }
 
